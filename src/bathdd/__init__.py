@@ -14,7 +14,6 @@ from .channel import (
     Superoperator,
     apply,
     choi,
-    compose,
     extend_with_identity,
     identity_superoperator,
     load_channel,

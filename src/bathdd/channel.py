@@ -2,7 +2,7 @@
 
 Channels are canonically stored as Kraus operator lists; the d^2 x d^2
 superoperator matrix (row-vectorization convention, so the matrix of
-A . B is A kron B^T) is derived on demand and cached.
+A . B is A kron B^T) is rebuilt from them on each ``to_superoperator`` call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "channel_from_dict",
     "channel_to_dict",
     "choi",
-    "compose",
     "extend_with_identity",
     "identity_superoperator",
     "load_channel",
@@ -145,13 +144,6 @@ def extend_with_identity(s2: Superoperator, d1: int) -> Superoperator:
     big = np.einsum("ik,jl,abcd->iajbkcld", eye, eye, r)
     d = d1 * d2
     return Superoperator(d, big.reshape(d * d, d * d))
-
-
-def compose(s_a: Superoperator, s_b: Superoperator) -> Superoperator:
-    """Superoperator of A after B (matrix product A @ B)."""
-    if s_a.dim != s_b.dim:
-        raise ChannelError("dimension mismatch in composition")
-    return Superoperator(s_a.dim, s_a.matrix @ s_b.matrix)
 
 
 def power(s: Superoperator, n: int) -> Superoperator:

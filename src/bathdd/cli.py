@@ -16,9 +16,9 @@ from .channel import ChannelError, KrausChannel, load_channel, to_superoperator,
 from .classify import classify
 from .hamiltonian import random_hamiltonian
 from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
-from .linalg import LinalgError
-from .spectral import SpectralError, analyze_peripheral
-from .zeno import dd_check, suppression_check, zeno_hamiltonian
+from .linalg import LinalgError, is_hermitian
+from .spectral import MAX_PERIPHERAL_TOL, SpectralError, analyze_peripheral
+from .zeno import dd_check, zeno_hamiltonian
 from .zoo import builtin, names
 
 EXIT_OK = 0
@@ -55,6 +55,8 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
             seed = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"bad random Hamiltonian seed in {spec!r}") from exc
+        if seed < 0:
+            raise UsageError(f"bad random Hamiltonian seed in {spec!r}: must be >= 0")
         return random_hamiltonian(dim, seed)
     try:
         data = json.loads(open(spec).read())
@@ -66,6 +68,8 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
         raise UsageError(f"cannot load Hamiltonian {spec!r}: {exc}") from exc
     if h.shape != (dim, dim):
         raise UsageError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
+    if not is_hermitian(h):
+        raise UsageError(f"Hamiltonian {spec!r} is not Hermitian")
     return h
 
 
@@ -113,11 +117,9 @@ def _cmd_zeno_check(args) -> int:
     _require_cptp(ch)
     s = to_superoperator(ch)
     h = _load_hamiltonian(args.hamiltonian, ch.dim)
-    dec = analyze_peripheral(s)
-    h_z = zeno_hamiltonian(dec, h)
-    norm = float(np.linalg.norm(h_z.matrix))
+    norm = float(np.linalg.norm(zeno_hamiltonian(analyze_peripheral(s), h).matrix))
     out = {
-        "suppressed": suppression_check(s, h, tol=args.tol),
+        "suppressed": norm <= args.tol,
         "zeno_hamiltonian_norm": norm,
     }
     print(json.dumps(out, indent=1))
@@ -148,8 +150,27 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive(convert, upper: float = float("inf")):
+    """Argument type for a number in (0, upper]."""
+
+    def number(text: str):
+        value = convert(text)
+        if not 0 < value <= upper:
+            raise argparse.ArgumentTypeError(f"must lie in (0, {upper:g}], got {text}")
+        return value
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bathdd",
         description="Spectral analysis of quantum channels: classification, "
         "bath dynamical decoupling, and Zeno Hamiltonian suppression.",
@@ -164,25 +185,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="ergodic/mixing/irreducible/DFS-free profile")
     add_channel(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive(float, MAX_PERIPHERAL_TOL), default=1e-8)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("spectrum", help="peripheral eigenvalues and multiplicities")
     add_channel(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive(float, MAX_PERIPHERAL_TOL), default=1e-8)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("dd-check", help="does bath dynamical decoupling work?")
     add_channel(p)
     p.add_argument("--hamiltonian", required=True, help="JSON file or random:SEED")
-    p.add_argument("--d1", type=int, default=2, help="system dimension")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--d1", type=_positive(int), default=2, help="system dimension")
+    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.set_defaults(func=_cmd_dd_check)
 
     p = sub.add_parser("zeno-check", help="is the Zeno Hamiltonian suppressed?")
     add_channel(p)
     p.add_argument("--hamiltonian", required=True, help="JSON file or random:SEED")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.set_defaults(func=_cmd_zeno_check)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

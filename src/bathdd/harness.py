@@ -97,7 +97,7 @@ class SweepConfig:
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown sweep config keys: {sorted(extra)}")
-        return SweepConfig(
+        cfg = SweepConfig(
             channel=data["channel"],
             mode=data["mode"],
             n_values=tuple(int(n) for n in data["n_values"]),
@@ -106,6 +106,16 @@ class SweepConfig:
             d1=int(data.get("d1", 2)),
             channel_params=dict(data.get("channel_params", {})),
         )
+        if cfg.mode not in ("dd", "zeno"):
+            raise ValueError(f"unknown sweep mode {cfg.mode!r}")
+        if min(cfg.n_values, default=0) < 1 or cfg.d1 < 1:
+            raise ValueError("n_values must be non-empty; n and d1 must be positive")
+        fixture = cfg.hamiltonians.get("fixture")
+        if fixture is not None and fixture not in FIXTURE_HAMILTONIANS:
+            raise ValueError(f"unknown fixture {fixture!r}; known: {sorted(FIXTURE_HAMILTONIANS)}")
+        if int(cfg.hamiltonians.get("random", 1)) < 1:
+            raise ValueError("the random Hamiltonian count must be positive")
+        return cfg
 
 
 FIXTURE_HAMILTONIANS = {

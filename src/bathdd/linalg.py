@@ -3,7 +3,7 @@
 Everything downstream works with plain ``numpy.ndarray`` of dtype complex128.
 This module wraps the handful of primitives the rest of the package relies on:
 general (non-Hermitian) eigendecomposition with paired left/right eigenvectors,
-matrix exponential, SVD-based norms, Kronecker products, and partial traces.
+matrix exponential, SVD-based norms, and Kronecker products.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ __all__ = [
     "dagger",
     "eig",
     "expm",
-    "frobenius",
     "is_hermitian",
     "kron",
-    "norms",
     "operator_norm",
-    "partial_trace",
     "trace_norm",
     "unvec",
     "vec",
@@ -75,10 +72,6 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     return v.reshape(d, d)
 
 
-def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
 def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(scipy.linalg.svdvals(m)))
 
@@ -86,17 +79,6 @@ def trace_norm(m: np.ndarray) -> float:
 def operator_norm(m: np.ndarray) -> float:
     s = scipy.linalg.svdvals(m)
     return float(s[0]) if s.size else 0.0
-
-
-def norms(m: np.ndarray) -> dict[str, float]:
-    """Frobenius, trace, and operator norms from one SVD."""
-    m = np.asarray(m, dtype=complex)
-    s = scipy.linalg.svdvals(m)
-    return {
-        "frobenius": float(np.sqrt(np.sum(s**2))),
-        "trace_norm": float(np.sum(s)),
-        "operator_norm": float(s[0]) if s.size else 0.0,
-    }
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,22 +90,6 @@ def expm(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expm requires a square matrix")
     return scipy.linalg.expm(m)
-
-
-def partial_trace(m: np.ndarray, d1: int, d2: int, keep: int = 1) -> np.ndarray:
-    """Trace out one tensor factor of an operator on a d1*d2 dimensional space.
-
-    keep=1 returns tr_2(m) (a d1 x d1 matrix), keep=2 returns tr_1(m).
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"expected a {d1 * d2}x{d1 * d2} matrix, got {m.shape}")
-    r = m.reshape(d1, d2, d1, d2)
-    if keep == 1:
-        return np.einsum("ajbj->ab", r)
-    if keep == 2:
-        return np.einsum("jajb->ab", r)
-    raise ValueError("keep must be 1 or 2")
 
 
 def cluster_indices(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndarray]:

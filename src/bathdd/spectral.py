@@ -19,11 +19,11 @@ __all__ = [
     "SpectralError",
     "analyze_peripheral",
     "fixed_point_state",
-    "peripheral_inverse",
     "peripheral_power",
 ]
 
 PERIPHERAL_TOL = 1e-8
+MAX_PERIPHERAL_TOL = 1e-4
 
 
 class SpectralError(RuntimeError):
@@ -96,8 +96,8 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
     the peripheral part of a channel is always diagonalizable, so a defective
     peripheral cluster is reported as an error.
     """
-    if not 0 < tol <= 1e-4:
-        raise ValueError("tol must lie in (0, 1e-4]")
+    if not 0 < tol <= MAX_PERIPHERAL_TOL:
+        raise ValueError(f"tol must lie in (0, {MAX_PERIPHERAL_TOL:g}]")
     d = s.dim
     es = eig(s.matrix, cluster_tol=tol)
 
@@ -184,13 +184,5 @@ def peripheral_power(dec: PeripheralDecomposition, n: int) -> Superoperator:
         raise ValueError("n must be non-negative")
     m = sum(
         lam**n * p.matrix for lam, p in zip(dec.peripheral_values, dec.projections)
-    )
-    return Superoperator(dec.dim, m)
-
-
-def peripheral_inverse(dec: PeripheralDecomposition) -> Superoperator:
-    """Inverse of the peripheral part on its range: sum_l lambda_l^-1 P_l."""
-    m = sum(
-        p.matrix / lam for lam, p in zip(dec.peripheral_values, dec.projections)
     )
     return Superoperator(dec.dim, m)

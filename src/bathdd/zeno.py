@@ -115,13 +115,18 @@ def dd_check(
     predicted decoupled generator [(H_1 + sum_i c_i h1_i) kron I_2, .], after
     right-composing both with I_1 kron P_phi: the Zeno limit only constrains
     the generator on the range of the peripheral projection.
+
+    Only E_2 is analysed. The peripheral projections of I_1 kron E_2 are the
+    lifts I_1 kron P_l of the bath kick's projections P_l, and P_phi is their
+    sum, so both come from the one bath decomposition.
     """
     d2 = s2.dim
     if h.shape[0] != d1 * d2:
         raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
     dec2 = analyze_peripheral(s2)
-    dec_ext = analyze_peripheral(extend_with_identity(s2, d1))
-    h_z = zeno_hamiltonian(dec_ext, h)
+    lifted = [extend_with_identity(p, d1).matrix for p in dec2.projections]
+    h_adj = adjoint_rep(h).matrix
+    h_z = sum(p @ h_adj @ p for p in lifted)
 
     sd = schmidt(h, d1, d2)
     ergodic = dec2.dim_fixed == 1
@@ -130,9 +135,9 @@ def dd_check(
 
     h_eff = sd.h1 + sum(c * h1_i for c, (h1_i, _) in zip(coeffs, sd.terms))
     g = adjoint_rep(kron(h_eff, np.eye(d2)))
-    p_phi_ext = extend_with_identity(dec2.peripheral_projection, d1)
+    p_phi_ext = sum(lifted)
 
-    residual = float(np.linalg.norm(h_z.matrix - g.matrix @ p_phi_ext.matrix))
+    residual = float(np.linalg.norm(h_z - g.matrix @ p_phi_ext))
     return DdVerdict(
         works=residual <= tol,
         residual=residual,

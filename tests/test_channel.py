@@ -12,7 +12,6 @@ from bathdd.channel import (
     channel_from_dict,
     channel_to_dict,
     choi,
-    compose,
     extend_with_identity,
     identity_superoperator,
     load_channel,
@@ -195,7 +194,6 @@ def test_power_and_compose():
     oracle = matrix_unit_oracle(builtin("E_dephase", d=2).channel)
     assert np.allclose(s2.matrix, oracle)
     assert np.allclose(power(s, 1).matrix, s.matrix)
-    assert np.allclose(compose(identity_superoperator(2), s).matrix, s.matrix)
 
 
 # --- file format -------------------------------------------------------------

@@ -127,3 +127,44 @@ def test_reproduce_command(tmp_path, capsys):
     assert (tmp_path / "fig2a_fixture.csv").exists()
     assert (tmp_path / "fig2a_random.csv").exists()
     assert (tmp_path / "fig2a.json").exists()
+
+
+SWEEP_BASE = {"channel": "zoo:E_updown", "mode": "zeno", "n_values": [1, 2],
+              "hamiltonians": {"random": 2, "seed": 0}}
+BAD_FILES = {
+    "h2": {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    "h4": {"matrix": [[[float(i == 0 and j == 1), 0.0] for j in range(4)] for i in range(4)]},
+    "bad_mode": {**SWEEP_BASE, "mode": "dephase"},
+    "bad_fixture": {**SWEEP_BASE, "hamiltonians": {"fixture": "XX"}},
+    "zero_n": {**SWEEP_BASE, "n_values": [0, 2]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "{h2}"],
+    ["dd-check", "zoo:E_updown", "--hamiltonian", "{h4}"],
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "random:-1"],
+    ["dd-check", "zoo:E_updown", "--hamiltonian", "random:1", "--d1", "0"],
+    ["dd-check", "zoo:E_updown", "--hamiltonian", "random:1", "--d1", "-1"],
+    ["classify", "zoo:E_updown", "--tol", "1e-3"],
+    ["classify", "zoo:E_updown", "--tol", "0"],
+    ["spectrum", "zoo:E_updown", "--tol", "1e-3"],
+    ["spectrum", "zoo:E_updown", "--tol", "0"],
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "random:1", "--tol", "-1"],
+    ["dd-check", "zoo:E_updown", "--hamiltonian", "random:1", "--tol", "0"],
+    ["sweep", "--config", "{bad_mode}", "--out", "{out}"],
+    ["sweep", "--config", "{bad_fixture}", "--out", "{out}"],
+    ["sweep", "--config", "{zero_n}", "--out", "{out}"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    paths = {"out": str(tmp_path / "out")}
+    for key, data in BAD_FILES.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        (tmp_path / f"{key}.json").write_text(json.dumps(data))
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1, err

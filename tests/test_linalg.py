@@ -10,12 +10,9 @@ from bathdd.linalg import (
     dagger,
     eig,
     expm,
-    frobenius,
     is_hermitian,
     kron,
-    norms,
     operator_norm,
-    partial_trace,
     trace_norm,
     unvec,
     vec,
@@ -55,14 +52,12 @@ def test_hermitian_check():
 
 
 def test_norms_pauli_z():
-    assert frobenius(Z) == pytest.approx(np.sqrt(2))
     assert trace_norm(Z) == pytest.approx(2.0)
     assert operator_norm(Z) == pytest.approx(1.0)
 
 
 def test_norms_zero():
     z = np.zeros((3, 3))
-    assert frobenius(z) == 0.0
     assert trace_norm(z) == 0.0
     assert operator_norm(z) == 0.0
 
@@ -73,18 +68,7 @@ def test_trace_norm_independent_svd():
     # oracle: singular values via eigenvalues of M^dag M
     sv = np.sqrt(np.maximum(np.linalg.eigvalsh(dagger(m) @ m), 0))
     assert trace_norm(m) == pytest.approx(float(np.sum(sv)), abs=1e-10)
-    got = norms(m)
-    assert got["trace_norm"] == pytest.approx(float(np.sum(sv)), abs=1e-10)
-    assert got["operator_norm"] == pytest.approx(float(np.max(sv)), abs=1e-10)
-    assert got["frobenius"] == pytest.approx(float(np.linalg.norm(m)), abs=1e-10)
-
-
-@settings(max_examples=30)
-@given(complex_matrices(3))
-def test_schatten_ordering(m):
-    n = norms(m)
-    assert n["operator_norm"] <= n["frobenius"] + 1e-9
-    assert n["frobenius"] <= n["trace_norm"] + 1e-9
+    assert operator_norm(m) == pytest.approx(float(np.max(sv)), abs=1e-10)
 
 
 def test_kron_trivial():
@@ -125,39 +109,6 @@ def test_expm_accuracy_large_norm():
     oracle = (v * np.exp(-1j * w)) @ dagger(v)
     got = expm(-1j * h)
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(1)
-    r1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    r2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(partial_trace(np.kron(r1, r2), 2, 2, keep=1), r1 * np.trace(r2))
-    assert np.allclose(partial_trace(np.kron(r1, r2), 2, 2, keep=2), r2 * np.trace(r1))
-
-
-def test_partial_trace_maximally_entangled():
-    omega = np.zeros((4, 1), dtype=complex)
-    omega[0] = omega[3] = 1 / np.sqrt(2)
-    rho = omega @ dagger(omega)
-    assert np.allclose(partial_trace(rho, 2, 2, keep=1), np.eye(2) / 2)
-
-
-def test_partial_trace_index_oracle():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    oracle = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for j in range(2):
-                oracle[a, b] += m[2 * a + j, 2 * b + j]
-    assert np.allclose(partial_trace(m, 2, 2, keep=1), oracle)
-
-
-@settings(max_examples=20)
-@given(complex_matrices(4), complex_matrices(4))
-def test_partial_trace_linear(m1, m2):
-    got = partial_trace(m1 + 2 * m2, 2, 2)
-    assert np.allclose(got, partial_trace(m1, 2, 2) + 2 * partial_trace(m2, 2, 2))
 
 
 def test_cluster_indices():

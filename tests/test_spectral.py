@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from bathdd.channel import power, to_superoperator
+from bathdd.channel import Superoperator, power, to_superoperator
 from bathdd.linalg import dagger
 from bathdd.spectral import (
     SpectralError,
     analyze_peripheral,
     fixed_point_state,
-    peripheral_inverse,
     peripheral_power,
 )
 from bathdd.zoo import builtin
@@ -112,11 +111,32 @@ def test_peripheral_power_dephasing_is_itself():
         assert np.allclose(peripheral_power(dec, n).matrix, s.matrix, atol=1e-9)
 
 
-def test_peripheral_inverse():
-    for name in ("E_updown", "E_triangle", "P_rho"):
-        dec = dec_of(name)
-        prod = peripheral_inverse(dec).matrix @ dec.peripheral_part.matrix
-        assert np.allclose(prod, dec.peripheral_projection.matrix, atol=1e-9)
+@pytest.mark.parametrize("jordan", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projections_exact_beside_defective_block(jordan, seed):
+    # M = X D X^-1 with peripheral values (1, -1, i), a Jordan block at 0.5
+    # and a random contracting diagonal: the peripheral projections are
+    # X[:, k] X^-1[k, :] exactly, however ill-conditioned the block is
+    rng = np.random.default_rng(seed)
+    n = 16
+    d = np.zeros((n, n), dtype=complex)
+    d[[0, 1, 2], [0, 1, 2]] = [1.0, -1.0, 1j]
+    block = range(3, 3 + jordan)
+    d[block, block] = 0.5
+    d[block[:-1], block[1:]] = 1.0
+    rest = range(3 + jordan, n)
+    radius = 0.9 * np.sqrt(rng.uniform(size=len(rest)))
+    d[rest, rest] = radius * np.exp(2j * np.pi * rng.uniform(size=len(rest)))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x_inv = np.linalg.inv(x)
+
+    dec = analyze_peripheral(Superoperator(4, x @ d @ x_inv))
+    exact = x[:, :3] @ x_inv[:3, :]
+    assert np.max(np.abs(dec.peripheral_projection.matrix - exact)) <= 1e-10
+    for lam, p in zip(dec.peripheral_values, dec.projections):
+        k = int(np.argmin(np.abs(np.diag(d)[:3] - lam)))
+        exact_k = np.outer(x[:, k], x_inv[k, :])
+        assert np.max(np.abs(p.matrix - exact_k)) <= 1e-10
 
 
 def test_tol_validation():

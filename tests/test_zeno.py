@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from bathdd.channel import identity_superoperator, power, to_superoperator
-from bathdd.hamiltonian import adjoint_rep, random_hamiltonian
+from bathdd.channel import (
+    KrausChannel,
+    extend_with_identity,
+    identity_superoperator,
+    power,
+    to_superoperator,
+)
+from bathdd.hamiltonian import adjoint_rep, random_hamiltonian, schmidt
 from bathdd.harness import choi_distance
 from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral
 from bathdd.zeno import (
+    DD_TOL,
+    _reference_state,
     dd_check,
     dd_evolution,
     suppression_check,
@@ -14,7 +22,7 @@ from bathdd.zeno import (
     zeno_evolution,
     zeno_hamiltonian,
 )
-from bathdd.zoo import builtin, pauli
+from bathdd.zoo import builtin, names, pauli
 
 Z = pauli("z")
 X = pauli("x")
@@ -48,8 +56,6 @@ def test_zeno_hamiltonian_block_structure():
 
 def test_updown_kills_product_hamiltonians():
     # frequent spin flips on the bath cancel any sigma kron sigma coupling
-    from bathdd.channel import extend_with_identity
-
     dec = analyze_peripheral(extend_with_identity(sup("E_updown"), 2))
     for seed in range(5):
         h = kron(random_bloch(seed), random_bloch(seed + 100))
@@ -124,8 +130,6 @@ def test_target_evolution_reset_channel_closed_form():
 
 
 def test_dd_evolution_matches_extended_zeno():
-    from bathdd.channel import extend_with_identity
-
     s2 = sup("E_updown")
     h = kron(random_bloch(5), random_bloch(6))
     a = dd_evolution(s2, h, 1.0, 4, 2)
@@ -151,8 +155,6 @@ def test_dd_check_updown_example():
 def test_dd_check_square_coefficient():
     # interaction X kron diag(1,-1,0); the surviving system term is
     # (p - 1/2) X since tr(diag(1,-1,0) rho_*) = p/2 - (1-p)/2
-    from bathdd.hamiltonian import schmidt
-
     p = 0.7
     s2 = sup("E_square", p=p)
     h2 = np.diag([1.0, -1.0, 0.0]).astype(complex)
@@ -173,8 +175,6 @@ def test_dd_check_dephasing_fails():
     assert v.coefficients is None
     # expected residual: norm of the undecoupled generator on the
     # peripheral range
-    from bathdd.channel import extend_with_identity
-
     dec2 = analyze_peripheral(s2)
     p_ext = extend_with_identity(dec2.peripheral_projection, 2)
     expected = np.linalg.norm(adjoint_rep(h).matrix @ p_ext.matrix)
@@ -185,3 +185,55 @@ def test_dd_check_dephasing_fails():
 def test_dd_check_dim_mismatch():
     with pytest.raises(ValueError):
         dd_check(sup("E_updown"), np.eye(6, dtype=complex), 2)
+
+
+def random_stinespring(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d * rank, d)) + 1j * rng.standard_normal((d * rank, d))
+    v, _ = np.linalg.qr(g)
+    return to_superoperator(KrausChannel(d, tuple(v[i * d:(i + 1) * d] for i in range(rank))))
+
+
+def reference_dd_check(s2, h, d1):
+    """dd_check with H_Z from a full analysis of the extended kick I_1 kron E_2."""
+    d2 = s2.dim
+    dec2 = analyze_peripheral(s2)
+    h_z = zeno_hamiltonian(analyze_peripheral(extend_with_identity(s2, d1)), h)
+    sd = schmidt(h, d1, d2)
+    rho = _reference_state(dec2)
+    coeffs = tuple(float(np.real(np.trace(h2_i @ rho))) for _, h2_i in sd.terms)
+    h_eff = sd.h1 + sum(c * h1_i for c, (h1_i, _) in zip(coeffs, sd.terms))
+    g = adjoint_rep(kron(h_eff, np.eye(d2)))
+    p_phi_ext = extend_with_identity(dec2.peripheral_projection, d1)
+    residual = float(np.linalg.norm(h_z.matrix - g.matrix @ p_phi_ext.matrix))
+    ergodic = dec2.dim_fixed == 1
+    return residual, coeffs if ergodic else None, ergodic
+
+
+def assert_matches_reference(s2, seed):
+    rng = np.random.default_rng(seed)
+    for d1 in (2, 3):
+        d = d1 * s2.dim
+        if d > 8:
+            continue
+        for _ in range(3):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = (g + g.conj().T) / 2
+            v = dd_check(s2, h, d1)
+            residual, coeffs, ergodic = reference_dd_check(s2, h, d1)
+            assert v.residual == pytest.approx(residual, abs=1e-12)
+            assert v.works == (residual <= DD_TOL)
+            assert v.kick_ergodic == ergodic
+            assert v.coefficients == coeffs
+
+
+@pytest.mark.parametrize("name", [n for n in names() if 2 * builtin(n).channel.dim <= 8])
+def test_dd_check_matches_extended_kick_reference_zoo(name):
+    assert_matches_reference(sup(name), seed=len(name))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_dd_check_matches_extended_kick_reference_stinespring(d, rank):
+    for seed in (0, 1):
+        assert_matches_reference(random_stinespring(d, rank, seed), seed=10 * d + rank + seed)
