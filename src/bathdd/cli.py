@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelError, KrausChannel, load_channel, to_superoperator, validate_cptp
+from .channel import KrausChannel, to_superoperator, validate_cptp
 from .classify import classify
 from .hamiltonian import random_hamiltonian
 from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
@@ -27,10 +28,10 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _load(spec: str) -> KrausChannel:
+def _load(spec: str, params: dict | None = None) -> KrausChannel:
     try:
-        return resolve_channel(spec)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ChannelError) as exc:
+        return resolve_channel(spec, params)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load channel {spec!r}: {exc}") from exc
 
 
@@ -57,7 +58,10 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
             raise UsageError(f"bad random Hamiltonian seed in {spec!r}") from exc
         if seed < 0:
             raise UsageError(f"bad random Hamiltonian seed in {spec!r}: must be >= 0")
-        return random_hamiltonian(dim, seed)
+        try:
+            return random_hamiltonian(dim, seed)
+        except ValueError as exc:
+            raise UsageError(f"cannot draw Hamiltonian {spec!r} at dim {dim}: {exc}") from exc
     try:
         data = json.loads(open(spec).read())
         h = np.array(
@@ -129,13 +133,13 @@ def _cmd_zeno_check(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         cfg = SweepConfig.from_dict(json.loads(open(args.config).read()))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad sweep config {args.config!r}: {exc}") from exc
-    ch = _load(cfg.channel)
-    _require_cptp(ch)
-    records = sweep(cfg)
-    from pathlib import Path
-
+    _require_cptp(_load(cfg.channel, cfg.channel_params))
+    try:
+        records = sweep(cfg)
+    except ValueError as exc:  # the channel passed above: a Hamiltonian that does not fit it
+        raise UsageError(f"bad sweep config {args.config!r}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"

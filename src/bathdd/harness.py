@@ -1,28 +1,31 @@
 """Metrics, parameter sweeps, and desk-scale reproduction of the reference
 decoupling/suppression curves.
 
-Two experiment modes exist: "dd" evolves a bipartite system with the kick
-applied to the bath factor and records the purity of the reduced Choi state
-of the system legs; "zeno" evolves a mono-partite system and records the
-trace-norm distance between the Choi states of the kicked evolution and of
-the Hamiltonian-free kicked evolution E_phi^n (full suppression). When
+Every curve is one ``zeno_evolution`` per (H, n), scored in one of two modes:
+"dd" kicks the bath factor of a bipartite system with I_1 kron E_2 (lifted once
+per sweep) and records the purity of the reduced Choi state of the system
+legs; "zeno" kicks a mono-partite system with E and records the trace-norm
+distance between the Choi states of the kicked evolution and of the
+Hamiltonian-free kicked evolution E_phi^n (full suppression). When
 suppression works the latter is the Zeno-limit target; when it fails, the
-distance saturates at a nonzero constant.
+distance saturates at a nonzero constant. ``FIGURES`` holds each reference
+panel as a ``SweepConfig`` row, which ``reproduce`` runs through ``sweep``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .channel import KrausChannel, Superoperator, choi, load_channel, to_superoperator
+from .channel import (KrausChannel, Superoperator, choi, extend_with_identity, load_channel,
+                      to_superoperator)
 from .hamiltonian import random_hamiltonian
 from .linalg import kron, trace_norm
 from .spectral import analyze_peripheral, peripheral_power
-from .zeno import dd_evolution, zeno_evolution
+from .zeno import zeno_evolution
 from .zoo import builtin, pauli
 
 __all__ = [
@@ -34,8 +37,6 @@ __all__ = [
     "resolve_channel",
     "sweep",
 ]
-
-FIGURE_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b")
 
 
 def reduced_choi_purity(s: Superoperator, d1: int, d2: int) -> float:
@@ -78,8 +79,9 @@ class SweepConfig:
     """One sweep: a kick channel, a Hamiltonian source, and a list of n.
 
     ``channel`` is a zoo name ("zoo:E_updown") or a channel JSON file path.
-    ``hamiltonians`` is either {"random": count, "seed": s, "dim": d} or
-    {"fixture": name} with a named witness Hamiltonian. mode "dd" needs d1.
+    ``hamiltonians`` is either {"random": count, "seed": s} (count 100 and
+    seed 0 by default) or {"fixture": name} with a named witness Hamiltonian;
+    their dimension is the channel's, times d1 in mode "dd".
     """
 
     channel: str
@@ -111,6 +113,11 @@ class SweepConfig:
         if min(cfg.n_values, default=0) < 1 or cfg.d1 < 1:
             raise ValueError("n_values must be non-empty; n and d1 must be positive")
         fixture = cfg.hamiltonians.get("fixture")
+        allowed = {"random", "seed"} if fixture is None else {"fixture"}
+        extra = set(cfg.hamiltonians) - allowed
+        if extra:
+            raise ValueError(
+                f"unknown hamiltonians keys {sorted(extra)}; known: {sorted(allowed)}")
         if fixture is not None and fixture not in FIXTURE_HAMILTONIANS:
             raise ValueError(f"unknown fixture {fixture!r}; known: {sorted(FIXTURE_HAMILTONIANS)}")
         if int(cfg.hamiltonians.get("random", 1)) < 1:
@@ -151,35 +158,31 @@ def _hamiltonian_source(cfg: SweepConfig, total_dim: int):
 
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
-    min/max/mean aggregate rows per n (seeds "min", "max", "mean")."""
+    min/max/mean aggregate rows per n (seeds "min", "max", "mean"). The kick
+    and the metric are fixed once, before the loop over the pairs."""
     ch = resolve_channel(cfg.channel, cfg.channel_params)
     s = to_superoperator(ch)
     if cfg.mode == "dd":
-        total_dim = cfg.d1 * ch.dim
+        kick, metric = extend_with_identity(s, cfg.d1), "purity"
+        score = lambda ev, n: reduced_choi_purity(ev, cfg.d1, ch.dim)
     elif cfg.mode == "zeno":
-        total_dim = ch.dim
         dec = analyze_peripheral(s)
+        targets = {n: peripheral_power(dec, n) for n in cfg.n_values}
+        kick, metric = s, "choi_distance"
+        score = lambda ev, n: choi_distance(ev, targets[n])
     else:
         raise ValueError(f"unknown sweep mode {cfg.mode!r}")
 
     records: list[SweepRecord] = []
     per_n: dict[int, list[float]] = {n: [] for n in cfg.n_values}
-    for seed, h_label, h in _hamiltonian_source(cfg, total_dim):
+    for seed, h_label, h in _hamiltonian_source(cfg, kick.dim):
         for n in cfg.n_values:
-            if cfg.mode == "dd":
-                ev = dd_evolution(s, h, cfg.t, n, cfg.d1)
-                value = reduced_choi_purity(ev, cfg.d1, ch.dim)
-                metric = "purity"
-            else:
-                ev = zeno_evolution(s, h, cfg.t, n)
-                value = choi_distance(ev, peripheral_power(dec, n))
-                metric = "choi_distance"
+            value = score(zeno_evolution(kick, h, cfg.t, n), n)
             per_n[n].append(value)
             records.append(
                 SweepRecord(n, metric, value, seed, cfg.channel, h_label, cfg.t)
             )
 
-    metric = "purity" if cfg.mode == "dd" else "choi_distance"
     for n in cfg.n_values:
         vals = per_n[n]
         for tag, v in (("min", min(vals)), ("max", max(vals)),
@@ -191,123 +194,97 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     return records
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
 def write_records_csv(records: list[SweepRecord], path: Path) -> None:
-    lines = ["n,metric,value,seed,channel,hamiltonian,t"]
-    for r in records:
-        lines.append(
-            f"{r.n},{r.metric_name},{r.value:.12g},{r.seed},{r.channel},"
-            f"{r.hamiltonian},{r.t:g}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, "n,metric,value,seed,channel,hamiltonian,t", (
+        f"{r.n},{r.metric_name},{r.value:.12g},{r.seed},{r.channel},"
+        f"{r.hamiltonian},{r.t:g}"
+        for r in records
+    ))
 
 
 # --- figure reproduction -----------------------------------------------------
 
-_N_FULL = tuple(range(1, 101))
-_N_COARSE = (1, 2, 5, 10, 20, 50, 100)
-_RANDOM_COUNT = 100
-_BASE_SEED = 20240927
+
+@dataclass(frozen=True)
+class _Figure:
+    """A reference panel: the random-H sweep and the aggregate row plotted from
+    it, an optional witness-Hamiltonian (fixture) series, the CSV header and
+    the reference constants."""
+
+    config: SweepConfig
+    aggregate: str  # "min" | "max" | "mean"
+    fixture: str | None
+    header: str
+    reference: dict
 
 
-def _figure_plan(figure_id: str) -> dict:
-    plans = {
-        # worst-case purity of bath DD with the spin-flip kick, random H
-        "fig1a": dict(
-            channel="zoo:E_updown", mode="dd", d1=2, n_values=_N_COARSE,
-            hamiltonians={"random": _RANDOM_COUNT, "seed": _BASE_SEED},
-            series=[("random", "min")], header="n,P",
-            reference={"min_purity_at_n100": 0.99},
-        ),
-        # worst-case Zeno error with the spin-flip kick, random H
-        "fig1b": dict(
-            channel="zoo:E_updown", mode="zeno", n_values=(1, 2, 5, 10, 20, 50, 100),
-            hamiltonians={"random": _RANDOM_COUNT, "seed": _BASE_SEED + 1000},
-            series=[("random", "max")], header="n,error",
-            reference={"guide": "2.7/n"},
-        ),
-        # dephasing kick: fixture purity constant, random mean saturates
-        "fig2a": dict(
-            channel="zoo:E_dephase", mode="dd", d1=2, n_values=_N_COARSE,
-            channel_params={"d": 2},
-            fixture="ZZ",
-            hamiltonians={"random": _RANDOM_COUNT, "seed": _BASE_SEED + 2000},
-            series=[("fixture", None), ("random", "mean")], header="n,P",
-            reference={"fixture_constant": 0.59, "random_limit": 0.85},
-        ),
-        "fig2b": dict(
-            channel="zoo:E_dephase", mode="zeno", n_values=(1, 2, 5, 10, 20, 50, 100),
-            channel_params={"d": 2},
-            hamiltonians={"random": _RANDOM_COUNT, "seed": _BASE_SEED + 3000},
-            series=[("random", "max")], header="n,error",
-            reference={"guide": "2/n"},
-        ),
-        # bath-reset kick with a decoherence-free subsystem
-        "fig3a": dict(
-            channel="zoo:E_omega", mode="dd", d1=2, n_values=_N_COARSE,
-            fixture="ZZI",
-            hamiltonians={"random": _RANDOM_COUNT, "seed": _BASE_SEED + 4000},
-            series=[("fixture", None), ("random", "mean")], header="n,P",
-            reference={"fixture_constant": 0.59, "random_limit": 0.91},
-        ),
-        "fig3b": dict(
-            channel="zoo:E_omega", mode="zeno", n_values=_N_COARSE,
-            fixture="ZI",
-            hamiltonians={"random": _RANDOM_COUNT, "seed": _BASE_SEED + 5000},
-            series=[("fixture", None), ("random", "mean")], header="n,error",
-            reference={"fixture_constant": 1.68, "random_limit": 0.55},
-        ),
-    }
-    if figure_id not in plans:
-        raise KeyError(f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
-    return plans[figure_id]
+def _random_sweep(channel: str, mode: str, seed_offset: int, **channel_params) -> SweepConfig:
+    return SweepConfig(channel, mode, (1, 2, 5, 10, 20, 50, 100),
+                       {"random": 100, "seed": 20240927 + seed_offset},
+                       channel_params=channel_params)
+
+
+FIGURES = {
+    # worst-case purity of bath DD with the spin-flip kick, random H
+    "fig1a": _Figure(_random_sweep("zoo:E_updown", "dd", 0), "min", None, "n,P",
+                     {"min_purity_at_n100": 0.99}),
+    # worst-case Zeno error with the spin-flip kick, random H
+    "fig1b": _Figure(_random_sweep("zoo:E_updown", "zeno", 1000), "max", None, "n,error",
+                     {"guide": "2.7/n"}),
+    # dephasing kick: fixture purity constant, random mean saturates
+    "fig2a": _Figure(_random_sweep("zoo:E_dephase", "dd", 2000, d=2), "mean", "ZZ", "n,P",
+                     {"fixture_constant": 0.59, "random_limit": 0.85}),
+    "fig2b": _Figure(_random_sweep("zoo:E_dephase", "zeno", 3000, d=2), "max", None, "n,error",
+                     {"guide": "2/n"}),
+    # bath-reset kick with a decoherence-free subsystem
+    "fig3a": _Figure(_random_sweep("zoo:E_omega", "dd", 4000), "mean", "ZZI", "n,P",
+                     {"fixture_constant": 0.59, "random_limit": 0.91}),
+    "fig3b": _Figure(_random_sweep("zoo:E_omega", "zeno", 5000), "mean", "ZI", "n,error",
+                     {"fixture_constant": 1.68, "random_limit": 0.55}),
+}
+FIGURE_IDS = tuple(FIGURES)
 
 
 def reproduce(figure_id: str, out_dir: str | Path) -> list[Path]:
     """Recompute one reference figure's data series as CSV files plus a JSON
-    sidecar with the run parameters and reference constants."""
-    plan = _figure_plan(figure_id)
+    sidecar with the run parameters and reference constants.
+
+    Each series is one ``sweep``: the fixture series keeps the witness
+    Hamiltonian's rows, the random series the figure's aggregate rows.
+    """
+    if figure_id not in FIGURES:
+        raise KeyError(f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
+    fig = FIGURES[figure_id]
+    cfg = fig.config
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    series = [("random", cfg, fig.aggregate)]
+    if fig.fixture is not None:
+        series.insert(0, ("fixture", replace(cfg, hamiltonians={"fixture": fig.fixture}),
+                          fig.fixture))
     written: list[Path] = []
+    for name, series_cfg, tag in series:
+        path = out / f"{figure_id}_{name}.csv"
+        rows = (f"{r.n},{r.value:.12g}" for r in sweep(series_cfg) if r.seed == tag)
+        _write_csv(path, fig.header, rows)
+        written.append(path)
+
     sidecar = {
         "figure": figure_id,
-        "channel": plan["channel"],
-        "t": 1.0,
-        "reference": plan["reference"],
-        "seed": plan["hamiltonians"].get("seed"),
+        "channel": cfg.channel,
+        "t": cfg.t,
+        "reference": fig.reference,
+        "seed": cfg.hamiltonians["seed"],
         "note": "reference constants for random-H series are ensemble "
                 "statistics; expect Monte-Carlo spread of about +/-0.03 "
                 "at 100 samples",
         "choi_leg_order": "system-out, bath-out, system-ancilla, bath-ancilla",
     }
-
-    for series_name, aggregate in plan["series"]:
-        if series_name == "fixture":
-            hams = {"fixture": plan["fixture"]}
-        else:
-            hams = plan["hamiltonians"]
-        cfg = SweepConfig(
-            channel=plan["channel"],
-            mode=plan["mode"],
-            n_values=tuple(plan["n_values"]),
-            hamiltonians=hams,
-            t=1.0,
-            d1=plan.get("d1", 2),
-            channel_params=plan.get("channel_params", {}),
-        )
-        records = sweep(cfg)
-        if aggregate is None:
-            rows = [r for r in records if r.hamiltonian != "aggregate"]
-        else:
-            rows = [r for r in records if r.seed == aggregate]
-        rows.sort(key=lambda r: r.n)
-        path = out / f"{figure_id}_{series_name}.csv"
-        lines = [plan["header"]]
-        lines += [f"{r.n},{r.value:.12g}" for r in rows]
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-
     sidecar_path = out / f"{figure_id}.json"
     sidecar_path.write_text(json.dumps(sidecar, indent=1))
     written.append(sidecar_path)

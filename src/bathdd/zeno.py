@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import Superoperator, extend_with_identity
 from .hamiltonian import adjoint_rep, schmidt
-from .linalg import expm, kron, unvec, vec
+from .linalg import assert_hermitian, expm, kron, unvec, vec
 from .spectral import (
     PeripheralDecomposition,
     analyze_peripheral,
@@ -62,10 +62,18 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
 
 
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:
-    """(E e^{-i (t/n) [H,.]})^n, computed as an exact n-fold product."""
+    """(E e^{-i (t/n) [H,.]})^n, computed as an exact n-fold product.
+
+    The free step e^{-i (t/n) [H,.]} is the unitary channel of
+    V = U e^{-i (t/n) W} U^dag, from one ``eigh`` H = U W U^dag of the d x d
+    Hamiltonian; its superoperator is V kron conj(V), the Kraus form that
+    ``to_superoperator`` uses.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    step = s_kick.matrix @ expm(-1j * (t / n) * adjoint_rep(h).matrix)
+    energies, u = np.linalg.eigh(assert_hermitian(h))
+    v = (u * np.exp(-1j * (t / n) * energies)) @ u.conj().T
+    step = s_kick.matrix @ kron(v, v.conj())
     return Superoperator(s_kick.dim, np.linalg.matrix_power(step, n))
 
 

@@ -137,6 +137,10 @@ BAD_FILES = {
     "bad_mode": {**SWEEP_BASE, "mode": "dephase"},
     "bad_fixture": {**SWEEP_BASE, "hamiltonians": {"fixture": "XX"}},
     "zero_n": {**SWEEP_BASE, "n_values": [0, 2]},
+    "bad_params": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"p": 3.0}},
+    "fixture_dim": {**SWEEP_BASE, "mode": "dd", "hamiltonians": {"fixture": "ZZI"}},
+    "hamiltonians_key": {**SWEEP_BASE, "hamiltonians": {"random": 1, "seeds": 42}},
+    "dim1": {"dim": 1, "kraus": [[[[1.0, 0.0]]]]},
 }
 
 
@@ -155,6 +159,11 @@ BAD_FILES = {
     ["sweep", "--config", "{bad_mode}", "--out", "{out}"],
     ["sweep", "--config", "{bad_fixture}", "--out", "{out}"],
     ["sweep", "--config", "{zero_n}", "--out", "{out}"],
+    ["sweep", "--config", "{bad_params}", "--out", "{out}"],
+    ["sweep", "--config", "{fixture_dim}", "--out", "{out}"],
+    ["sweep", "--config", "{hamiltonians_key}", "--out", "{out}"],
+    ["zeno-check", "{dim1}", "--hamiltonian", "random:1"],
+    ["dd-check", "{dim1}", "--hamiltonian", "random:1", "--d1", "1"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     paths = {"out": str(tmp_path / "out")}

@@ -153,6 +153,24 @@ def test_reproduce_unknown_id(tmp_path):
         reproduce("fig9z", tmp_path)
 
 
+def test_reproduce_fig2a_writes_its_sweep_rows(tmp_path):
+    # fig2a: the ZZ fixture rows and the mean aggregate of 100 random H
+    random_cfg = SweepConfig(
+        channel="zoo:E_dephase",
+        mode="dd",
+        n_values=(1, 2, 5, 10, 20, 50, 100),
+        hamiltonians={"random": 100, "seed": 20240927 + 2000},
+        channel_params={"d": 2},
+    )
+    fixture_cfg = SweepConfig(**{**vars(random_cfg), "hamiltonians": {"fixture": "ZZ"}})
+    reproduce("fig2a", tmp_path)
+    for series, cfg, seed in (("fixture", fixture_cfg, "ZZ"), ("random", random_cfg, "mean")):
+        rows = sorted((r for r in sweep(cfg) if r.seed == seed), key=lambda r: r.n)
+        assert [r.n for r in rows] == list(cfg.n_values)
+        want = ["n,P"] + [f"{r.n},{r.value:.12g}" for r in rows]
+        assert (tmp_path / f"fig2a_{series}.csv").read_text().splitlines() == want
+
+
 def test_reproduce_fig2b(tmp_path):
     files = reproduce("fig2b", tmp_path)
     csvs = [f for f in files if f.suffix == ".csv"]

@@ -237,3 +237,25 @@ def test_dd_check_matches_extended_kick_reference_zoo(name):
 def test_dd_check_matches_extended_kick_reference_stinespring(d, rank):
     for seed in (0, 1):
         assert_matches_reference(random_stinespring(d, rank, seed), seed=10 * d + rank + seed)
+
+
+def expm_reference_evolution(s_kick, h, t, n):
+    """The kicked evolution with the free step from expm of the commutator
+    superoperator [H, .]."""
+    step = s_kick.matrix @ expm(-1j * (t / n) * adjoint_rep(h).matrix)
+    return np.linalg.matrix_power(step, n)
+
+
+@pytest.mark.parametrize("name", names())
+def test_zeno_evolution_matches_expm_reference(name):
+    s = sup(name)
+    kicks = [s] + ([extend_with_identity(s, 2)] if 2 * s.dim <= 8 else [])
+    rng = np.random.default_rng(len(name))
+    for kick in kicks:
+        d = kick.dim
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for h in (random_hamiltonian(d, seed=d), (g + g.conj().T) / 2):
+            for n in (1, 2, 5, 10, 20, 50, 100):
+                got = zeno_evolution(kick, h, 1.0, n).matrix
+                want = expm_reference_evolution(kick, h, 1.0, n)
+                assert np.max(np.abs(got - want)) <= 1e-12
