@@ -148,7 +148,7 @@ def classify(
     cycle_lengths: tuple[int, ...] = ()
     cycles_unique = True
     if dfs_free:
-        cycles = cycle_structure(dec)
+        cycles = cycle_structure(dec, tol)
         cycle_lengths = cycles.lengths
         cycles_unique = cycles.unique
 

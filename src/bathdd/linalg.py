@@ -2,22 +2,18 @@
 
 Everything downstream works with plain ``numpy.ndarray`` of dtype complex128.
 This module wraps the handful of primitives the rest of the package relies on:
-general (non-Hermitian) eigendecomposition with paired left/right eigenvectors,
+general (non-Hermitian) eigendecomposition of a matrix and its adjoint,
 matrix exponential, SVD-based norms, and Kronecker products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "EigenSystem",
     "LinalgError",
     "assert_hermitian",
-    "cluster_indices",
     "dagger",
     "eig",
     "expm",
@@ -28,13 +24,6 @@ __all__ = [
     "unvec",
     "vec",
 ]
-
-# Eigenvalues closer than this (absolute) are treated as one degenerate cluster.
-CLUSTER_TOL = 1e-8
-
-# Left/right overlap blocks with condition number above this mark a defective
-# (non-diagonalizable) cluster.
-DEFECT_COND = 1e8
 
 
 class LinalgError(RuntimeError):
@@ -92,53 +81,13 @@ def expm(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def cluster_indices(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndarray]:
-    """Group indices of eigenvalues lying within ``tol`` of each other.
+def eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a general square complex matrix and of its adjoint.
 
-    Greedy transitive clustering; adequate because the channels of interest
-    have O(1) gaps between distinct eigenvalue groups.
-    """
-    values = np.asarray(values)
-    n = values.size
-    assigned = np.full(n, -1, dtype=int)
-    clusters: list[list[int]] = []
-    for i in np.argsort(-np.abs(values)):
-        for ci, members in enumerate(clusters):
-            if any(abs(values[i] - values[j]) <= tol for j in members):
-                members.append(int(i))
-                assigned[i] = ci
-                break
-        else:
-            assigned[i] = len(clusters)
-            clusters.append([int(i)])
-    return [np.array(sorted(c)) for c in clusters]
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues with paired right and left eigenvectors.
-
-    Left eigenvectors solve the adjoint problem, M^dag l_i = conj(lambda_i) l_i,
-    and are biorthogonalized against the right eigenvectors within each
-    degenerate eigenvalue cluster (l_i^dag r_j = delta_ij). ``defective`` is set
-    when some cluster's left/right overlap is too ill-conditioned to invert,
-    i.e. the matrix is (numerically) non-diagonalizable there.
-    """
-
-    values: np.ndarray
-    right_vectors: np.ndarray  # columns
-    left_vectors: np.ndarray  # columns
-    clusters: list[np.ndarray] = field(default_factory=list)
-    defective: bool = False
-    defective_clusters: tuple[int, ...] = ()
-
-
-def eig(m: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenSystem:
-    """Full eigendecomposition of a general square complex matrix.
-
-    Eigenvalues are grouped into clusters of width ``cluster_tol``; left
-    eigenvectors are matched to right clusters by eigenvalue proximity and
-    renormalized blockwise through the inverse of the overlap matrix.
+    Returns ``(w, vr, wl, vl)`` with M vr[:, i] = w[i] vr[:, i] and
+    M^dag vl[:, j] = conj(wl[j]) vl[:, j], from two LAPACK solves (on M and on
+    M^dag). The two sets come in LAPACK's order, unpaired: ``wl`` holds the
+    eigenvalues of M the left vectors belong to.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -148,35 +97,4 @@ def eig(m: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> EigenSystem:
         wl, vl = np.linalg.eig(dagger(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise LinalgError(f"eigensolver did not converge: {exc}") from exc
-
-    clusters = cluster_indices(w, cluster_tol)
-    left = np.zeros_like(vr)
-    wl_as_right = wl.conj()
-    used = np.zeros(w.size, dtype=bool)
-    defective_clusters: list[int] = []
-
-    for ci, idx in enumerate(clusters):
-        lam = w[idx].mean()
-        order = np.argsort(np.abs(wl_as_right - lam))
-        picked = [int(j) for j in order if not used[j]][: idx.size]
-        used[picked] = True
-        lc = vl[:, picked]
-        rc = vr[:, idx]
-        overlap = dagger(lc) @ rc
-        sv = scipy.linalg.svdvals(overlap) if overlap.size else np.array([])
-        # both vector sets are unit-norm, so a diagonalizable cluster has an
-        # overlap with smallest singular value of order 1
-        if sv.size == 0 or sv[-1] < 1.0 / DEFECT_COND or sv[0] / sv[-1] > DEFECT_COND:
-            defective_clusters.append(ci)
-            left[:, idx] = lc
-        else:
-            left[:, idx] = lc @ dagger(np.linalg.inv(overlap))
-
-    return EigenSystem(
-        values=w,
-        right_vectors=vr,
-        left_vectors=left,
-        clusters=clusters,
-        defective=bool(defective_clusters),
-        defective_clusters=tuple(defective_clusters),
-    )
+    return w, vr, wl.conj(), vl

@@ -1,8 +1,11 @@
 """Peripheral spectral analysis of a CPTP superoperator.
 
 Extracts the peripheral eigenvalues (modulus 1), their spectral projections,
-the peripheral part and peripheral projection of the channel, and Hermitian
-bases for the fixed-point space and the space of recurrences.
+and the peripheral part and peripheral projection of the channel. Only the
+peripheral eigenvalues are clustered, paired with left eigenvectors and
+checked for defects: that part of a channel's spectrum is always
+diagonalizable, and nothing downstream reads the rest. A Hermitian basis of
+the space of recurrences is derived from the right eigenoperators on demand.
 """
 
 from __future__ import annotations
@@ -10,20 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .channel import Superoperator
-from .linalg import LinalgError, dagger, eig, unvec, vec
+from .linalg import dagger, eig, unvec
 
 __all__ = [
     "PeripheralDecomposition",
     "SpectralError",
     "analyze_peripheral",
+    "cluster_indices",
     "fixed_point_state",
     "peripheral_power",
 ]
 
 PERIPHERAL_TOL = 1e-8
 MAX_PERIPHERAL_TOL = 1e-4
+
+# Left/right overlap blocks with condition number above this mark a defective
+# (non-diagonalizable) cluster.
+DEFECT_COND = 1e8
 
 
 class SpectralError(RuntimeError):
@@ -34,10 +43,11 @@ class SpectralError(RuntimeError):
 class PeripheralDecomposition:
     """Spectral data of the peripheral part of a channel.
 
-    ``peripheral_values`` holds one representative eigenvalue per cluster;
-    ``multiplicities`` the cluster sizes. ``projections[i]`` is the spectral
-    projection onto the i-th peripheral eigenspace. The fixed/recurrent bases
-    are Hermitian and orthonormal in the Hilbert-Schmidt inner product.
+    ``peripheral_values`` holds one representative eigenvalue per cluster,
+    eigenvalue 1 first; ``multiplicities`` the cluster sizes.
+    ``projections[i]`` is the spectral projection onto the i-th peripheral
+    eigenspace, and ``right_ops[i]``/``left_ops[i]`` are its right and left
+    eigenoperators, biorthonormal within the cluster.
     """
 
     dim: int
@@ -46,21 +56,26 @@ class PeripheralDecomposition:
     projections: tuple[Superoperator, ...]
     peripheral_part: Superoperator
     peripheral_projection: Superoperator
-    fixed_basis: tuple[np.ndarray, ...]
-    recurrent_basis: tuple[np.ndarray, ...]
     right_ops: tuple[tuple[np.ndarray, ...], ...]  # per cluster, unvec'd right eigvecs
     left_ops: tuple[tuple[np.ndarray, ...], ...]
 
     @property
     def dim_fixed(self) -> int:
-        return len(self.fixed_basis)
+        return int(self.multiplicities[0])
 
     @property
     def dim_recurrent(self) -> int:
         return int(np.sum(self.multiplicities))
 
+    @property
+    def recurrent_basis(self) -> tuple[np.ndarray, ...]:
+        """Hermitian basis of the space of recurrences, orthonormal in the
+        Hilbert-Schmidt inner product."""
+        ops = [x for cluster in self.right_ops for x in cluster]
+        return _hermitian_span_basis(ops, self.dim_recurrent)
 
-def _hermitian_span_basis(ops: list[np.ndarray], dim: int, rank: int) -> tuple[np.ndarray, ...]:
+
+def _hermitian_span_basis(ops: list[np.ndarray], rank: int) -> tuple[np.ndarray, ...]:
     """Hermitian HS-orthonormal basis of the span of operators closed under dagger.
 
     The peripheral eigenspaces of a channel are closed under the adjoint, so the
@@ -88,78 +103,85 @@ def _hermitian_span_basis(ops: list[np.ndarray], dim: int, rank: int) -> tuple[n
     return tuple(basis)
 
 
+def cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:
+    """Group indices of eigenvalues lying within ``tol`` of each other.
+
+    Greedy transitive clustering; adequate because the channels of interest
+    have O(1) gaps between distinct eigenvalue groups.
+    """
+    values = np.asarray(values)
+    clusters: list[list[int]] = []
+    for i in np.argsort(-np.abs(values)):
+        for members in clusters:
+            if any(abs(values[i] - values[j]) <= tol for j in members):
+                members.append(int(i))
+                break
+        else:
+            clusters.append([int(i)])
+    return [np.array(sorted(c)) for c in clusters]
+
+
 def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> PeripheralDecomposition:
     """Decompose the peripheral part of a CPTP superoperator.
 
-    Eigenvalues with |lambda| >= 1 - tol count as peripheral. Projections are
-    assembled cluster-blockwise from biorthogonalized right/left eigenvectors;
-    the peripheral part of a channel is always diagonalizable, so a defective
-    peripheral cluster is reported as an error.
+    Eigenvalues with |lambda| >= 1 - tol count as peripheral and are grouped
+    into clusters of width ``tol``. Each cluster takes the as yet unused left
+    eigenvectors whose eigenvalues lie nearest its mean and is biorthogonalized
+    through the inverse of its left/right overlap. The peripheral part of a
+    channel is always diagonalizable, so a defective cluster is an error.
     """
     if not 0 < tol <= MAX_PERIPHERAL_TOL:
         raise ValueError(f"tol must lie in (0, {MAX_PERIPHERAL_TOL:g}]")
     d = s.dim
-    es = eig(s.matrix, cluster_tol=tol)
-
-    peripheral = [
-        (ci, idx)
-        for ci, idx in enumerate(es.clusters)
-        if abs(es.values[idx].mean()) >= 1 - tol
-    ]
-    if not peripheral:
+    w, vr, wl, vl = eig(s.matrix)
+    on = np.flatnonzero(np.abs(w) >= 1 - tol)
+    if not on.size:
         raise SpectralError("no peripheral eigenvalue found; channel not CPTP?")
-    for ci, _ in peripheral:
-        if ci in es.defective_clusters:
+
+    used = np.zeros(wl.size, dtype=bool)
+    clusters = []  # (eigenvalue, projection, right ops, left ops)
+    for members in cluster_indices(w[on], tol):
+        idx = on[members]
+        lam = w[idx].mean()
+        picked = [int(j) for j in np.argsort(np.abs(wl - lam)) if not used[j]][: idx.size]
+        used[picked] = True
+        r = vr[:, idx]
+        lc = vl[:, picked]
+        overlap = dagger(lc) @ r
+        sv = scipy.linalg.svdvals(overlap)
+        # both vector sets are unit-norm, so a diagonalizable cluster has an
+        # overlap with smallest singular value of order 1
+        if sv[-1] < 1.0 / DEFECT_COND or sv[0] / sv[-1] > DEFECT_COND:
             raise SpectralError(
                 "peripheral eigenvalue cluster is defective or ill-conditioned; "
                 "tol may be too loose for this channel"
             )
+        l = lc @ dagger(np.linalg.inv(overlap))
+        clusters.append((
+            lam,
+            Superoperator(d, r @ dagger(l)),
+            tuple(unvec(r[:, j], d) for j in range(idx.size)),
+            tuple(unvec(l[:, j], d) for j in range(idx.size)),
+        ))
 
-    values = []
-    mults = []
-    projections = []
-    right_ops = []
-    left_ops = []
-    for _, idx in peripheral:
-        lam = es.values[idx].mean()
-        r = es.right_vectors[:, idx]
-        l = es.left_vectors[:, idx]
-        values.append(lam)
-        mults.append(idx.size)
-        projections.append(Superoperator(d, r @ dagger(l)))
-        right_ops.append(tuple(unvec(r[:, j], d) for j in range(idx.size)))
-        left_ops.append(tuple(unvec(l[:, j], d) for j in range(idx.size)))
-
-    values = np.array(values)
-    mults = np.array(mults)
     # put the lambda = 1 cluster first
+    values = np.array([c[0] for c in clusters])
     order = np.argsort(np.abs(values - 1.0), kind="stable")
     values = values[order]
-    mults = mults[order]
-    projections = [projections[i] for i in order]
-    right_ops = [right_ops[i] for i in order]
-    left_ops = [left_ops[i] for i in order]
+    clusters = [clusters[i] for i in order]
     if abs(values[0] - 1.0) > tol * 10:
         raise SpectralError("eigenvalue 1 not found in the peripheral spectrum")
-
+    projections = tuple(c[1] for c in clusters)
     e_phi = sum(lam * p.matrix for lam, p in zip(values, projections))
-    p_phi = sum(p.matrix for p in projections)
-
-    fixed_basis = _hermitian_span_basis(list(right_ops[0]), d, int(mults[0]))
-    all_right = [x for ops in right_ops for x in ops]
-    recurrent_basis = _hermitian_span_basis(all_right, d, int(np.sum(mults)))
-
     return PeripheralDecomposition(
         dim=d,
         peripheral_values=values,
-        multiplicities=mults,
-        projections=tuple(projections),
+        multiplicities=np.array([len(c[2]) for c in clusters]),
+        projections=projections,
         peripheral_part=Superoperator(d, e_phi),
-        peripheral_projection=Superoperator(d, p_phi),
-        fixed_basis=fixed_basis,
-        recurrent_basis=recurrent_basis,
-        right_ops=tuple(right_ops),
-        left_ops=tuple(left_ops),
+        peripheral_projection=Superoperator(d, sum(p.matrix for p in projections)),
+        right_ops=tuple(c[2] for c in clusters),
+        left_ops=tuple(c[3] for c in clusters),
     )
 
 
@@ -168,9 +190,9 @@ def fixed_point_state(dec: PeripheralDecomposition) -> np.ndarray:
     if dec.dim_fixed != 1:
         raise SpectralError(
             f"fixed-point space is {dec.dim_fixed}-dimensional; "
-            "use fixed_basis for non-ergodic channels"
+            "use right_ops[0] for non-ergodic channels"
         )
-    x = dec.fixed_basis[0]
+    x = dec.right_ops[0][0]
     tr = np.trace(x)
     if abs(tr) < 1e-12:
         raise SpectralError("fixed operator is traceless; cannot normalize to a state")

@@ -95,7 +95,8 @@ def _triangle() -> ZooEntry:
     )
 
 
-def _square(p: float) -> ZooEntry:
+def _square(p: float = 0.5) -> ZooEntry:
+    p = float(p)
     if not 0 < p < 1:
         raise ValueError("E_square requires p in (0, 1)")
     k1 = _unit(3, 2, 0)
@@ -109,7 +110,8 @@ def _square(p: float) -> ZooEntry:
     )
 
 
-def _dephase(d: int) -> ZooEntry:
+def _dephase(d: int = 2) -> ZooEntry:
+    d = int(d)
     ch = KrausChannel(d, tuple(_unit(d, i, i) for i in range(d)), name="E_dephase")
     return ZooEntry(
         "E_dephase", ch,
@@ -117,7 +119,7 @@ def _dephase(d: int) -> ZooEntry:
     )
 
 
-def _p_rho(rho: np.ndarray) -> ZooEntry:
+def _p_rho(rho=np.eye(2) / 2) -> ZooEntry:
     """The projection channel rho -> tr(rho) rho_*.
 
     Kraus set: {sqrt(lambda_a) |a><b|} over eigenpairs (lambda_a, |a>) of the
@@ -143,7 +145,7 @@ def _p_rho(rho: np.ndarray) -> ZooEntry:
     )
 
 
-def _omega(omega: np.ndarray) -> ZooEntry:
+def _omega(omega=np.eye(2) / 2) -> ZooEntry:
     """Two-qubit channel A -> tr_2(A) kron Omega (bath reset to Omega)."""
     omega = np.asarray(omega, dtype=complex)
     vals, vecs = np.linalg.eigh(omega)
@@ -206,20 +208,14 @@ def _df(u0=None, u1=None, rho0=None, rho1=None) -> ZooEntry:
 
 
 _BUILDERS = {
-    "E_updown": lambda params: _updown(),
-    "E_hook": lambda params: _hook(),
-    "E_triangle": lambda params: _triangle(),
-    "E_square": lambda params: _square(float(params.get("p", 0.5))),
-    "E_dephase": lambda params: _dephase(int(params.get("d", 2))),
-    "P_rho": lambda params: _p_rho(
-        np.asarray(params.get("rho", np.eye(2) / 2), dtype=complex)
-    ),
-    "E_omega": lambda params: _omega(
-        np.asarray(params.get("omega", np.eye(2) / 2), dtype=complex)
-    ),
-    "E_df": lambda params: _df(
-        params.get("u0"), params.get("u1"), params.get("rho0"), params.get("rho1")
-    ),
+    "E_updown": _updown,
+    "E_hook": _hook,
+    "E_triangle": _triangle,
+    "E_square": _square,
+    "E_dephase": _dephase,
+    "P_rho": _p_rho,
+    "E_omega": _omega,
+    "E_df": _df,
 }
 
 
@@ -228,9 +224,12 @@ def names() -> tuple[str, ...]:
 
 
 def builtin(name: str, **params) -> ZooEntry:
-    """Look up a built-in channel by name; parameters use defaults when omitted."""
+    """Look up a built-in channel by name; parameters use defaults when omitted.
+
+    A parameter the channel does not take raises ``TypeError``.
+    """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown zoo channel {name!r}; available: {sorted(_BUILDERS)}")
-    return builder(params)
+    return builder(**params)

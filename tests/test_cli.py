@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bathdd.channel import save_channel
+from bathdd.channel import KrausChannel, save_channel
 from bathdd.cli import main
 from bathdd.zoo import builtin
 
@@ -28,6 +28,21 @@ def test_classify_file(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(p))
     assert code == 0
     assert json.loads(out)["irreducible"] is True
+
+
+def test_classify_tol_matches_cycles(tmp_path, capsys):
+    # spin flip mixed with weight 1e-6 of the identity: the eigenvalue
+    # -0.999998 is peripheral at tol 1e-5 and forms a 2-cycle with 1
+    p = 1e-6
+    flip = np.sqrt(1 - p) * np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    path = tmp_path / "flip.json"
+    save_channel(KrausChannel(2, (*flip, np.sqrt(p) * np.eye(2))), path)
+    code, out, _ = run(capsys, "spectrum", str(path), "--tol", "1e-5")
+    assert code == 0
+    assert json.loads(out)["dim_recurrent"] == 2
+    code, out, err = run(capsys, "classify", str(path), "--tol", "1e-5")
+    assert code == 0, err
+    assert json.loads(out)["cycle_lengths"] == [2]
 
 
 def test_spectrum(capsys):
@@ -138,6 +153,7 @@ BAD_FILES = {
     "bad_fixture": {**SWEEP_BASE, "hamiltonians": {"fixture": "XX"}},
     "zero_n": {**SWEEP_BASE, "n_values": [0, 2]},
     "bad_params": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"p": 3.0}},
+    "unknown_param": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"q": 3.0}},
     "fixture_dim": {**SWEEP_BASE, "mode": "dd", "hamiltonians": {"fixture": "ZZI"}},
     "hamiltonians_key": {**SWEEP_BASE, "hamiltonians": {"random": 1, "seeds": 42}},
     "dim1": {"dim": 1, "kraus": [[[[1.0, 0.0]]]]},
@@ -160,6 +176,7 @@ BAD_FILES = {
     ["sweep", "--config", "{bad_fixture}", "--out", "{out}"],
     ["sweep", "--config", "{zero_n}", "--out", "{out}"],
     ["sweep", "--config", "{bad_params}", "--out", "{out}"],
+    ["sweep", "--config", "{unknown_param}", "--out", "{out}"],
     ["sweep", "--config", "{fixture_dim}", "--out", "{out}"],
     ["sweep", "--config", "{hamiltonians_key}", "--out", "{out}"],
     ["zeno-check", "{dim1}", "--hamiltonian", "random:1"],

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bathdd.linalg import (
-    cluster_indices,
     dagger,
     eig,
     expm,
@@ -111,21 +110,14 @@ def test_expm_accuracy_large_norm():
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-def test_cluster_indices():
-    vals = np.array([1.0, 1.0 + 1e-10, -1.0, 0.5])
-    clusters = cluster_indices(vals, tol=1e-8)
-    merged = sorted(tuple(c) for c in clusters)
-    assert merged == [(0, 1), (2,), (3,)]
-
-
 # --- eig ---------------------------------------------------------------------
 
 
 def test_eig_diagonal():
     m = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-    es = eig(m)
-    assert sorted(np.round(es.values.real, 10)) == [-1.0, 0.0, 0.0, 1.0]
-    assert not es.defective
+    w, _, wl, _ = eig(m)
+    for values in (w, wl):
+        assert sorted(np.round(values.real, 10)) == [-1.0, 0.0, 0.0, 1.0]
 
 
 def test_eig_updown_superoperator():
@@ -140,33 +132,31 @@ def test_eig_updown_superoperator():
             unit[i, j] = 1.0
             out = k1 @ unit @ dagger(k1) + k2 @ unit @ dagger(k2)
             s[:, 2 * i + j] = out.reshape(-1)
-    es = eig(s)
-    assert np.allclose(sorted(np.round(es.values.real, 9)), [-1, 0, 0, 1])
-    assert np.max(np.abs(es.values.imag)) < 1e-9
-
-
-def test_eig_jordan_block_defective():
-    es = eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(es.values, 0)
-    assert es.defective
+    w, _, wl, _ = eig(s)
+    for values in (w, wl):
+        assert np.allclose(sorted(np.round(values.real, 9)), [-1, 0, 0, 1])
+        assert np.max(np.abs(values.imag)) < 1e-9
 
 
 def test_eig_residuals_and_biorthogonality():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    es = eig(m)
+    w, vr, wl, vl = eig(m)
     scale = np.linalg.norm(m)
     for i in range(6):
-        r = es.right_vectors[:, i]
-        l = es.left_vectors[:, i]
-        assert np.linalg.norm(m @ r - es.values[i] * r) <= 1e-9 * scale
-        assert np.linalg.norm(dagger(m) @ l - np.conj(es.values[i]) * l) <= 1e-9 * scale
-    overlap = dagger(es.left_vectors) @ es.right_vectors
-    assert np.linalg.norm(overlap - np.eye(6)) < 1e-8
+        assert np.linalg.norm(m @ vr[:, i] - w[i] * vr[:, i]) <= 1e-9 * scale
+        assert np.linalg.norm(dagger(m) @ vl[:, i] - np.conj(wl[i]) * vl[:, i]) <= 1e-9 * scale
+    # left and right eigenvectors of distinct eigenvalues are orthogonal
+    overlap = dagger(vl) @ vr
+    distinct = np.abs(wl[:, None] - w[None, :]) > 1e-6
+    assert np.count_nonzero(~distinct) == 6
+    assert np.max(np.abs(overlap[distinct])) < 1e-8
+    assert np.min(np.abs(overlap[~distinct])) > 1e-3
 
 
 @settings(max_examples=25)
 @given(complex_matrices(3, st.floats(-3, 3, allow_nan=False)))
 def test_eig_trace_and_det(m):
-    es = eig(m)
-    assert np.sum(es.values) == pytest.approx(np.trace(m), abs=1e-7 * max(1, np.linalg.norm(m)))
+    w, _, wl, _ = eig(m)
+    for values in (w, wl):
+        assert np.sum(values) == pytest.approx(np.trace(m), abs=1e-7 * max(1, np.linalg.norm(m)))

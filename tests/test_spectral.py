@@ -6,6 +6,7 @@ from bathdd.linalg import dagger
 from bathdd.spectral import (
     SpectralError,
     analyze_peripheral,
+    cluster_indices,
     fixed_point_state,
     peripheral_power,
 )
@@ -16,6 +17,13 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 def dec_of(name, **params):
     return analyze_peripheral(to_superoperator(builtin(name, **params).channel))
+
+
+def test_cluster_indices():
+    vals = np.array([1.0, 1.0 + 1e-10, -1.0, 0.5])
+    clusters = cluster_indices(vals, tol=1e-8)
+    merged = sorted(tuple(c) for c in clusters)
+    assert merged == [(0, 1), (2,), (3,)]
 
 
 def test_projection_channel_single_peripheral():
@@ -137,6 +145,15 @@ def test_projections_exact_beside_defective_block(jordan, seed):
         k = int(np.argmin(np.abs(np.diag(d)[:3] - lam)))
         exact_k = np.outer(x[:, k], x_inv[k, :])
         assert np.max(np.abs(p.matrix - exact_k)) <= 1e-10
+
+
+def test_peripheral_jordan_block_is_defective():
+    # eigenvalue 1 carries a 2x2 Jordan block: not the superoperator of a
+    # channel, whose peripheral spectrum is always diagonalizable
+    m = np.diag([1.0, 1.0, 0.5, 0.2]).astype(complex)
+    m[0, 1] = 1.0
+    with pytest.raises(SpectralError, match="defective"):
+        analyze_peripheral(Superoperator(2, m))
 
 
 def test_tol_validation():
