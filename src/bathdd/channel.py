@@ -160,7 +160,10 @@ def _matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _matrix_from_pairs(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def channel_to_dict(ch: KrausChannel) -> dict:

@@ -1,19 +1,23 @@
 """Channel classification: ergodic / mixing / irreducible / DFS-free, plus
 cycle structure of the peripheral spectrum.
 
-A decoherence-free subsystem shows up as a non-commutative block in the space
-of recurrences, so DFS-freeness is decided by pairwise commutativity of a
-Hermitized recurrent basis instead of reconstructing the block decomposition.
+Every verdict is read from one peripheral decomposition at one tolerance. A
+kick has no decoherence-free subsystem exactly when its Zeno limit
+suppresses every Hamiltonian, so DFS-freeness is decided by that criterion:
+within each peripheral cluster, every right eigenoperator commutes with the
+adjoint of every left eigenoperator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .channel import Superoperator
+from .linalg import dagger
 from .spectral import (
+    PERIPHERAL_TOL,
     PeripheralDecomposition,
     SpectralError,
     analyze_peripheral,
@@ -29,7 +33,6 @@ __all__ = [
 
 COMMUTE_TOL = 1e-8
 RANK_TOL = 1e-10
-ROOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,17 +48,7 @@ class Classification:
     cycles_unique: bool = True
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "dim_fixed": self.dim_fixed,
-            "dim_recurrent": self.dim_recurrent,
-            "ergodic": self.ergodic,
-            "mixing": self.mixing,
-            "irreducible": self.irreducible,
-            "dfs_free": self.dfs_free,
-            "cycle_lengths": list(self.cycle_lengths),
-            "cycles_unique": self.cycles_unique,
-        }
+        return {**asdict(self), "cycle_lengths": list(self.cycle_lengths)}
 
 
 @dataclass(frozen=True)
@@ -64,14 +57,22 @@ class CycleStructure:
     unique: bool
 
 
-def _is_commutative(basis) -> bool:
-    ops = list(basis)
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-            if np.linalg.norm(comm) > COMMUTE_TOL:
-                return False
-    return True
+def _is_dfs_free(dec: PeripheralDecomposition) -> bool:
+    """True when the kick's Zeno limit suppresses every Hamiltonian.
+
+    Within cluster l, with P_l = sum_a |X_a><L_a| over the right and left
+    eigenoperators, the Zeno generator P_l [H, .] P_l has the entries
+    <L_a, [H, X_b]> = tr(H [X_b, L_a^dag]). It vanishes for every H exactly
+    when each X_b commutes with each L_a^dag of the same cluster, and the
+    kick has no decoherence-free subsystem exactly when that holds on every
+    cluster.
+    """
+    return all(
+        np.linalg.norm(x @ l_dag - l_dag @ x) <= COMMUTE_TOL
+        for xs, ls in zip(dec.right_ops, dec.left_ops)
+        for l_dag in map(dagger, ls)
+        for x in xs
+    )
 
 
 def _peripheral_multiset(dec: PeripheralDecomposition) -> list[complex]:
@@ -81,7 +82,7 @@ def _peripheral_multiset(dec: PeripheralDecomposition) -> list[complex]:
     return values
 
 
-def _extract_cycles(values: list[complex], tol: float = ROOT_TOL) -> tuple[int, ...]:
+def _extract_cycles(values: list[complex], tol: float) -> tuple[int, ...]:
     """Greedy largest-K-first matching of the spectrum to root-of-unity groups."""
     remaining = list(values)
     lengths: list[int] = []
@@ -113,15 +114,17 @@ def _extract_cycles(values: list[complex], tol: float = ROOT_TOL) -> tuple[int, 
 
 
 def cycle_structure(
-    s: Superoperator | PeripheralDecomposition, tol: float = ROOT_TOL
+    s: Superoperator | PeripheralDecomposition, tol: float = PERIPHERAL_TOL
 ) -> CycleStructure:
     """Cycle lengths of a DFS-free channel, recovered from its spectrum.
 
-    For multi-cycle spectra the decomposition is not always unique from the
-    spectrum alone; ``unique`` is False whenever a peripheral eigenvalue is
-    degenerate, since then alternative groupings can exist.
+    A superoperator is analysed at ``tol``, and the peripheral values are
+    matched to roots of unity within the same ``tol``. For multi-cycle
+    spectra the decomposition is not always unique from the spectrum alone;
+    ``unique`` is False whenever a peripheral eigenvalue is degenerate, since
+    then alternative groupings can exist.
     """
-    dec = s if isinstance(s, PeripheralDecomposition) else analyze_peripheral(s)
+    dec = s if isinstance(s, PeripheralDecomposition) else analyze_peripheral(s, tol)
     values = _peripheral_multiset(dec)
     lengths = _extract_cycles(values, tol)
     unique = all(int(m) == 1 for m in dec.multiplicities)
@@ -129,7 +132,7 @@ def cycle_structure(
 
 
 def classify(
-    s: Superoperator, name: str = "", tol: float = 1e-8
+    s: Superoperator, name: str = "", tol: float = PERIPHERAL_TOL
 ) -> Classification:
     """Decide the spectral profile of a CPTP superoperator."""
     dec = analyze_peripheral(s, tol)
@@ -143,7 +146,7 @@ def classify(
         rho = fixed_point_state(dec)
         irreducible = bool(np.min(np.linalg.eigvalsh(rho)) > RANK_TOL)
 
-    dfs_free = ergodic or _is_commutative(dec.recurrent_basis)
+    dfs_free = _is_dfs_free(dec)
 
     cycle_lengths: tuple[int, ...] = ()
     cycles_unique = True

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import KrausChannel, to_superoperator, validate_cptp
+from .channel import KrausChannel, _matrix_from_pairs, to_superoperator, validate_cptp
 from .classify import classify
 from .hamiltonian import random_hamiltonian
 from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
 from .linalg import LinalgError, is_hermitian
-from .spectral import MAX_PERIPHERAL_TOL, SpectralError, analyze_peripheral
+from .spectral import MAX_PERIPHERAL_TOL, PERIPHERAL_TOL, SpectralError, analyze_peripheral
 from .zeno import dd_check, zeno_hamiltonian
 from .zoo import builtin, names
 
@@ -63,11 +63,7 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
         except ValueError as exc:
             raise UsageError(f"cannot draw Hamiltonian {spec!r} at dim {dim}: {exc}") from exc
     try:
-        data = json.loads(open(spec).read())
-        h = np.array(
-            [[complex(re, im) for re, im in row] for row in data["matrix"]],
-            dtype=complex,
-        )
+        h = _matrix_from_pairs(json.loads(open(spec).read())["matrix"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load Hamiltonian {spec!r}: {exc}") from exc
     if h.shape != (dim, dim):
@@ -136,20 +132,24 @@ def _cmd_sweep(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad sweep config {args.config!r}: {exc}") from exc
     _require_cptp(_load(cfg.channel, cfg.channel_params))
+    out_path = Path(args.out) / "sweep.csv"
     try:
-        records = sweep(cfg)
+        out_path.parent.mkdir(parents=True, exist_ok=True)  # fail before computing
+        write_records_csv(sweep(cfg), out_path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(out_path)!r}: {exc}") from exc
     except ValueError as exc:  # the channel passed above: a Hamiltonian that does not fit it
         raise UsageError(f"bad sweep config {args.config!r}: {exc}") from exc
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "sweep.csv"
-    write_records_csv(records, out_path)
     print(out_path)
     return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
-    for path in reproduce(args.figure, args.out):
+    try:
+        paths = reproduce(args.figure, args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write to {args.out!r}: {exc}") from exc
+    for path in paths:
         print(path)
     return EXIT_OK
 
@@ -189,12 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="ergodic/mixing/irreducible/DFS-free profile")
     add_channel(p)
-    p.add_argument("--tol", type=_positive(float, MAX_PERIPHERAL_TOL), default=1e-8)
+    p.add_argument("--tol", type=_positive(float, MAX_PERIPHERAL_TOL), default=PERIPHERAL_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("spectrum", help="peripheral eigenvalues and multiplicities")
     add_channel(p)
-    p.add_argument("--tol", type=_positive(float, MAX_PERIPHERAL_TOL), default=1e-8)
+    p.add_argument("--tol", type=_positive(float, MAX_PERIPHERAL_TOL), default=PERIPHERAL_TOL)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("dd-check", help="does bath dynamical decoupling work?")

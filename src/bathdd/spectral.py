@@ -4,8 +4,9 @@ Extracts the peripheral eigenvalues (modulus 1), their spectral projections,
 and the peripheral part and peripheral projection of the channel. Only the
 peripheral eigenvalues are clustered, paired with left eigenvectors and
 checked for defects: that part of a channel's spectrum is always
-diagonalizable, and nothing downstream reads the rest. A Hermitian basis of
-the space of recurrences is derived from the right eigenoperators on demand.
+diagonalizable, and nothing downstream reads the rest. The biorthonormal
+right and left eigenoperators of each cluster are kept, because the
+decoherence-free test of ``classify`` reads them directly.
 """
 
 from __future__ import annotations
@@ -66,41 +67,6 @@ class PeripheralDecomposition:
     @property
     def dim_recurrent(self) -> int:
         return int(np.sum(self.multiplicities))
-
-    @property
-    def recurrent_basis(self) -> tuple[np.ndarray, ...]:
-        """Hermitian basis of the space of recurrences, orthonormal in the
-        Hilbert-Schmidt inner product."""
-        ops = [x for cluster in self.right_ops for x in cluster]
-        return _hermitian_span_basis(ops, self.dim_recurrent)
-
-
-def _hermitian_span_basis(ops: list[np.ndarray], rank: int) -> tuple[np.ndarray, ...]:
-    """Hermitian HS-orthonormal basis of the span of operators closed under dagger.
-
-    The peripheral eigenspaces of a channel are closed under the adjoint, so the
-    Hermitian and anti-Hermitian parts of the eigenoperators span the same
-    complex space; Gram-Schmidt keeps the first ``rank`` independent ones.
-    """
-    candidates: list[np.ndarray] = []
-    for x in ops:
-        candidates.append((x + dagger(x)) / 2)
-        candidates.append((x - dagger(x)) / 2j)
-    basis: list[np.ndarray] = []
-    for c in candidates:
-        v = c.copy()
-        for b in basis:
-            v = v - np.trace(dagger(b) @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == rank:
-            break
-    if len(basis) != rank:
-        raise SpectralError(
-            f"could not extract a Hermitian basis of rank {rank} (got {len(basis)})"
-        )
-    return tuple(basis)
 
 
 def cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:

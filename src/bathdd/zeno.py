@@ -15,12 +15,7 @@ import numpy as np
 from .channel import Superoperator, extend_with_identity
 from .hamiltonian import adjoint_rep, schmidt
 from .linalg import assert_hermitian, expm, kron, unvec, vec
-from .spectral import (
-    PeripheralDecomposition,
-    analyze_peripheral,
-    fixed_point_state,
-    peripheral_power,
-)
+from .spectral import PeripheralDecomposition, analyze_peripheral, peripheral_power
 
 __all__ = [
     "DdVerdict",
@@ -102,11 +97,9 @@ def suppression_check(
 
 
 def _reference_state(dec: PeripheralDecomposition) -> np.ndarray:
-    """Fixed-point state for ergodic kicks; for degenerate fixed spaces, the
-    invariant state reached from the maximally mixed input (coefficients are
-    then only a reference, not uniquely defined)."""
-    if dec.dim_fixed == 1:
-        return fixed_point_state(dec)
+    """The invariant state P_1(I/d) reached from the maximally mixed input:
+    the fixed-point state of an ergodic kick; for degenerate fixed spaces
+    only a reference (coefficients are then not uniquely defined)."""
     d = dec.dim
     p1 = dec.projections[0].matrix
     rho = unvec(p1 @ vec(np.eye(d) / d), d)

@@ -3,7 +3,9 @@ import pytest
 
 from bathdd.channel import KrausChannel, Superoperator, identity_superoperator, to_superoperator
 from bathdd.classify import classify, cycle_structure
+from bathdd.zeno import suppression_check
 from bathdd.zoo import builtin, names
+from test_zeno import random_stinespring
 
 
 @pytest.mark.parametrize("name", names())
@@ -86,3 +88,54 @@ def test_unitary_channel_not_dfs_free():
     c = classify(to_superoperator(KrausChannel(2, (u,))))
     assert not c.ergodic
     assert not c.dfs_free
+
+
+def diagonal_unitary(d, seed):
+    return np.diag(np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=d)))
+
+
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def flip_times_unitary(seed):
+    flip = builtin("E_updown").channel.kraus
+    u = random_unitary(2, seed)
+    return to_superoperator(KrausChannel(4, tuple(np.kron(k, u) for k in flip)))
+
+
+THEOREM_KICKS = {
+    **{name: lambda name=name: to_superoperator(builtin(name).channel) for name in names()},
+    **{f"E_df_phases_{seed}": lambda seed=seed: to_superoperator(builtin(
+        "E_df", u0=diagonal_unitary(2, seed), u1=diagonal_unitary(2, seed + 1)).channel)
+       for seed in (1, 2)},
+    **{f"stinespring_{d}_{rank}": lambda d=d, rank=rank: random_stinespring(d, rank, 10 * d + rank)
+       for d in range(2, 7) for rank in (1, 2, 3)},
+    **{f"unitary_{d}": lambda d=d: to_superoperator(KrausChannel(d, (random_unitary(d, d),)))
+       for d in (2, 3)},
+    **{f"flip_x_unitary_{seed}": lambda seed=seed: flip_times_unitary(seed) for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("kick", THEOREM_KICKS)
+def test_dfs_free_iff_every_hamiltonian_suppressed(kick):
+    # the paper's theorem: repeated kicks nullify every Hamiltonian exactly
+    # when the kick has no decoherence-free subsystem
+    s = THEOREM_KICKS[kick]()
+    rng = np.random.default_rng(len(kick))
+    suppressed = []
+    for _ in range(3):
+        g = rng.standard_normal((s.dim, s.dim)) + 1j * rng.standard_normal((s.dim, s.dim))
+        suppressed.append(suppression_check(s, (g + g.conj().T) / 2))
+    assert classify(s).dfs_free == all(suppressed)
+
+
+def test_cycle_structure_analyses_at_its_tol():
+    # spin flip mixed with weight 1e-6 of the identity: -0.999998 is
+    # peripheral at tol 1e-5 and forms a 2-cycle with 1
+    p = 1e-6
+    flip = np.sqrt(1 - p) * np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    s = to_superoperator(KrausChannel(2, (*flip, np.sqrt(p) * np.eye(2))))
+    assert cycle_structure(s, tol=1e-5).lengths == classify(s, tol=1e-5).cycle_lengths == (2,)

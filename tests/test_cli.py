@@ -157,6 +157,10 @@ BAD_FILES = {
     "fixture_dim": {**SWEEP_BASE, "mode": "dd", "hamiltonians": {"fixture": "ZZI"}},
     "hamiltonians_key": {**SWEEP_BASE, "hamiltonians": {"random": 1, "seeds": 42}},
     "dim1": {"dim": 1, "kraus": [[[[1.0, 0.0]]]]},
+    "nan_channel": {"dim": 1, "kraus": [[[[float("nan"), 0.0]]]]},
+    "nan_h": {"matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    "nan_t": {**SWEEP_BASE, "mode": "dd", "t": "nan"},
+    "sweep": SWEEP_BASE,
 }
 
 
@@ -181,6 +185,12 @@ BAD_FILES = {
     ["sweep", "--config", "{hamiltonians_key}", "--out", "{out}"],
     ["zeno-check", "{dim1}", "--hamiltonian", "random:1"],
     ["dd-check", "{dim1}", "--hamiltonian", "random:1", "--d1", "1"],
+    ["classify", "{nan_channel}"],
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "{nan_h}"],
+    ["sweep", "--config", "{nan_t}", "--out", "{out}"],
+    ["sweep", "--config", "{sweep}", "--out", "{h2}"],
+    ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
+    ["reproduce", "fig1a", "--out", "{h2}"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     paths = {"out": str(tmp_path / "out")}

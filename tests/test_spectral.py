@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bathdd.channel import Superoperator, power, to_superoperator
-from bathdd.linalg import dagger
 from bathdd.spectral import (
     SpectralError,
     analyze_peripheral,
@@ -79,12 +78,6 @@ def test_projection_identities(name, params):
         for r in rs:
             v = r.reshape(-1)
             assert np.linalg.norm(s.matrix @ v - lam * v) < 1e-8 * np.linalg.norm(s.matrix)
-    # recurrent basis is Hermitian and HS-orthonormal
-    for i, b in enumerate(dec.recurrent_basis):
-        assert np.linalg.norm(b - dagger(b)) < 1e-8
-        for j, c in enumerate(dec.recurrent_basis):
-            g = np.trace(dagger(b) @ c)
-            assert abs(g - (1.0 if i == j else 0.0)) < 1e-8
 
 
 def test_fixed_point_states():
