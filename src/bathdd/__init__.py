@@ -12,12 +12,10 @@ from .channel import (
     ChoiState,
     KrausChannel,
     Superoperator,
-    apply,
     choi,
     extend_with_identity,
     identity_superoperator,
     load_channel,
-    power,
     save_channel,
     to_superoperator,
     validate_cptp,

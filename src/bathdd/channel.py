@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import dagger, kron, unvec, vec
+from .linalg import dagger, kron
 
 __all__ = [
     "ChannelError",
@@ -21,14 +21,12 @@ __all__ = [
     "CptpReport",
     "KrausChannel",
     "Superoperator",
-    "apply",
     "channel_from_dict",
     "channel_to_dict",
     "choi",
     "extend_with_identity",
     "identity_superoperator",
     "load_channel",
-    "power",
     "save_channel",
     "to_superoperator",
     "validate_cptp",
@@ -63,14 +61,15 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """The d^2 x d^2 matrix of a linear map on operators (row vectorization)."""
+    """The d^2 x d^2 matrix of a linear map on operators (row vectorization),
+    or a (k, d^2, d^2) stack of k such maps."""
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim**2, self.dim**2):
+        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim**2, self.dim**2):
             raise ChannelError(
                 f"superoperator matrix {m.shape} does not match dim {self.dim}"
             )
@@ -79,14 +78,10 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class ChoiState:
-    """Normalized Choi-Jamiolkowski state (unit trace)."""
+    """Normalized Choi-Jamiolkowski state (unit trace), or a stack of them."""
 
     dim: int
     matrix: np.ndarray
-
-    @property
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -117,17 +112,11 @@ def identity_superoperator(d: int) -> Superoperator:
     return Superoperator(d, np.eye(d * d, dtype=complex))
 
 
-def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (s.dim, s.dim):
-        raise ChannelError(f"operator shape {a.shape} does not match dim {s.dim}")
-    return unvec(s.matrix @ vec(a), s.dim)
-
-
 def choi(s: Superoperator) -> ChoiState:
-    """Choi state (E kron I)(|Omega><Omega|) with the 1/d normalization."""
-    d = s.dim
-    lam = s.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) / d
+    """Choi state (E kron I)(|Omega><Omega|) with the 1/d normalization; a
+    stack of maps gives the stack of their Choi states."""
+    d, shape = s.dim, s.matrix.shape
+    lam = s.matrix.reshape(*shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(shape) / d
     return ChoiState(d, lam)
 
 
@@ -144,12 +133,6 @@ def extend_with_identity(s2: Superoperator, d1: int) -> Superoperator:
     big = np.einsum("ik,jl,abcd->iajbkcld", eye, eye, r)
     d = d1 * d2
     return Superoperator(d, big.reshape(d * d, d * d))
-
-
-def power(s: Superoperator, n: int) -> Superoperator:
-    if n < 0:
-        raise ChannelError("negative powers are not defined for channels")
-    return Superoperator(s.dim, np.linalg.matrix_power(s.matrix, n))
 
 
 # --- channel file format -----------------------------------------------------

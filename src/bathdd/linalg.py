@@ -31,13 +31,16 @@ class LinalgError(RuntimeError):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when the matrix, or every matrix of a (k, d, d) stack, is Hermitian
+    entrywise within tol times max(1, its own Frobenius norm)."""
     m = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    return float(np.max(np.abs(m - dagger(m)))) <= tol * scale
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    return bool(np.all(np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= tol * scale))
 
 
 def assert_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -61,12 +64,13 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     return v.reshape(d, d)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    return float(np.sum(scipy.linalg.svdvals(m)))
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """Sum of the singular values of a matrix, or one per matrix of a stack."""
+    return np.linalg.svd(m, compute_uv=False).sum(axis=-1)
 
 
 def operator_norm(m: np.ndarray) -> float:
-    s = scipy.linalg.svdvals(m)
+    s = np.linalg.svd(m, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import Superoperator, extend_with_identity
 from .hamiltonian import adjoint_rep, schmidt
-from .linalg import assert_hermitian, expm, kron, unvec, vec
+from .linalg import assert_hermitian, dagger, expm, kron, unvec, vec
 from .spectral import PeripheralDecomposition, analyze_peripheral, peripheral_power
 
 __all__ = [
@@ -62,35 +62,32 @@ def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Su
     The free step e^{-i (t/n) [H,.]} is the unitary channel of
     V = U e^{-i (t/n) W} U^dag, from one ``eigh`` H = U W U^dag of the d x d
     Hamiltonian; its superoperator is V kron conj(V), the Kraus form that
-    ``to_superoperator`` uses.
+    ``to_superoperator`` uses. A (k, d, d) stack of Hamiltonians, each
+    checked for Hermiticity on its own, gives the (k, d^2, d^2) stack of their
+    evolutions from one stacked ``eigh`` and one stacked ``matrix_power``;
+    one H is the case k = 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     energies, u = np.linalg.eigh(assert_hermitian(h))
-    v = (u * np.exp(-1j * (t / n) * energies)) @ u.conj().T
-    step = s_kick.matrix @ kron(v, v.conj())
+    v = (u * np.exp(-1j * (t / n) * energies)[..., None, :]) @ dagger(u)
+    v_vbar = v[..., :, None, :, None] * v.conj()[..., None, :, None, :]
+    step = s_kick.matrix @ v_vbar.reshape(v.shape[:-2] + s_kick.matrix.shape)
     return Superoperator(s_kick.dim, np.linalg.matrix_power(step, n))
 
 
-def dd_evolution(
-    s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int
-) -> Superoperator:
+def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:
     """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n."""
     return zeno_evolution(extend_with_identity(s2, d1), h, t, n)
 
 
-def target_evolution(
-    dec: PeripheralDecomposition, h_z: Superoperator, t: float, n: int
-) -> Superoperator:
+def target_evolution(dec: PeripheralDecomposition, h_z: Superoperator, t: float,
+                     n: int) -> Superoperator:
     """Zeno-limit target E_phi^n e^{-i t H_Z}."""
-    return Superoperator(
-        dec.dim, peripheral_power(dec, n).matrix @ expm(-1j * t * h_z.matrix)
-    )
+    return Superoperator(dec.dim, peripheral_power(dec, n).matrix @ expm(-1j * t * h_z.matrix))
 
 
-def suppression_check(
-    s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_TOL
-) -> bool:
+def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_TOL) -> bool:
     """True when the kick nullifies the Zeno Hamiltonian of H."""
     dec = analyze_peripheral(s)
     return float(np.linalg.norm(zeno_hamiltonian(dec, h).matrix)) <= tol
@@ -139,9 +136,5 @@ def dd_check(
     p_phi_ext = sum(lifted)
 
     residual = float(np.linalg.norm(h_z - g.matrix @ p_phi_ext))
-    return DdVerdict(
-        works=residual <= tol,
-        residual=residual,
-        coefficients=coeffs if ergodic else None,
-        kick_ergodic=ergodic,
-    )
+    return DdVerdict(works=residual <= tol, residual=residual,
+                     coefficients=coeffs if ergodic else None, kick_ergodic=ergodic)

@@ -160,6 +160,14 @@ BAD_FILES = {
     "nan_channel": {"dim": 1, "kraus": [[[[float("nan"), 0.0]]]]},
     "nan_h": {"matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
     "nan_t": {**SWEEP_BASE, "mode": "dd", "t": "nan"},
+    "frac_n": {**SWEEP_BASE, "n_values": [1.5, 2]},
+    "inf_n": {**SWEEP_BASE, "n_values": [float("inf")]},
+    "bool_n": {**SWEEP_BASE, "n_values": [True]},
+    "frac_count": {**SWEEP_BASE, "hamiltonians": {"random": 2.7, "seed": 0}},
+    "bool_count": {**SWEEP_BASE, "hamiltonians": {"random": True, "seed": 0}},
+    "frac_d1": {**SWEEP_BASE, "mode": "dd", "d1": 1.5},
+    "bool_d1": {**SWEEP_BASE, "mode": "dd", "d1": True},
+    "list_config": [1, 2],
     "sweep": SWEEP_BASE,
 }
 
@@ -188,6 +196,14 @@ BAD_FILES = {
     ["classify", "{nan_channel}"],
     ["zeno-check", "zoo:E_updown", "--hamiltonian", "{nan_h}"],
     ["sweep", "--config", "{nan_t}", "--out", "{out}"],
+    ["sweep", "--config", "{frac_n}", "--out", "{out}"],
+    ["sweep", "--config", "{inf_n}", "--out", "{out}"],
+    ["sweep", "--config", "{bool_n}", "--out", "{out}"],
+    ["sweep", "--config", "{frac_count}", "--out", "{out}"],
+    ["sweep", "--config", "{bool_count}", "--out", "{out}"],
+    ["sweep", "--config", "{frac_d1}", "--out", "{out}"],
+    ["sweep", "--config", "{bool_d1}", "--out", "{out}"],
+    ["sweep", "--config", "{list_config}", "--out", "{out}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
     ["reproduce", "fig1a", "--out", "{h2}"],

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bathdd.channel import apply
 from bathdd.hamiltonian import (
     adjoint_rep,
     hermitian_basis,
     random_hamiltonian,
     schmidt,
 )
-from bathdd.linalg import dagger, expm, kron, operator_norm
+from bathdd.linalg import dagger, expm, kron, operator_norm, unvec, vec
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,7 +35,7 @@ def test_adjoint_rep_z():
 def test_adjoint_rep_commutator_oracle(seed):
     h = random_hermitian(3, seed)
     a = random_hermitian(3, seed + 1)
-    got = apply(adjoint_rep(h), a)
+    got = unvec(adjoint_rep(h).matrix @ vec(a))
     assert np.allclose(got, h @ a - a @ h)
 
 

@@ -1,10 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bathdd.channel import KrausChannel, extend_with_identity, to_superoperator
+from bathdd.hamiltonian import random_hamiltonian
 from bathdd.harness import (
+    _STACK,
+    _STACK_BYTES,
+    FIGURES,
+    FIXTURE_HAMILTONIANS,
     SweepConfig,
     choi_distance,
     reduced_choi_purity,
@@ -13,6 +19,8 @@ from bathdd.harness import (
     sweep,
 )
 from bathdd.linalg import kron
+from bathdd.spectral import analyze_peripheral, peripheral_power
+from bathdd.zeno import zeno_evolution
 from bathdd.zoo import builtin, pauli
 
 
@@ -127,6 +135,65 @@ def test_sweep_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         SweepConfig.from_dict({"channel": "zoo:E_updown", "mode": "zeno",
                                "n_values": [1], "hamiltonians": {}, "bogus": 1})
+
+
+def test_sweep_config_rejects_a_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        SweepConfig.from_dict([1, 2])
+
+
+def test_sweep_config_from_dict_keeps_integral_numbers():
+    cfg = SweepConfig.from_dict({"channel": "zoo:E_updown", "mode": "zeno", "n_values": [2.0, 3],
+                                 "hamiltonians": {"random": 2.0}, "d1": 2.0})
+    assert cfg.n_values == (2, 3) and cfg.d1 == 2
+    assert all(type(n) is int for n in cfg.n_values)
+
+
+def per_pair_reference(cfg):
+    """{(seed, n): value} from one single-H zeno_evolution and one metric
+    call per (H, n)."""
+    ch = resolve_channel(cfg.channel, cfg.channel_params)
+    s = to_superoperator(ch)
+    if cfg.mode == "dd":
+        kick = extend_with_identity(s, cfg.d1)
+        score = lambda ev, n: reduced_choi_purity(ev, cfg.d1, ch.dim)
+    else:
+        kick, dec = s, analyze_peripheral(s)
+        score = lambda ev, n: choi_distance(ev, peripheral_power(dec, n))
+    src = cfg.hamiltonians
+    if "fixture" in src:
+        hams = {src["fixture"]: FIXTURE_HAMILTONIANS[src["fixture"]]}
+    else:
+        first = src["seed"]
+        hams = {seed: random_hamiltonian(kick.dim, seed)
+                for seed in range(first, first + src["random"])}
+    return {(seed, n): score(zeno_evolution(kick, h, cfg.t, n), n)
+            for seed, h in hams.items() for n in cfg.n_values}
+
+
+def with_hamiltonians(cfg, **hamiltonians):
+    return replace(cfg, hamiltonians=hamiltonians)
+
+
+STACKED_CASES = {
+    **{fig_id: with_hamiltonians(fig.config, random=3, seed=fig.config.hamiltonians["seed"])
+       for fig_id, fig in FIGURES.items()},
+    **{f"{fig_id}:{fig.fixture}": with_hamiltonians(fig.config, fixture=fig.fixture)
+       for fig_id, fig in FIGURES.items() if fig.fixture is not None},
+    # more Hamiltonians than one chunk holds: 4x4 superoperators (count cap) and
+    # 64x64 ones (byte cap)
+    "fig1b:chunked": with_hamiltonians(FIGURES["fig1b"].config, random=_STACK + 5, seed=0),
+    "fig3a:chunked": with_hamiltonians(FIGURES["fig3a"].config, random=_STACK_BYTES // 2**16 + 1,
+                                       seed=0),
+}
+
+
+@pytest.mark.parametrize("cfg", STACKED_CASES.values(), ids=STACKED_CASES.keys())
+def test_stacked_sweep_matches_per_pair_reference(cfg):
+    got = {(r.seed, r.n): r.value for r in sweep(cfg) if r.hamiltonian != "aggregate"}
+    want = per_pair_reference(cfg)
+    assert got.keys() == want.keys()
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
 
 
 def test_sweep_deterministic_replay(tmp_path):

@@ -50,6 +50,35 @@ def test_hermitian_check():
     assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def _is_hermitian_before(m, tol=1e-12):
+    """The 2-D rule of the check: entrywise within tol * max(1, Frobenius norm)."""
+    scale = max(1.0, float(np.linalg.norm(m)))
+    return float(np.max(np.abs(m - m.conj().T))) <= tol * scale
+
+
+def test_is_hermitian_2d_answers_as_before_and_stack_per_matrix():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 8):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        cases = []
+        for scale in (1e-3, 1.0, 1e6):
+            for eps in (0.0, 0.5e-12, 2e-12):  # violation relative to the tolerance scale
+                m = scale * (g + g.conj().T) / 2
+                m[0, -1] += 1j * eps * max(1.0, float(np.linalg.norm(m)))
+                cases.append(m)
+        answers = [is_hermitian(m) for m in cases]
+        assert answers == [_is_hermitian_before(m) for m in cases]
+        assert True in answers and False in answers
+        assert is_hermitian(np.stack(cases)) is False
+        assert is_hermitian(np.stack([m for m, ok in zip(cases, answers) if ok])) is True
+
+
+def test_trace_norm_stack_matches_single_calls():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    assert np.allclose(trace_norm(m), [trace_norm(x) for x in m], rtol=0, atol=1e-13)
+
+
 def test_norms_pauli_z():
     assert trace_norm(Z) == pytest.approx(2.0)
     assert operator_norm(Z) == pytest.approx(1.0)

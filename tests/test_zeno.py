@@ -3,9 +3,9 @@ import pytest
 
 from bathdd.channel import (
     KrausChannel,
+    Superoperator,
     extend_with_identity,
     identity_superoperator,
-    power,
     to_superoperator,
 )
 from bathdd.hamiltonian import adjoint_rep, random_hamiltonian, schmidt
@@ -103,10 +103,32 @@ def test_zeno_evolution_degenerate_cases():
 def test_zeno_evolution_approaches_channel_powers():
     s = sup("E_updown")
     n = 100
+    s_n = Superoperator(s.dim, np.linalg.matrix_power(s.matrix, n))
     for seed in range(5):
         h = random_bloch(seed)
-        dist = choi_distance(zeno_evolution(s, h, 1.0, n), power(s, n))
+        dist = choi_distance(zeno_evolution(s, h, 1.0, n), s_n)
         assert dist <= 1.5 * 2.7 / n
+
+
+def test_zeno_evolution_stack_matches_single_calls():
+    for kick in (sup("E_updown"), extend_with_identity(sup("E_omega"), 2)):
+        hs = np.array([random_hamiltonian(kick.dim, seed) for seed in range(5)])
+        for n in (1, 7, 100):
+            got = zeno_evolution(kick, hs, 0.9, n).matrix
+            assert got.shape == (5, kick.dim**2, kick.dim**2)
+            for h, m in zip(hs, got):
+                assert np.max(np.abs(m - zeno_evolution(kick, h, 0.9, n).matrix)) <= 1e-12
+
+
+def test_zeno_evolution_stack_with_one_non_hermitian_raises():
+    s = sup("E_updown")
+    hs = np.array([random_hamiltonian(2, seed) for seed in range(4)])
+    hs[0] *= 1e6  # a large matrix must not loosen the check of the others
+    hs[2, 0, 1] += 1e-9j
+    with pytest.raises(ValueError):
+        zeno_evolution(s, hs, 1.0, 3)
+    hs[2, 0, 1] -= 1e-9j
+    assert zeno_evolution(s, hs, 1.0, 3).matrix.shape == (4, 4, 4)
 
 
 def test_target_evolution_dephasing_is_the_kick():
