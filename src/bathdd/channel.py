@@ -8,6 +8,7 @@ A . B is A kron B^T) is rebuilt from them on each ``to_superoperator`` call.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,8 +143,23 @@ def _matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; a bool, a string or any other non-number is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integral number is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _matrix_from_pairs(rows) -> np.ndarray:
-    m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    m = np.array([[complex(_real(re, "a matrix entry"), _real(im, "a matrix entry"))
+                   for re, im in row] for row in rows], dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -158,7 +174,7 @@ def channel_to_dict(ch: KrausChannel) -> dict:
 
 def channel_from_dict(data: dict) -> KrausChannel:
     try:
-        dim = int(data["dim"])
+        dim = _integer(data["dim"], "dim")
         kraus = tuple(_matrix_from_pairs(k) for k in data["kraus"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"bad channel specification: {exc}") from exc

@@ -1,10 +1,12 @@
 """Metrics, parameter sweeps, and desk-scale reproduction of the reference
 decoupling/suppression curves.
 
-Every curve is one ``zeno_evolution`` per n on each chunk of the stacked
-Hamiltonian ensemble, scored by one stacked metric call, in one of two modes:
-"dd" kicks the bath factor of a bipartite system with I_1 kron E_2 (lifted once
-per sweep) and records the purity of the reduced Choi state of the system
+Every curve is the kicked evolution of ``zeno_evolution`` on each chunk of the
+stacked Hamiltonian ensemble, with the kick factored through its rank once per
+sweep and each chunk diagonalised once; each n then costs one power of the
+small r x r step and one stacked metric call. There are two modes: "dd" kicks
+the bath factor of a bipartite system with I_1 kron E_2 (lifted once per
+sweep) and records the purity of the reduced Choi state of the system
 legs; "zeno" kicks a mono-partite system with E and records the trace-norm
 distance between the Choi states of the kicked evolution and of the
 Hamiltonian-free kicked evolution E_phi^n (full suppression). When
@@ -16,18 +18,17 @@ panel as a ``SweepConfig`` row, which ``reproduce`` runs through ``sweep``.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, choi, extend_with_identity, load_channel,
-                      to_superoperator)
+from .channel import (KrausChannel, Superoperator, _integer, _real, choi, extend_with_identity,
+                      load_channel, to_superoperator)
 from .hamiltonian import random_hamiltonian
 from .linalg import kron, trace_norm
 from .spectral import analyze_peripheral, peripheral_power
-from .zeno import zeno_evolution
+from .zeno import _factor_kick, _kicked_evolutions
 from .zoo import builtin, pauli
 
 __all__ = [
@@ -105,7 +106,7 @@ class SweepConfig:
             mode=data["mode"],
             n_values=tuple(_integer(n, "every n in n_values") for n in data["n_values"]),
             hamiltonians=dict(data["hamiltonians"]),
-            t=float(data.get("t", 1.0)),
+            t=_real(data.get("t", 1.0), "t"),
             d1=_integer(data.get("d1", 2), "d1"),
             channel_params=dict(data.get("channel_params", {})),
         )
@@ -126,13 +127,6 @@ class SweepConfig:
             raise ValueError("the random Hamiltonian count must be positive")
         _integer(cfg.hamiltonians.get("seed", 0), "the Hamiltonian seed")
         return cfg
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool or a non-integral number is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 FIXTURE_HAMILTONIANS = {
@@ -174,8 +168,10 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int):
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"). The kick
-    and the metric are fixed once; each chunk of Hamiltonians then takes one
-    ``zeno_evolution`` and one metric call per n."""
+    and the metric are fixed once, and the kick is factored once as S = A B
+    through its rank r. Each chunk of Hamiltonians is checked and
+    diagonalised once; per n it then takes one stacked
+    A (B W A)^{n-1} (B W), as in ``zeno_evolution``, and one metric call."""
     ch = resolve_channel(cfg.channel, cfg.channel_params)
     s = to_superoperator(ch)
     if cfg.mode == "dd":
@@ -191,9 +187,10 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     records: list[SweepRecord] = []
     per_n: dict[int, list[float]] = {n: [] for n in cfg.n_values}
+    factors = _factor_kick(kick)
     for seeds, h_label, hs in _hamiltonian_chunks(cfg, kick.dim):
-        for n in cfg.n_values:
-            values = score(zeno_evolution(kick, hs, cfg.t, n), n).tolist()
+        for n, ev in zip(cfg.n_values, _kicked_evolutions(factors, hs, cfg.t, cfg.n_values)):
+            values = score(Superoperator(kick.dim, ev), n).tolist()
             per_n[n] += values
             records += (SweepRecord(n, metric, v, seed, cfg.channel, h_label, cfg.t)
                         for seed, v in zip(seeds, values))

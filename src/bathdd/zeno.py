@@ -56,24 +56,49 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
     return Superoperator(dec.dim, m)
 
 
+def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
+    """S = A B with A of size N x r and B of size r x N, from one SVD of the kick.
+
+    r is the rank by numpy's ``matrix_rank`` rule (sigma > sigma_max N eps), so
+    only round-off is cut: a lifted kick I kron E has rank d1^2 rank(E).
+    """
+    u, sigma, vh = np.linalg.svd(s_kick.matrix)
+    r = int(np.count_nonzero(sigma > sigma[0] * len(sigma) * np.finfo(sigma.dtype).eps))
+    return u[:, :r] * sigma[:r], vh[:r]
+
+
+def _kicked_evolutions(factors: tuple[np.ndarray, np.ndarray], h: np.ndarray, t: float,
+                       n_values):
+    """(S W)^n = A (B W A)^{n-1} (B W) for each n, with S = A B from ``_factor_kick``.
+
+    W is the free step of ``zeno_evolution``. H is checked and diagonalised
+    once; only the phases depend on n. A (k, d, d) stack of
+    Hamiltonians yields (k, N, N) stacks.
+    """
+    a, b = factors
+    energies, u = np.linalg.eigh(assert_hermitian(h))
+    for n in n_values:
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        v = (u * np.exp(-1j * (t / n) * energies)[..., None, :]) @ dagger(u)
+        v_vbar = v[..., :, None, :, None] * v.conj()[..., None, :, None, :]
+        bw = b @ v_vbar.reshape(v.shape[:-2] + (b.shape[1],) * 2)
+        yield a @ np.linalg.matrix_power(bw @ a, n - 1) @ bw
+
+
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:
     """(E e^{-i (t/n) [H,.]})^n, computed as an exact n-fold product.
 
     The free step e^{-i (t/n) [H,.]} is the unitary channel of
-    V = U e^{-i (t/n) W} U^dag, from one ``eigh`` H = U W U^dag of the d x d
-    Hamiltonian; its superoperator is V kron conj(V), the Kraus form that
-    ``to_superoperator`` uses. A (k, d, d) stack of Hamiltonians, each
-    checked for Hermiticity on its own, gives the (k, d^2, d^2) stack of their
-    evolutions from one stacked ``eigh`` and one stacked ``matrix_power``;
-    one H is the case k = 1.
+    V = U e^{-i (t/n) diag(w)} U^dag, from one ``eigh`` H = U diag(w) U^dag of
+    the d x d Hamiltonian; its superoperator W = V kron conj(V) is the Kraus
+    form that ``to_superoperator`` uses. The kick is factored through its rank
+    r as S = A B, so the product is (S W)^n = A (B W A)^{n-1} (B W), with one
+    r x r power. A (k, d, d) stack of Hamiltonians, each checked for
+    Hermiticity on its own, gives the (k, d^2, d^2) stack of their evolutions
+    from one stacked ``eigh`` and one stacked power; one H is the case k = 1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    energies, u = np.linalg.eigh(assert_hermitian(h))
-    v = (u * np.exp(-1j * (t / n) * energies)[..., None, :]) @ dagger(u)
-    v_vbar = v[..., :, None, :, None] * v.conj()[..., None, :, None, :]
-    step = s_kick.matrix @ v_vbar.reshape(v.shape[:-2] + s_kick.matrix.shape)
-    return Superoperator(s_kick.dim, np.linalg.matrix_power(step, n))
+    return Superoperator(s_kick.dim, next(_kicked_evolutions(_factor_kick(s_kick), h, t, (n,))))
 
 
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausChannel
+from .channel import KrausChannel, _integer, _real
 from .classify import Classification
 from .linalg import kron
 
@@ -96,7 +96,7 @@ def _triangle() -> ZooEntry:
 
 
 def _square(p: float = 0.5) -> ZooEntry:
-    p = float(p)
+    p = _real(p, "p")
     if not 0 < p < 1:
         raise ValueError("E_square requires p in (0, 1)")
     k1 = _unit(3, 2, 0)
@@ -111,7 +111,7 @@ def _square(p: float = 0.5) -> ZooEntry:
 
 
 def _dephase(d: int = 2) -> ZooEntry:
-    d = int(d)
+    d = _integer(d, "d")
     ch = KrausChannel(d, tuple(_unit(d, i, i) for i in range(d)), name="E_dephase")
     return ZooEntry(
         "E_dephase", ch,

@@ -168,6 +168,17 @@ BAD_FILES = {
     "frac_d1": {**SWEEP_BASE, "mode": "dd", "d1": 1.5},
     "bool_d1": {**SWEEP_BASE, "mode": "dd", "d1": True},
     "list_config": [1, 2],
+    "frac_dephase_d": {**SWEEP_BASE, "channel": "zoo:E_dephase", "channel_params": {"d": 2.5}},
+    "bool_dephase_d": {**SWEEP_BASE, "mode": "dd", "channel": "zoo:E_dephase",
+                       "channel_params": {"d": True}},
+    "str_dephase_d": {**SWEEP_BASE, "channel": "zoo:E_dephase", "channel_params": {"d": "3"}},
+    "bool_t": {**SWEEP_BASE, "t": True},
+    "str_t": {**SWEEP_BASE, "t": "1e0"},
+    "bool_square_p": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"p": True}},
+    "str_square_p": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"p": "0.5"}},
+    "frac_dim": {"dim": 2.5, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+    "bool_kraus": {"dim": 2, "kraus": [[[[True, 0], [0, 0]], [[0, 0], [True, 0]]]]},
+    "bool_h": {"matrix": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
     "sweep": SWEEP_BASE,
 }
 
@@ -204,6 +215,16 @@ BAD_FILES = {
     ["sweep", "--config", "{frac_d1}", "--out", "{out}"],
     ["sweep", "--config", "{bool_d1}", "--out", "{out}"],
     ["sweep", "--config", "{list_config}", "--out", "{out}"],
+    ["sweep", "--config", "{frac_dephase_d}", "--out", "{out}"],
+    ["sweep", "--config", "{bool_dephase_d}", "--out", "{out}"],
+    ["sweep", "--config", "{str_dephase_d}", "--out", "{out}"],
+    ["sweep", "--config", "{bool_t}", "--out", "{out}"],
+    ["sweep", "--config", "{str_t}", "--out", "{out}"],
+    ["sweep", "--config", "{bool_square_p}", "--out", "{out}"],
+    ["sweep", "--config", "{str_square_p}", "--out", "{out}"],
+    ["classify", "{frac_dim}"],
+    ["classify", "{bool_kraus}"],
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "{bool_h}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
     ["reproduce", "fig1a", "--out", "{h2}"],

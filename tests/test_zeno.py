@@ -14,6 +14,8 @@ from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral
 from bathdd.zeno import (
     DD_TOL,
+    _factor_kick,
+    _kicked_evolutions,
     _reference_state,
     dd_check,
     dd_evolution,
@@ -23,6 +25,8 @@ from bathdd.zeno import (
     zeno_hamiltonian,
 )
 from bathdd.zoo import builtin, names, pauli
+from test_channel import random_unitary
+from test_harness import plain_kicked_evolution
 
 Z = pauli("z")
 X = pauli("x")
@@ -281,3 +285,45 @@ def test_zeno_evolution_matches_expm_reference(name):
                 got = zeno_evolution(kick, h, 1.0, n).matrix
                 want = expm_reference_evolution(kick, h, 1.0, n)
                 assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def unitary_kick(u):
+    return Superoperator(u.shape[0], kron(u, u.conj()))
+
+
+# (kick, rank the factorisation must keep)
+FACTORED_KICKS = {
+    "unitary": (unitary_kick(random_unitary(3, 0)), 9),
+    "I(x)E_omega": (extend_with_identity(sup("E_omega"), 2), 16),
+    "P_rho": (sup("P_rho"), 1),
+    # singular values of 1e-9 are real, not round-off: all 16 must be kept
+    "E_omega+1e-9 unitary": (Superoperator(4, (1 - 1e-9) * sup("E_omega").matrix
+                                           + 1e-9 * unitary_kick(random_unitary(4, 1)).matrix), 16),
+}
+
+
+@pytest.mark.parametrize("name", FACTORED_KICKS)
+def test_factored_kicked_evolution_matches_plain_product(name):
+    kick, rank = FACTORED_KICKS[name]
+    a, b = _factor_kick(kick)
+    assert a.shape == (kick.dim**2, rank) and b.shape == (rank, kick.dim**2)
+    hs = np.array([random_hamiltonian(kick.dim, seed) for seed in range(3)])
+    for n in (1, 100):
+        got = zeno_evolution(kick, hs, 0.7, n).matrix
+        for h, m in zip(hs, got):
+            assert np.max(np.abs(m - plain_kicked_evolution(kick, h, 0.7, n).matrix)) <= 1e-12
+
+
+def test_factored_kicked_evolution_error_paths():
+    kick = extend_with_identity(sup("E_omega"), 2)
+    hs = np.array([random_hamiltonian(8, seed) for seed in range(3)])
+    for n_values in ((1, 0), (-2,)):
+        with pytest.raises(ValueError):
+            list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, n_values))
+    with pytest.raises(ValueError):
+        zeno_evolution(kick, hs, 1.0, 0)
+    hs[1, 2, 5] += 1e-9j
+    with pytest.raises(ValueError):
+        list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, (1, 100)))
+    with pytest.raises(ValueError):
+        zeno_evolution(kick, hs, 1.0, 100)
