@@ -2,8 +2,9 @@
 
 Everything downstream works with plain ``numpy.ndarray`` of dtype complex128.
 This module wraps the handful of primitives the rest of the package relies on:
-general (non-Hermitian) eigendecomposition of a matrix and its adjoint,
-matrix exponential, SVD-based norms, and Kronecker products.
+the eigenvalues of modulus above a radius with biorthonormal right and left
+eigenvectors (one ordered Schur form), matrix exponential, SVD-based norms,
+and Kronecker products.
 """
 
 from __future__ import annotations
@@ -85,20 +86,29 @@ def expm(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a general square complex matrix and of its adjoint.
+def eig(m: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w of modulus >= radius of a square matrix M, with right
+    eigenvectors r and left adjoints lh: M r = r diag(w), lh M = diag(w) lh
+    and lh r = I. ``radius=0`` selects the whole spectrum.
 
-    Returns ``(w, vr, wl, vl)`` with M vr[:, i] = w[i] vr[:, i] and
-    M^dag vl[:, j] = conj(wl[j]) vl[:, j], from two LAPACK solves (on M and on
-    M^dag). The two sets come in LAPACK's order, unpaired: ``wl`` holds the
-    eigenvalues of M the left vectors belong to.
+    One ordered Schur form M = Q T Q^dag puts the selection first, one
+    triangular Sylvester solve T11 Y - Y T22 = -T12 splits it off, and with
+    T11 = W diag(w) W^-1, r = Q1 W has unit columns and lh = W^-1 [I, -Y] Q^dag
+    (NaN where W is singular: the selection is then defective).
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("eig requires a square matrix")
     try:
-        w, vr = np.linalg.eig(m)
-        wl, vl = np.linalg.eig(dagger(m))
+        t, q, k = scipy.linalg.schur(m, output="complex", sort=lambda z: abs(z) >= radius)
+        w, vecs = np.linalg.eig(t[:k, :k])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise LinalgError(f"eigensolver did not converge: {exc}") from exc
-    return w, vr, wl.conj(), vl
+    lh = dagger(q[:, :k])
+    if 0 < k < len(t):
+        y, scale, info = scipy.linalg.lapack.ztrsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
+        if info:
+            raise LinalgError(f"eigenvalues either side of |z| = {radius!r} too close to split")
+        lh -= (y / scale) @ dagger(q[:, k:])
+    try:
+        lh = np.linalg.solve(vecs, lh)
+    except np.linalg.LinAlgError:
+        lh = np.full_like(lh, np.nan)
+    return w, q[:, :k] @ vecs, lh

@@ -1,11 +1,12 @@
 """Peripheral spectral analysis of a CPTP superoperator.
 
 Extracts the peripheral eigenvalues (modulus 1), their spectral projections,
-and the peripheral part and peripheral projection of the channel. Only the
-peripheral eigenvalues are clustered, paired with left eigenvectors and
-checked for defects: that part of a channel's spectrum is always
-diagonalizable, and nothing downstream reads the rest. The biorthonormal
-right and left eigenoperators of each cluster are kept, because the
+and the peripheral part and peripheral projection of the channel. One
+ordered Schur form splits the peripheral eigenvalues from the rest of the
+spectrum and gives their biorthonormal right and left eigenvectors. Only
+they are clustered and checked for defects: that part of a channel's
+spectrum is always diagonalizable, and nothing downstream reads the rest.
+The right and left eigenoperators of each cluster are kept, because the
 decoherence-free test of ``classify`` reads them directly.
 """
 
@@ -14,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import Superoperator
-from .linalg import dagger, eig, unvec
+from .linalg import LinalgError, dagger, eig, unvec
 
 __all__ = [
     "PeripheralDecomposition",
@@ -31,8 +31,8 @@ __all__ = [
 PERIPHERAL_TOL = 1e-8
 MAX_PERIPHERAL_TOL = 1e-4
 
-# Left/right overlap blocks with condition number above this mark a defective
-# (non-diagonalizable) cluster.
+# A cluster whose unit right eigenvectors have condition number above this is
+# defective (non-diagonalizable).
 DEFECT_COND = 1e8
 
 
@@ -90,64 +90,47 @@ def cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.
 def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> PeripheralDecomposition:
     """Decompose the peripheral part of a CPTP superoperator.
 
-    Eigenvalues with |lambda| >= 1 - tol count as peripheral and are grouped
-    into clusters of width ``tol``. Each cluster takes the as yet unused left
-    eigenvectors whose eigenvalues lie nearest its mean and is biorthogonalized
-    through the inverse of its left/right overlap. The peripheral part of a
-    channel is always diagonalizable, so a defective cluster is an error.
+    Eigenvalues with |lambda| >= 1 - tol count as peripheral. One ordered
+    Schur form (``linalg.eig``) gives them with biorthonormal right and left
+    eigenvectors, which are grouped into clusters of width ``tol``. The
+    peripheral part of a channel is always diagonalizable, so a defective
+    cluster is an error, and so is a spectrum too close to the cut 1 - tol to
+    split there.
     """
     if not 0 < tol <= MAX_PERIPHERAL_TOL:
         raise ValueError(f"tol must lie in (0, {MAX_PERIPHERAL_TOL:g}]")
     d = s.dim
-    w, vr, wl, vl = eig(s.matrix)
-    on = np.flatnonzero(np.abs(w) >= 1 - tol)
-    if not on.size:
+    try:
+        w, r, lh = eig(s.matrix, 1 - tol)
+    except LinalgError as exc:
+        raise SpectralError(f"no peripheral decomposition at tol={tol:g}: {exc}") from exc
+    if not w.size:
         raise SpectralError("no peripheral eigenvalue found; channel not CPTP?")
 
-    used = np.zeros(wl.size, dtype=bool)
-    clusters = []  # (eigenvalue, projection, right ops, left ops)
-    for members in cluster_indices(w[on], tol):
-        idx = on[members]
-        lam = w[idx].mean()
-        picked = [int(j) for j in np.argsort(np.abs(wl - lam)) if not used[j]][: idx.size]
-        used[picked] = True
-        r = vr[:, idx]
-        lc = vl[:, picked]
-        overlap = dagger(lc) @ r
-        sv = scipy.linalg.svdvals(overlap)
-        # both vector sets are unit-norm, so a diagonalizable cluster has an
-        # overlap with smallest singular value of order 1
-        if sv[-1] < 1.0 / DEFECT_COND or sv[0] / sv[-1] > DEFECT_COND:
+    clusters = cluster_indices(w, tol)
+    for idx in clusters:
+        if np.linalg.cond(r[:, idx]) > DEFECT_COND:
             raise SpectralError(
                 "peripheral eigenvalue cluster is defective or ill-conditioned; "
                 "tol may be too loose for this channel"
             )
-        l = lc @ dagger(np.linalg.inv(overlap))
-        clusters.append((
-            lam,
-            Superoperator(d, r @ dagger(l)),
-            tuple(unvec(r[:, j], d) for j in range(idx.size)),
-            tuple(unvec(l[:, j], d) for j in range(idx.size)),
-        ))
-
     # put the lambda = 1 cluster first
-    values = np.array([c[0] for c in clusters])
+    values = np.array([w[idx].mean() for idx in clusters])
     order = np.argsort(np.abs(values - 1.0), kind="stable")
-    values = values[order]
-    clusters = [clusters[i] for i in order]
+    values, clusters = values[order], [clusters[i] for i in order]
     if abs(values[0] - 1.0) > tol * 10:
         raise SpectralError("eigenvalue 1 not found in the peripheral spectrum")
-    projections = tuple(c[1] for c in clusters)
+    projections = tuple(Superoperator(d, r[:, idx] @ lh[idx]) for idx in clusters)
     e_phi = sum(lam * p.matrix for lam, p in zip(values, projections))
     return PeripheralDecomposition(
         dim=d,
         peripheral_values=values,
-        multiplicities=np.array([len(c[2]) for c in clusters]),
+        multiplicities=np.array([idx.size for idx in clusters]),
         projections=projections,
         peripheral_part=Superoperator(d, e_phi),
-        peripheral_projection=Superoperator(d, sum(p.matrix for p in projections)),
-        right_ops=tuple(c[2] for c in clusters),
-        left_ops=tuple(c[3] for c in clusters),
+        peripheral_projection=Superoperator(d, r @ lh),
+        right_ops=tuple(tuple(unvec(r[:, j], d) for j in idx) for idx in clusters),
+        left_ops=tuple(tuple(unvec(lh[j].conj(), d) for j in idx) for idx in clusters),
     )
 
 

@@ -45,6 +45,21 @@ def test_classify_tol_matches_cycles(tmp_path, capsys):
     assert json.loads(out)["cycle_lengths"] == [2]
 
 
+def test_spectrum_on_the_cut_exits_3(tmp_path, capsys):
+    # diagonal kick with coherence eigenvalues c and the float just below
+    # it; at tol = 1 - c the cut 1 - tol falls between them
+    c = 1 - 1e-6
+    c2 = np.nextafter(c, 0)
+    k0 = np.diag([1.0, c, c2])
+    k1 = np.diag([0.0, np.sqrt(1 - c * c), np.sqrt(1 - c2 * c2)])
+    path = tmp_path / "edge.json"
+    save_channel(KrausChannel(3, (k0, k1)), path)
+    code, out, err = run(capsys, "classify", str(path), "--tol", repr(1 - c))
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "tol=" in err
+
+
 def test_spectrum(capsys):
     code, out, _ = run(capsys, "spectrum", "zoo:E_triangle")
     assert code == 0

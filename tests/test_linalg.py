@@ -144,9 +144,9 @@ def test_expm_accuracy_large_norm():
 
 def test_eig_diagonal():
     m = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
-    w, _, wl, _ = eig(m)
-    for values in (w, wl):
-        assert sorted(np.round(values.real, 10)) == [-1.0, 0.0, 0.0, 1.0]
+    w, r, lh = eig(m, 0.0)
+    assert sorted(np.round(w.real, 10)) == [-1.0, 0.0, 0.0, 1.0]
+    assert np.allclose(lh @ r, np.eye(4), atol=1e-12)
 
 
 def test_eig_updown_superoperator():
@@ -161,31 +161,62 @@ def test_eig_updown_superoperator():
             unit[i, j] = 1.0
             out = k1 @ unit @ dagger(k1) + k2 @ unit @ dagger(k2)
             s[:, 2 * i + j] = out.reshape(-1)
-    w, _, wl, _ = eig(s)
-    for values in (w, wl):
-        assert np.allclose(sorted(np.round(values.real, 9)), [-1, 0, 0, 1])
-        assert np.max(np.abs(values.imag)) < 1e-9
+    w, r, lh = eig(s, 0.0)
+    assert np.allclose(sorted(np.round(w.real, 9)), [-1, 0, 0, 1])
+    assert np.max(np.abs(w.imag)) < 1e-9
+    # the peripheral pair alone, with its projections onto I and Z
+    w, r, lh = eig(s, 0.5)
+    assert sorted(np.round(w.real, 9)) == [-1.0, 1.0]
+    for lam, vec_r, vec_l in zip(w, r.T, lh):
+        axis = np.eye(2) if lam.real > 0 else Z
+        p = np.outer(vec_r, vec_l)
+        assert np.allclose(p, np.outer(axis.reshape(-1), axis.reshape(-1)) / 2, atol=1e-12)
 
 
 def test_eig_residuals_and_biorthogonality():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    w, vr, wl, vl = eig(m)
     scale = np.linalg.norm(m)
-    for i in range(6):
-        assert np.linalg.norm(m @ vr[:, i] - w[i] * vr[:, i]) <= 1e-9 * scale
-        assert np.linalg.norm(dagger(m) @ vl[:, i] - np.conj(wl[i]) * vl[:, i]) <= 1e-9 * scale
-    # left and right eigenvectors of distinct eigenvalues are orthogonal
-    overlap = dagger(vl) @ vr
-    distinct = np.abs(wl[:, None] - w[None, :]) > 1e-6
-    assert np.count_nonzero(~distinct) == 6
-    assert np.max(np.abs(overlap[distinct])) < 1e-8
-    assert np.min(np.abs(overlap[~distinct])) > 1e-3
+    for radius in (0.0, np.median(np.abs(np.linalg.eigvals(m)))):
+        w, r, lh = eig(m, radius)
+        assert w.size == (6 if radius == 0 else 3)
+        # right residuals M R = R diag(w) and left residuals L^dag M = diag(w) L^dag
+        assert np.linalg.norm(m @ r - r * w) <= 1e-12 * scale * np.linalg.norm(r)
+        assert np.linalg.norm(lh @ m - w[:, None] * lh) <= 1e-12 * scale * np.linalg.norm(lh)
+        # biorthonormal: L^dag R = I
+        assert np.max(np.abs(lh @ r - np.eye(w.size))) <= 1e-12
+
+
+def test_eig_selects_by_modulus():
+    # known spectrum on circles of radius 1, 0.9 and 0.5, hidden by a random
+    # similarity: radius r keeps exactly the eigenvalues with |lambda| >= r
+    rng = np.random.default_rng(11)
+    spectrum = np.array([1.0, -1.0, 1j, 0.9, -0.9j, 0.5, 0.5j, 0.0])
+    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    m = x @ np.diag(spectrum) @ np.linalg.inv(x)
+    for radius, count in ((1 - 1e-8, 3), (0.9 - 1e-8, 5), (0.5 - 1e-8, 7), (0.0, 8)):
+        w, r, lh = eig(m, radius)
+        expected = spectrum[np.abs(spectrum) >= radius]
+        assert w.size == count
+        assert np.allclose(np.sort_complex(np.round(w, 8)), np.sort_complex(expected), atol=1e-10)
+    assert eig(m, 1.5)[0].size == 0
+
+
+def test_eig_defective_selection_keeps_values():
+    # a nilpotent 3x3 Jordan block in disguise: the values are exact, the
+    # right eigenvectors are dependent and no left adjoints exist
+    m = np.array([[0, 0, 1j], [1j, 0, 0], [0, 0, 0]])
+    w, r, lh = eig(m, 0.0)
+    assert np.allclose(w, 0)
+    assert np.linalg.cond(r) > 1e12
+    assert not np.all(np.isfinite(lh)) or np.max(np.abs(lh)) > 1e12
 
 
 @settings(max_examples=25)
 @given(complex_matrices(3, st.floats(-3, 3, allow_nan=False)))
 def test_eig_trace_and_det(m):
-    w, _, wl, _ = eig(m)
-    for values in (w, wl):
-        assert np.sum(values) == pytest.approx(np.trace(m), abs=1e-7 * max(1, np.linalg.norm(m)))
+    w, _, _ = eig(m, 0.0)
+    scale = max(1, np.linalg.norm(m))
+    assert w.size == 3
+    assert np.sum(w) == pytest.approx(np.trace(m), abs=1e-7 * scale)
+    assert np.prod(w) == pytest.approx(np.linalg.det(m), abs=1e-7 * scale**3)

@@ -3,13 +3,14 @@ import pytest
 
 from bathdd.channel import Superoperator, to_superoperator
 from bathdd.spectral import (
+    PERIPHERAL_TOL,
     SpectralError,
     analyze_peripheral,
     cluster_indices,
     fixed_point_state,
     peripheral_power,
 )
-from bathdd.zoo import builtin
+from bathdd.zoo import builtin, names
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -147,6 +148,48 @@ def test_peripheral_jordan_block_is_defective():
     m[0, 1] = 1.0
     with pytest.raises(SpectralError, match="defective"):
         analyze_peripheral(Superoperator(2, m))
+
+
+def _stinespring(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d * rank, d)) + 1j * rng.standard_normal((d * rank, d))
+    q, _ = np.linalg.qr(g)
+    return [q[k * d:(k + 1) * d] for k in range(rank)]
+
+
+@pytest.mark.parametrize("kraus", [
+    *(pytest.param(builtin(name).channel.kraus, id=name) for name in names()),
+    *(pytest.param(_stinespring(d, rank, seed=10 * d + rank), id=f"stinespring_d{d}_r{rank}")
+      for d in range(2, 6) for rank in (1, 2, 3)),
+])
+def test_projections_match_full_eigendecomposition(kraus):
+    # reference without bathdd: S = sum_k K kron conj(K) in the row
+    # vectorization, and P = VR[:, J] inv(VR)[J, :] over the eigenvalues J
+    # of the cluster, which is accurate for these diagonalizable kicks
+    tol = PERIPHERAL_TOL
+    s = sum(np.kron(k, k.conj()) for k in kraus)
+    w, vr = np.linalg.eig(s)
+    vr_inv = np.linalg.inv(vr)
+    on = np.abs(w) >= 1 - tol
+
+    dec = analyze_peripheral(Superoperator(kraus[0].shape[0], s), tol)
+    reference = vr[:, on] @ vr_inv[on]
+    assert np.max(np.abs(dec.peripheral_projection.matrix - reference)) <= 1e-10
+    assert dec.dim_recurrent == np.count_nonzero(on)
+    for lam, p in zip(dec.peripheral_values, dec.projections):
+        j = on & (np.abs(w - lam) <= tol)
+        assert np.max(np.abs(p.matrix - vr[:, j] @ vr_inv[j])) <= 1e-10
+
+
+def test_spectrum_on_the_cut_is_an_error():
+    # 1 - tol and the float just below it sit on either side of the cut and
+    # are coupled: no Sylvester solve can split them, so no projections
+    tol = 1e-8
+    edge = 1 - tol
+    m = np.diag([1.0, edge, np.nextafter(edge, 0), 0.5]).astype(complex)
+    m[1, 2] = 1.0
+    with pytest.raises(SpectralError, match="tol=1e-08"):
+        analyze_peripheral(Superoperator(2, m), tol)
 
 
 def test_tol_validation():
