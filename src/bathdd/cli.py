@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input channel fails the CPTP check, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -173,6 +174,7 @@ def _positive(convert, upper: float = float("inf")):
     return number
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bathdd",

@@ -1,17 +1,14 @@
 """Metrics, parameter sweeps, and desk-scale reproduction of the reference
 decoupling/suppression curves.
 
-Every curve is the kicked evolution of ``zeno_evolution`` on each chunk of the
-stacked Hamiltonian ensemble, with the kick factored through its rank once per
-sweep and each chunk diagonalised once; each n then costs one power of the
-small r x r step and one stacked metric call. There are two modes: "dd" kicks
-the bath factor of a bipartite system with I_1 kron E_2 (lifted once per
-sweep) and records the purity of the reduced Choi state of the system
-legs; "zeno" kicks a mono-partite system with E and records the trace-norm
-distance between the Choi states of the kicked evolution and of the
-Hamiltonian-free kicked evolution E_phi^n (full suppression). When
-suppression works the latter is the Zeno-limit target; when it fails, the
-distance saturates at a nonzero constant. ``FIGURES`` holds each reference
+Every curve is the kicked evolution of ``zeno_evolution`` on chunks of the
+stacked Hamiltonian ensemble: with the kick factored once per sweep as S = A B,
+each n costs one small power for the core C_n of (S W)^n = A C_n. Mode "dd"
+kicks the bath of a bipartite system with I_1 kron E_2 and records the purity
+of the system legs of the Choi state, from the bath-traced factors of A and
+C_n; mode "zeno" kicks with E and records the trace-norm distance between the
+Choi states of A C_n and of E_phi^n (full suppression), which saturates at a
+nonzero constant when suppression fails. ``FIGURES`` holds each reference
 panel as a ``SweepConfig`` row, which ``reproduce`` runs through ``sweep``.
 """
 
@@ -42,17 +39,28 @@ __all__ = [
 ]
 
 
+def _trace_bath(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """T m: rows (a x, c x) summed over the bath index x into the d1^2 rows (a, c)."""
+    m = m.reshape(*m.shape[:-2], d1, d2, d1, d2, m.shape[-1])
+    return np.einsum("...axcxk->...ack", m).reshape(*m.shape[:-5], d1 * d1, m.shape[-1])
+
+
+def _reduced_purity(rows: np.ndarray, cols: np.ndarray, d: int) -> float | np.ndarray:
+    """Sum |lambda|^2 of the reduced Choi matrix (T A)(T C^T)^T / d of S = A C."""
+    lam = rows @ cols.swapaxes(-1, -2)
+    return np.real(np.sum(lam * lam.conj(), axis=(-2, -1))) / d**2
+
+
 def reduced_choi_purity(s: Superoperator, d1: int, d2: int) -> float | np.ndarray:
     """Purity of the system-legs reduction of the Choi state of ``s`` (per map of a stack).
 
     Both the bath output leg and the bath ancilla leg are traced out; the
-    system output/ancilla pair is kept.
-    """
+    system output/ancilla pair is kept, as T S T^T / d with no Choi state:
+    lambda[(a, c), (b, d)] = sum_{x, y} S[(a x, c x), (b y, d y)] / d."""
     if s.dim != d1 * d2:
         raise ValueError(f"superoperator dim {s.dim} does not factor as {d1}*{d2}")
-    r = choi(s).matrix.reshape(*s.matrix.shape[:-2], d1, d2, d1, d2, d1, d2, d1, d2)
-    lam1 = np.einsum("...aibjcidj->...abcd", r)
-    return np.real(np.sum(lam1 * lam1.conj(), axis=(-4, -3, -2, -1)))
+    t = _trace_bath(np.eye(s.dim**2), d1, d2)
+    return _reduced_purity(_trace_bath(s.matrix, d1, d2), t, s.dim)
 
 
 def choi_distance(s_a: Superoperator, s_b: Superoperator) -> float | np.ndarray:
@@ -168,29 +176,30 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int):
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"). The kick
-    and the metric are fixed once, and the kick is factored once as S = A B
-    through its rank r. Each chunk of Hamiltonians is checked and
-    diagonalised once; per n it then takes one stacked
-    A (B W A)^{n-1} (B W), as in ``zeno_evolution``, and one metric call."""
+    is factored once as S = A B, and each chunk of Hamiltonians is checked and
+    diagonalised once. Per n, the stacked core C_n of ``_kicked_evolutions``
+    gives the purity of (T A)(T C_n^T)^T / d ("dd") or the Choi distance of A C_n."""
     ch = resolve_channel(cfg.channel, cfg.channel_params)
     s = to_superoperator(ch)
     if cfg.mode == "dd":
         kick, metric = extend_with_identity(s, cfg.d1), "purity"
-        score = lambda ev, n: reduced_choi_purity(ev, cfg.d1, ch.dim)
+        a, b = _factor_kick(kick)
+        rows = _trace_bath(a, cfg.d1, ch.dim)
+        score = lambda c, n: _reduced_purity(
+            rows, _trace_bath(c.swapaxes(-1, -2), cfg.d1, ch.dim), kick.dim)
     elif cfg.mode == "zeno":
-        dec = analyze_peripheral(s)
+        dec, kick, metric = analyze_peripheral(s), s, "choi_distance"
         targets = {n: peripheral_power(dec, n) for n in cfg.n_values}
-        kick, metric = s, "choi_distance"
-        score = lambda ev, n: choi_distance(ev, targets[n])
+        a, b = _factor_kick(kick)
+        score = lambda c, n: choi_distance(Superoperator(kick.dim, a @ c), targets[n])
     else:
         raise ValueError(f"unknown sweep mode {cfg.mode!r}")
 
     records: list[SweepRecord] = []
     per_n: dict[int, list[float]] = {n: [] for n in cfg.n_values}
-    factors = _factor_kick(kick)
     for seeds, h_label, hs in _hamiltonian_chunks(cfg, kick.dim):
-        for n, ev in zip(cfg.n_values, _kicked_evolutions(factors, hs, cfg.t, cfg.n_values)):
-            values = score(Superoperator(kick.dim, ev), n).tolist()
+        for n, c in zip(cfg.n_values, _kicked_evolutions((a, b), hs, cfg.t, cfg.n_values)):
+            values = score(c, n).tolist()
             per_n[n] += values
             records += (SweepRecord(n, metric, v, seed, cfg.channel, h_label, cfg.t)
                         for seed, v in zip(seeds, values))

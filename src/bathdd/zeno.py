@@ -67,38 +67,36 @@ def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r] * sigma[:r], vh[:r]
 
 
-def _kicked_evolutions(factors: tuple[np.ndarray, np.ndarray], h: np.ndarray, t: float,
-                       n_values):
-    """(S W)^n = A (B W A)^{n-1} (B W) for each n, with S = A B from ``_factor_kick``.
+def _kicked_evolutions(factors, h: np.ndarray, t: float, n_values):
+    """C_n = (B W A)^{n-1} (B W), the r x N core of (S W)^n = A C_n, for each n.
 
-    W is the free step of ``zeno_evolution``. H is checked and diagonalised
-    once; only the phases depend on n. A (k, d, d) stack of
-    Hamiltonians yields (k, N, N) stacks.
+    S = A B comes from ``_factor_kick``. The free step W = V kron conj(V) is never
+    formed: row b of B, read as a d x d matrix X, maps to b W = vec(V^T X conj(V)).
+    H is checked and diagonalised once. A (k, d, d) stack of H yields (k, r, N) stacks.
     """
     a, b = factors
     energies, u = np.linalg.eigh(assert_hermitian(h))
+    x = b.reshape(-1, *u.shape[-2:])
     for n in n_values:
         if n < 1:
             raise ValueError("n must be at least 1")
-        v = (u * np.exp(-1j * (t / n) * energies)[..., None, :]) @ dagger(u)
-        v_vbar = v[..., :, None, :, None] * v.conj()[..., None, :, None, :]
-        bw = b @ v_vbar.reshape(v.shape[:-2] + (b.shape[1],) * 2)
-        yield a @ np.linalg.matrix_power(bw @ a, n - 1) @ bw
+        v = ((u * np.exp(-1j * (t / n) * energies)[..., None, :]) @ dagger(u))[..., None, :, :]
+        bw = (v.swapaxes(-1, -2) @ x @ v.conj()).reshape(v.shape[:-3] + b.shape)
+        yield np.linalg.matrix_power(bw @ a, n - 1) @ bw
 
 
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:
     """(E e^{-i (t/n) [H,.]})^n, computed as an exact n-fold product.
 
     The free step e^{-i (t/n) [H,.]} is the unitary channel of
-    V = U e^{-i (t/n) diag(w)} U^dag, from one ``eigh`` H = U diag(w) U^dag of
-    the d x d Hamiltonian; its superoperator W = V kron conj(V) is the Kraus
-    form that ``to_superoperator`` uses. The kick is factored through its rank
-    r as S = A B, so the product is (S W)^n = A (B W A)^{n-1} (B W), with one
-    r x r power. A (k, d, d) stack of Hamiltonians, each checked for
-    Hermiticity on its own, gives the (k, d^2, d^2) stack of their evolutions
-    from one stacked ``eigh`` and one stacked power; one H is the case k = 1.
+    V = U e^{-i (t/n) diag(w)} U^dag, from one ``eigh`` of the d x d Hamiltonian.
+    With the kick factored through its rank r as S = A B, the product is A C_n
+    for the r x d^2 core C_n of ``_kicked_evolutions``: one r x r power, and
+    B W without W. A (k, d, d) stack of Hamiltonians, each checked for
+    Hermiticity on its own, gives the (k, d^2, d^2) stack of their evolutions.
     """
-    return Superoperator(s_kick.dim, next(_kicked_evolutions(_factor_kick(s_kick), h, t, (n,))))
+    a, b = _factor_kick(s_kick)
+    return Superoperator(s_kick.dim, a @ next(_kicked_evolutions((a, b), h, t, (n,))))
 
 
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:

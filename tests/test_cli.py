@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bathdd.channel import KrausChannel, save_channel
-from bathdd.cli import main
+from bathdd.cli import build_parser, main
+from bathdd.spectral import PERIPHERAL_TOL
 from bathdd.zoo import builtin
 
 
@@ -12,6 +13,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    build_parser.cache_clear()
+    fresh = run(capsys, "spectrum", "zoo:E_updown")
+    assert run(capsys, "spectrum", "zoo:E_updown", "--tol", "1e-5")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "zoo:E_updown", "--tol", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "spectrum", "zoo:E_updown") == fresh
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["spectrum", "zoo:E_updown"]).tol == PERIPHERAL_TOL
 
 
 def test_classify_zoo(capsys):

@@ -1,0 +1,33 @@
+"""Every reproduced figure value against its recorded value.
+
+``data/figure_values.json`` holds the (figure, series, n, value) rows of the
+nine CSVs that ``reproduce`` writes for the six figures. A change to the
+evaluation path must leave each of them within 1e-10.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from bathdd.harness import FIGURE_IDS, reproduce
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "figure_values.json").read_text())
+
+
+def test_recorded_values_cover_every_figure():
+    assert sorted({fig for fig, *_ in RECORDED}) == sorted(FIGURE_IDS)
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_reproduced_values_match_recorded(figure_id, tmp_path):
+    reproduce(figure_id, tmp_path)
+    got = {}
+    for path in tmp_path.glob(f"{figure_id}_*.csv"):
+        series = path.stem.split("_", 1)[1]
+        for line in path.read_text().splitlines()[1:]:
+            n, value = line.split(",")
+            got[series, int(n)] = float(value)
+    want = {(series, n): value for fig, series, n, value in RECORDED if fig == figure_id}
+    assert got.keys() == want.keys()
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-10

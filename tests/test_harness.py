@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bathdd.channel import KrausChannel, Superoperator, extend_with_identity, to_superoperator
+from bathdd.channel import (KrausChannel, Superoperator, choi, extend_with_identity,
+                            to_superoperator)
 from bathdd.hamiltonian import random_hamiltonian
 from bathdd.harness import (
     _STACK,
@@ -58,6 +59,25 @@ def test_reduced_choi_purity_dephasing_fixture():
     s2 = sup("E_dephase", d=2)
     ev = dd_evolution(s2, kron(pauli("z"), pauli("z")), 1.0, 50, 2)
     assert reduced_choi_purity(ev, 2, 2) == pytest.approx(0.59, abs=0.02)
+
+
+def choi_reshape_purity(s, d1, d2):
+    """The reduced-Choi purity from the full Choi state: trace both bath legs
+    of the reshaped Choi matrix with one einsum."""
+    r = choi(s).matrix.reshape(*s.matrix.shape[:-2], d1, d2, d1, d2, d1, d2, d1, d2)
+    lam1 = np.einsum("...aibjcidj->...abcd", r)
+    return np.real(np.sum(lam1 * lam1.conj(), axis=(-4, -3, -2, -1)))
+
+
+@pytest.mark.parametrize("d1,d2,stack", [(2, 2, ()), (1, 3, ()), (3, 1, ()), (2, 3, (4,)),
+                                         (3, 2, (2,)), (2, 4, (3,))])
+def test_reduced_choi_purity_matches_choi_reshape(d1, d2, stack):
+    rng = np.random.default_rng(d1 * 10 + d2)
+    shape = stack + ((d1 * d2) ** 2,) * 2
+    s = Superoperator(d1 * d2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    got, want = reduced_choi_purity(s, d1, d2), choi_reshape_purity(s, d1, d2)
+    assert np.shape(got) == stack
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_reduced_choi_purity_dim_mismatch():
@@ -158,12 +178,12 @@ def plain_kicked_evolution(kick, h, t, n):
 
 def per_pair_reference(cfg):
     """{(seed, n): value} from one plain kicked evolution and one metric
-    call per (H, n)."""
+    call per (H, n), with the purity taken from the full Choi state."""
     ch = resolve_channel(cfg.channel, cfg.channel_params)
     s = to_superoperator(ch)
     if cfg.mode == "dd":
         kick = extend_with_identity(s, cfg.d1)
-        score = lambda ev, n: reduced_choi_purity(ev, cfg.d1, ch.dim)
+        score = lambda ev, n: choi_reshape_purity(ev, cfg.d1, ch.dim)
     else:
         kick, dec = s, analyze_peripheral(s)
         score = lambda ev, n: choi_distance(ev, peripheral_power(dec, n))
@@ -192,6 +212,17 @@ STACKED_CASES = {
     "fig1b:chunked": with_hamiltonians(FIGURES["fig1b"].config, random=_STACK + 5, seed=0),
     "fig3a:chunked": with_hamiltonians(FIGURES["fig3a"].config, random=_STACK_BYTES // 2**16 + 1,
                                        seed=0),
+    # dd shapes no figure has: d1 = 3 and d1 = 1, d2 = 3, and P_rho lifted to rank 4 of 16
+    **{name: SweepConfig(channel, "dd", (1, 2, 5, 100), {"random": 3, "seed": 11}, d1=d1,
+                         channel_params=params)
+       for name, channel, d1, params in (
+           ("updown:d1=3", "zoo:E_updown", 3, {}),
+           ("triangle:d1=2", "zoo:E_triangle", 2, {}),
+           ("dephase:d=3", "zoo:E_dephase", 2, {"d": 3}),
+           ("P_rho:rank4", "zoo:P_rho", 2, {}),
+           ("omega:d1=1", "zoo:E_omega", 1, {}),
+           ("df:d1=1", "zoo:E_df", 1, {}),
+       )},
 }
 
 

@@ -104,6 +104,17 @@ def test_kron_trivial():
     assert np.allclose(kron(Z, Z), np.diag([1, -1, -1, 1]))
 
 
+def test_kron_equals_numpy_kron():
+    # square pairs 1x1 to 8x8, then random rectangular ones
+    rng = np.random.default_rng(7)
+    squares = [((i, i), (j, j)) for i in range(1, 9) for j in (1, 2, 4, 8)]
+    rectangles = [(tuple(rng.integers(1, 9, 2)), tuple(rng.integers(1, 9, 2))) for _ in range(40)]
+    for sa, sb in squares + rectangles:
+        a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
+        b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+
+
 def test_kron_product_action():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((2, 2, 2))
