@@ -9,7 +9,6 @@ evolutions to desk scale.
 
 from .channel import (
     ChannelError,
-    ChoiState,
     KrausChannel,
     Superoperator,
     choi,
@@ -42,7 +41,6 @@ from .zeno import (
     dd_check,
     dd_evolution,
     suppression_check,
-    target_evolution,
     zeno_evolution,
     zeno_hamiltonian,
 )

@@ -1,4 +1,4 @@
-"""Quantum channel model: Kraus lists, superoperators, and Choi states.
+"""Quantum channel model: Kraus lists, superoperators, and Choi matrices.
 
 Channels are canonically stored as Kraus operator lists; the d^2 x d^2
 superoperator matrix (row-vectorization convention, so the matrix of
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from .linalg import dagger, kron
 
 __all__ = [
     "ChannelError",
-    "ChoiState",
     "CptpReport",
     "KrausChannel",
     "Superoperator",
@@ -78,14 +77,6 @@ class Superoperator:
 
 
 @dataclass(frozen=True)
-class ChoiState:
-    """Normalized Choi-Jamiolkowski state (unit trace), or a stack of them."""
-
-    dim: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class CptpReport:
     trace_residual: float
     positivity_residual: float  # max(0, -min eigenvalue of the Choi matrix)
@@ -97,7 +88,7 @@ def validate_cptp(ch: KrausChannel, tol: float = CPTP_TOL) -> CptpReport:
     acc = sum(dagger(k) @ k for k in ch.kraus)
     trace_residual = float(np.linalg.norm(acc - np.eye(ch.dim)))
     lam = choi(to_superoperator(ch))
-    min_eig = float(np.min(np.linalg.eigvalsh((lam.matrix + dagger(lam.matrix)) / 2)))
+    min_eig = float(np.min(np.linalg.eigvalsh((lam + dagger(lam)) / 2)))
     positivity_residual = max(0.0, -min_eig)
     passed = trace_residual <= tol and positivity_residual <= tol
     return CptpReport(trace_residual, positivity_residual, passed)
@@ -113,12 +104,12 @@ def identity_superoperator(d: int) -> Superoperator:
     return Superoperator(d, np.eye(d * d, dtype=complex))
 
 
-def choi(s: Superoperator) -> ChoiState:
-    """Choi state (E kron I)(|Omega><Omega|) with the 1/d normalization; a
-    stack of maps gives the stack of their Choi states."""
+def choi(s: Superoperator) -> np.ndarray:
+    """The d^2 x d^2 Choi state (E kron I)(|Omega><Omega|) with the 1/d
+    normalization (unit trace for a trace-preserving map); a stack of maps
+    gives the stack of their Choi states."""
     d, shape = s.dim, s.matrix.shape
-    lam = s.matrix.reshape(*shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(shape) / d
-    return ChoiState(d, lam)
+    return s.matrix.reshape(*shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(shape) / d
 
 
 def extend_with_identity(s2: Superoperator, d1: int) -> Superoperator:

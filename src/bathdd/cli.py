@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import KrausChannel, _matrix_from_pairs, to_superoperator, validate_cptp
+from .channel import (KrausChannel, _matrix_from_pairs, _matrix_to_pairs, to_superoperator,
+                      validate_cptp)
 from .classify import classify
 from .hamiltonian import random_hamiltonian
 from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
@@ -103,11 +104,12 @@ def _cmd_dd_check(args) -> int:
     s2 = to_superoperator(ch)
     h = _load_hamiltonian(args.hamiltonian, args.d1 * ch.dim)
     verdict = dd_check(s2, h, args.d1, tol=args.tol)
+    h_eff = verdict.effective_hamiltonian
     out = {
         "works": verdict.works,
         "residual": verdict.residual,
         "kick_ergodic": verdict.kick_ergodic,
-        "coefficients": list(verdict.coefficients) if verdict.coefficients is not None else None,
+        "effective_hamiltonian": None if h_eff is None else _matrix_to_pairs(h_eff),
     }
     print(json.dumps(out, indent=1))
     return EXIT_OK

@@ -67,7 +67,7 @@ def choi_distance(s_a: Superoperator, s_b: Superoperator) -> float | np.ndarray:
     """Trace-norm distance between the Choi states of two maps (per map of a stack)."""
     if s_a.dim != s_b.dim:
         raise ValueError("dimension mismatch")
-    return trace_norm(choi(s_a).matrix - choi(s_b).matrix)
+    return trace_norm(choi(s_a) - choi(s_b))
 
 
 # --- sweeps ------------------------------------------------------------------

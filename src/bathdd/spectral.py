@@ -1,7 +1,7 @@
 """Peripheral spectral analysis of a CPTP superoperator.
 
 Extracts the peripheral eigenvalues (modulus 1), their spectral projections,
-and the peripheral part and peripheral projection of the channel. One
+and the peripheral projection of the channel. One
 ordered Schur form splits the peripheral eigenvalues from the rest of the
 spectrum and gives their biorthonormal right and left eigenvectors. Only
 they are clustered and checked for defects: that part of a channel's
@@ -55,7 +55,6 @@ class PeripheralDecomposition:
     peripheral_values: np.ndarray
     multiplicities: np.ndarray
     projections: tuple[Superoperator, ...]
-    peripheral_part: Superoperator
     peripheral_projection: Superoperator
     right_ops: tuple[tuple[np.ndarray, ...], ...]  # per cluster, unvec'd right eigvecs
     left_ops: tuple[tuple[np.ndarray, ...], ...]
@@ -121,13 +120,11 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
     if abs(values[0] - 1.0) > tol * 10:
         raise SpectralError("eigenvalue 1 not found in the peripheral spectrum")
     projections = tuple(Superoperator(d, r[:, idx] @ lh[idx]) for idx in clusters)
-    e_phi = sum(lam * p.matrix for lam, p in zip(values, projections))
     return PeripheralDecomposition(
         dim=d,
         peripheral_values=values,
         multiplicities=np.array([idx.size for idx in clusters]),
         projections=projections,
-        peripheral_part=Superoperator(d, e_phi),
         peripheral_projection=Superoperator(d, r @ lh),
         right_ops=tuple(tuple(unvec(r[:, j], d) for j in idx) for idx in clusters),
         left_ops=tuple(tuple(unvec(lh[j].conj(), d) for j in idx) for idx in clusters),

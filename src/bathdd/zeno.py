@@ -13,16 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Superoperator, extend_with_identity
-from .hamiltonian import adjoint_rep, schmidt
-from .linalg import assert_hermitian, dagger, expm, kron, unvec, vec
-from .spectral import PeripheralDecomposition, analyze_peripheral, peripheral_power
+from .hamiltonian import adjoint_rep
+from .linalg import assert_hermitian, dagger, kron, unvec, vec
+from .spectral import PeripheralDecomposition, analyze_peripheral
 
 __all__ = [
     "DdVerdict",
     "dd_check",
     "dd_evolution",
     "suppression_check",
-    "target_evolution",
     "zeno_evolution",
     "zeno_hamiltonian",
 ]
@@ -35,15 +34,14 @@ SUPPRESSION_TOL = 1e-8
 class DdVerdict:
     """Outcome of the bath dynamical decoupling test for one Hamiltonian.
 
-    ``coefficients`` are the surviving weights of the system parts of the
-    interaction terms (trace of each bath factor against the kick's fixed
-    point); None when the kick is not ergodic, in which case they are
-    undefined.
+    ``effective_hamiltonian`` is the traceless part of the decoupled system
+    Hamiltonian tr_2[(I_1 kron rho_*) H] for the kick's invariant state rho_*;
+    None when the kick is not ergodic, in which case it is undefined.
     """
 
     works: bool
     residual: float
-    coefficients: tuple[float, ...] | None
+    effective_hamiltonian: np.ndarray | None
     kick_ergodic: bool
 
 
@@ -104,12 +102,6 @@ def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) ->
     return zeno_evolution(extend_with_identity(s2, d1), h, t, n)
 
 
-def target_evolution(dec: PeripheralDecomposition, h_z: Superoperator, t: float,
-                     n: int) -> Superoperator:
-    """Zeno-limit target E_phi^n e^{-i t H_Z}."""
-    return Superoperator(dec.dim, peripheral_power(dec, n).matrix @ expm(-1j * t * h_z.matrix))
-
-
 def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_TOL) -> bool:
     """True when the kick nullifies the Zeno Hamiltonian of H."""
     dec = analyze_peripheral(s)
@@ -119,7 +111,7 @@ def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_
 def _reference_state(dec: PeripheralDecomposition) -> np.ndarray:
     """The invariant state P_1(I/d) reached from the maximally mixed input:
     the fixed-point state of an ergodic kick; for degenerate fixed spaces
-    only a reference (coefficients are then not uniquely defined)."""
+    only a reference (the effective Hamiltonian is then not uniquely defined)."""
     d = dec.dim
     p1 = dec.projections[0].matrix
     rho = unvec(p1 @ vec(np.eye(d) / d), d)
@@ -132,32 +124,28 @@ def dd_check(
 ) -> DdVerdict:
     """Decide whether bath dynamical decoupling with kick E_2 works for H.
 
-    Compares the Zeno Hamiltonian of the extended kick I_1 kron E_2 with the
-    predicted decoupled generator [(H_1 + sum_i c_i h1_i) kron I_2, .], after
-    right-composing both with I_1 kron P_phi: the Zeno limit only constrains
-    the generator on the range of the peripheral projection.
+    The predicted decoupled generator is [H_eff kron I_2, .], with
+    H_eff = tr_2[(I_1 kron rho_*) H] one partial trace against the kick's
+    invariant state. The residual is the Zeno Hamiltonian of the extended kick
+    I_1 kron E_2 for K = H - H_eff kron I_2: the norm of
+    sum_l (I_1 kron P_l) [K, .] (I_1 kron P_l). Since [H_eff kron I_2, .]
+    commutes with every lifted projection, this is the distance from the
+    Zeno Hamiltonian of H to the decoupled generator on the range of the
+    peripheral projection, the only part the Zeno limit constrains.
 
-    Only E_2 is analysed. The peripheral projections of I_1 kron E_2 are the
-    lifts I_1 kron P_l of the bath kick's projections P_l, and P_phi is their
-    sum, so both come from the one bath decomposition.
+    Only E_2 is analysed: the peripheral projections of I_1 kron E_2 are the
+    lifts I_1 kron P_l of the bath kick's projections P_l.
     """
     d2 = s2.dim
     if h.shape[0] != d1 * d2:
         raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
+    h = assert_hermitian(h)
     dec2 = analyze_peripheral(s2)
+    h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), _reference_state(dec2))
+    h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
+    k_adj = adjoint_rep(h - kron(h_eff, np.eye(d2))).matrix
     lifted = [extend_with_identity(p, d1).matrix for p in dec2.projections]
-    h_adj = adjoint_rep(h).matrix
-    h_z = sum(p @ h_adj @ p for p in lifted)
-
-    sd = schmidt(h, d1, d2)
+    residual = float(np.linalg.norm(sum(p @ k_adj @ p for p in lifted)))
     ergodic = dec2.dim_fixed == 1
-    rho = _reference_state(dec2)
-    coeffs = tuple(float(np.real(np.trace(h2_i @ rho))) for _, h2_i in sd.terms)
-
-    h_eff = sd.h1 + sum(c * h1_i for c, (h1_i, _) in zip(coeffs, sd.terms))
-    g = adjoint_rep(kron(h_eff, np.eye(d2)))
-    p_phi_ext = sum(lifted)
-
-    residual = float(np.linalg.norm(h_z - g.matrix @ p_phi_ext))
     return DdVerdict(works=residual <= tol, residual=residual,
-                     coefficients=coeffs if ergodic else None, kick_ergodic=ergodic)
+                     effective_hamiltonian=h_eff if ergodic else None, kick_ergodic=ergodic)

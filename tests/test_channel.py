@@ -135,29 +135,29 @@ def test_choi_identity_is_maximally_entangled():
     lam = choi(identity_superoperator(2))
     omega = np.zeros(4, dtype=complex)
     omega[0] = omega[3] = 1 / np.sqrt(2)
-    assert np.allclose(lam.matrix, np.outer(omega, omega.conj()))
-    assert np.real(np.trace(lam.matrix @ lam.matrix)) == pytest.approx(1.0)
+    assert np.allclose(lam, np.outer(omega, omega.conj()))
+    assert np.real(np.trace(lam @ lam)) == pytest.approx(1.0)
 
 
 def test_choi_depolarizing_is_maximally_mixed():
     lam = choi(to_superoperator(builtin("P_rho").channel))
-    assert np.allclose(lam.matrix, np.eye(4) / 4)
+    assert np.allclose(lam, np.eye(4) / 4)
 
 
 def test_choi_unitary_is_pure():
     u = random_unitary(3, 9)
     ch = KrausChannel(3, (u,))
     lam = choi(to_superoperator(ch))
-    vals = np.linalg.eigvalsh(lam.matrix)
+    vals = np.linalg.eigvalsh(lam)
     assert np.sum(vals > 1e-10) == 1
-    assert np.real(np.trace(lam.matrix @ lam.matrix)) == pytest.approx(1.0)
+    assert np.real(np.trace(lam @ lam)) == pytest.approx(1.0)
 
 
 def test_choi_trace_one():
     for name in ("E_updown", "E_square", "E_omega"):
         lam = choi(to_superoperator(builtin(name).channel))
-        assert np.trace(lam.matrix) == pytest.approx(1.0, abs=1e-10)
-        assert np.min(np.linalg.eigvalsh((lam.matrix + dagger(lam.matrix)) / 2)) > -1e-10
+        assert np.trace(lam) == pytest.approx(1.0, abs=1e-10)
+        assert np.min(np.linalg.eigvalsh((lam + dagger(lam)) / 2)) > -1e-10
 
 
 # --- tensoring / composition -------------------------------------------------
@@ -182,7 +182,7 @@ def test_extend_with_identity_matches_kraus_extension():
     s_ext = extend_with_identity(to_superoperator(ch), 2)
     ext = KrausChannel(6, tuple(kron(np.eye(2), k) for k in ch.kraus))
     assert np.allclose(s_ext.matrix, to_superoperator(ext).matrix)
-    assert np.trace(choi(s_ext).matrix) == pytest.approx(1.0, abs=1e-10)
+    assert np.trace(choi(s_ext)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_power_and_compose():

@@ -114,14 +114,33 @@ def test_dd_check_random(capsys):
     assert rec["residual"] <= 1e-8
 
 
+def write_hamiltonian(path, h):
+    path.write_text(json.dumps({"matrix": [[[float(x), 0.0] for x in row] for row in h]}))
+    return str(path)
+
+
 def test_dd_check_hamiltonian_file(tmp_path, capsys):
     h = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
-    p = tmp_path / "h.json"
-    p.write_text(json.dumps({"matrix": [[[float(x), 0.0] for x in row] for row in h]}))
     code, out, _ = run(capsys, "dd-check", "zoo:E_dephase",
-                       "--hamiltonian", str(p), "--d1", "2")
+                       "--hamiltonian", write_hamiltonian(tmp_path / "h.json", h), "--d1", "2")
     assert code == 0
-    assert json.loads(out)["works"] is False
+    rec = json.loads(out)
+    assert rec["works"] is False
+    assert rec["effective_hamiltonian"] is None  # undefined for a non-ergodic kick
+
+
+def test_dd_check_prints_effective_hamiltonian(tmp_path, capsys):
+    # X kron Z + Z kron I under bath spin flips decouples to Z, printed as
+    # [[re, im], ...] rows: the format of a --hamiltonian file
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    h = np.kron(x, z) + np.kron(z, np.eye(2))
+    code, out, _ = run(capsys, "dd-check", "zoo:E_updown",
+                       "--hamiltonian", write_hamiltonian(tmp_path / "h.json", h), "--d1", "2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["works"] is True
+    assert np.allclose(np.array(rec["effective_hamiltonian"]), [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                       atol=1e-12)
 
 
 def test_zeno_check(capsys):

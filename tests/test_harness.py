@@ -64,7 +64,7 @@ def test_reduced_choi_purity_dephasing_fixture():
 def choi_reshape_purity(s, d1, d2):
     """The reduced-Choi purity from the full Choi state: trace both bath legs
     of the reshaped Choi matrix with one einsum."""
-    r = choi(s).matrix.reshape(*s.matrix.shape[:-2], d1, d2, d1, d2, d1, d2, d1, d2)
+    r = choi(s).reshape(*s.matrix.shape[:-2], d1, d2, d1, d2, d1, d2, d1, d2)
     lam1 = np.einsum("...aibjcidj->...abcd", r)
     return np.real(np.sum(lam1 * lam1.conj(), axis=(-4, -3, -2, -1)))
 
@@ -93,17 +93,15 @@ def test_choi_distance_basics():
 
 
 def test_choi_distance_reset_fixture():
-    from bathdd.spectral import analyze_peripheral
-    from bathdd.zeno import target_evolution, zeno_evolution, zeno_hamiltonian
+    from bathdd.spectral import analyze_peripheral, peripheral_power
+    from bathdd.zeno import zeno_evolution
 
+    # the target of full suppression, H_Z = 0, is E_phi^n
     s = sup("E_omega")
     dec = analyze_peripheral(s)
     h = kron(pauli("z"), np.eye(2))
-    hz0 = zeno_hamiltonian(dec, np.zeros((4, 4)))
     for n in (1, 10, 100):
-        dist = choi_distance(
-            zeno_evolution(s, h, 1.0, n), target_evolution(dec, hz0, 1.0, n)
-        )
+        dist = choi_distance(zeno_evolution(s, h, 1.0, n), peripheral_power(dec, n))
         assert dist == pytest.approx(1.68, abs=0.02)
 
 

@@ -69,7 +69,7 @@ def test_projection_identities(name, params):
             target = pi.matrix if i == j else 0 * pi.matrix
             assert np.linalg.norm(prod - target) < 1e-8
     # E_phi = E P_phi = P_phi E
-    e_phi = dec.peripheral_part.matrix
+    e_phi = peripheral_power(dec, 1).matrix
     p_phi = dec.peripheral_projection.matrix
     assert np.linalg.norm(e_phi - s.matrix @ p_phi) < 1e-8
     assert np.linalg.norm(e_phi - p_phi @ s.matrix) < 1e-8
@@ -103,7 +103,7 @@ def test_peripheral_power():
     assert np.allclose(peripheral_power(dec, 2).matrix,
                        dec.peripheral_projection.matrix, atol=1e-9)
     assert np.allclose(peripheral_power(dec, 2).matrix,
-                       np.linalg.matrix_power(dec.peripheral_part.matrix, 2), atol=1e-9)
+                       np.linalg.matrix_power(peripheral_power(dec, 1).matrix, 2), atol=1e-9)
 
 
 def test_peripheral_power_dephasing_is_itself():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathdd.channel import (
     KrausChannel,
@@ -20,7 +22,6 @@ from bathdd.zeno import (
     dd_check,
     dd_evolution,
     suppression_check,
-    target_evolution,
     zeno_evolution,
     zeno_hamiltonian,
 )
@@ -135,26 +136,6 @@ def test_zeno_evolution_stack_with_one_non_hermitian_raises():
     assert zeno_evolution(s, hs, 1.0, 3).matrix.shape == (4, 4, 4)
 
 
-def test_target_evolution_dephasing_is_the_kick():
-    s = sup("E_dephase", d=2)
-    dec = analyze_peripheral(s)
-    hz = zeno_hamiltonian(dec, random_bloch(1))
-    assert np.linalg.norm(hz.matrix) < 1e-10
-    for n in (1, 5, 50):
-        assert np.allclose(target_evolution(dec, hz, 1.0, n).matrix, s.matrix, atol=1e-9)
-
-
-def test_target_evolution_reset_channel_closed_form():
-    # idempotent reset kick: target is E e^{-it[H,.]} when H preserves the kick
-    s = sup("E_omega")
-    dec = analyze_peripheral(s)
-    h = kron(Z, EYE2)
-    hz = zeno_hamiltonian(dec, h)
-    got = target_evolution(dec, hz, 1.0, 3)
-    oracle = s.matrix @ expm(-1j * adjoint_rep(h).matrix)
-    assert np.allclose(got.matrix, oracle, atol=1e-9)
-
-
 def test_dd_evolution_matches_extended_zeno():
     s2 = sup("E_updown")
     h = kron(random_bloch(5), random_bloch(6))
@@ -173,9 +154,8 @@ def test_dd_check_updown_example():
     assert v.works
     assert v.kick_ergodic
     assert v.residual <= 1e-8
-    # c_1 = tr(Z rho_*) = tr(Z I/2) = 0
-    assert v.coefficients is not None
-    assert all(abs(c) < 1e-10 for c in v.coefficients)
+    # tr_2[(I kron rho_*) H] = tr(Z I/2) X + Z = Z
+    assert np.allclose(v.effective_hamiltonian, Z, atol=1e-12)
 
 
 def test_dd_check_square_coefficient():
@@ -187,9 +167,7 @@ def test_dd_check_square_coefficient():
     h = kron(X, h2)
     v = dd_check(s2, h, 2)
     assert v.works
-    sd = schmidt(h, 2, 3)
-    h_eff = sd.h1 + sum(c * h1 for c, (h1, _) in zip(v.coefficients, sd.terms))
-    assert np.allclose(h_eff, (p - 0.5) * X, atol=1e-9)
+    assert np.allclose(v.effective_hamiltonian, (p - 0.5) * X, atol=1e-9)
 
 
 def test_dd_check_dephasing_fails():
@@ -198,7 +176,7 @@ def test_dd_check_dephasing_fails():
     v = dd_check(s2, h, 2)
     assert not v.works
     assert not v.kick_ergodic
-    assert v.coefficients is None
+    assert v.effective_hamiltonian is None
     # expected residual: norm of the undecoupled generator on the
     # peripheral range
     dec2 = analyze_peripheral(s2)
@@ -213,27 +191,39 @@ def test_dd_check_dim_mismatch():
         dd_check(sup("E_updown"), np.eye(6, dtype=complex), 2)
 
 
-def random_stinespring(d, rank, seed):
-    rng = np.random.default_rng(seed)
+def stinespring_kraus(d, rank, rng):
+    """Kraus operators of a random channel: the blocks of a Haar-like isometry."""
     g = rng.standard_normal((d * rank, d)) + 1j * rng.standard_normal((d * rank, d))
     v, _ = np.linalg.qr(g)
-    return to_superoperator(KrausChannel(d, tuple(v[i * d:(i + 1) * d] for i in range(rank))))
+    return [v[i * d:(i + 1) * d] for i in range(rank)]
+
+
+def random_stinespring(d, rank, seed):
+    kraus = stinespring_kraus(d, rank, np.random.default_rng(seed))
+    return to_superoperator(KrausChannel(d, tuple(kraus)))
+
+
+def random_hermitian(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
 
 
 def reference_dd_check(s2, h, d1):
-    """dd_check with H_Z from a full analysis of the extended kick I_1 kron E_2."""
+    """dd_check with H_Z from a full analysis of the extended kick I_1 kron E_2
+    and H_eff = h1 + sum_i c_i h1_i from the operator Schmidt decomposition,
+    c_i = tr(h2_i rho_*): the residual ||H_Z - [H_eff kron I, .] (I kron P_phi)||."""
     d2 = s2.dim
     dec2 = analyze_peripheral(s2)
     h_z = zeno_hamiltonian(analyze_peripheral(extend_with_identity(s2, d1)), h)
     sd = schmidt(h, d1, d2)
     rho = _reference_state(dec2)
-    coeffs = tuple(float(np.real(np.trace(h2_i @ rho))) for _, h2_i in sd.terms)
+    coeffs = [float(np.real(np.trace(h2_i @ rho))) for _, h2_i in sd.terms]
     h_eff = sd.h1 + sum(c * h1_i for c, (h1_i, _) in zip(coeffs, sd.terms))
     g = adjoint_rep(kron(h_eff, np.eye(d2)))
     p_phi_ext = extend_with_identity(dec2.peripheral_projection, d1)
     residual = float(np.linalg.norm(h_z.matrix - g.matrix @ p_phi_ext.matrix))
     ergodic = dec2.dim_fixed == 1
-    return residual, coeffs if ergodic else None, ergodic
+    return residual, h_eff if ergodic else None, ergodic
 
 
 def assert_matches_reference(s2, seed):
@@ -243,14 +233,16 @@ def assert_matches_reference(s2, seed):
         if d > 8:
             continue
         for _ in range(3):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = (g + g.conj().T) / 2
+            h = random_hermitian(d, rng)
             v = dd_check(s2, h, d1)
-            residual, coeffs, ergodic = reference_dd_check(s2, h, d1)
+            residual, h_eff, ergodic = reference_dd_check(s2, h, d1)
             assert v.residual == pytest.approx(residual, abs=1e-12)
             assert v.works == (residual <= DD_TOL)
             assert v.kick_ergodic == ergodic
-            assert v.coefficients == coeffs
+            if ergodic:
+                assert np.max(np.abs(v.effective_hamiltonian - h_eff)) <= 1e-12
+            else:
+                assert v.effective_hamiltonian is None
 
 
 @pytest.mark.parametrize("name", [n for n in names() if 2 * builtin(n).channel.dim <= 8])
@@ -263,6 +255,68 @@ def test_dd_check_matches_extended_kick_reference_zoo(name):
 def test_dd_check_matches_extended_kick_reference_stinespring(d, rank):
     for seed in (0, 1):
         assert_matches_reference(random_stinespring(d, rank, seed), seed=10 * d + rank + seed)
+
+
+CONJUGATION_KICKS = {
+    **{name: (lambda name=name: sup(name)) for name in names() if 2 * builtin(name).channel.dim <= 8},
+    "stinespring d=3 rank 2": lambda: random_stinespring(3, 2, 5),
+    "stinespring d=4 rank 3": lambda: random_stinespring(4, 3, 6),
+}
+
+
+@pytest.mark.parametrize("name", CONJUGATION_KICKS)
+def test_dd_check_is_covariant_under_system_unitaries(name):
+    # H -> (U kron I) H (U kron I)^dag moves H_eff to U H_eff U^dag and is an
+    # isometry of the generator on the lifted projections' range
+    s2 = CONJUGATION_KICKS[name]()
+    rng = np.random.default_rng(len(name))
+    for seed in range(3):
+        u1 = random_unitary(2, seed)
+        u = kron(u1, np.eye(s2.dim))
+        h = random_hermitian(2 * s2.dim, rng)
+        v, w = dd_check(s2, h, 2), dd_check(s2, u @ h @ u.conj().T, 2)
+        assert abs(w.residual - v.residual) <= 1e-12
+        if v.kick_ergodic:
+            want = u1 @ v.effective_hamiltonian @ u1.conj().T
+            assert np.max(np.abs(w.effective_hamiltonian - want)) <= 1e-12
+        else:
+            assert v.effective_hamiltonian is None and w.effective_hamiltonian is None
+
+
+def direct_sum_kraus(*blocks):
+    """Kraus operators of the block-diagonal direct sum of channels, each given
+    by its Kraus list: never ergodic, since each block keeps its own state."""
+    dims = [kraus[0].shape[0] for kraus in blocks]
+    ops = []
+    for b, kraus in enumerate(blocks):
+        lo = sum(dims[:b])
+        for k in kraus:
+            m = np.zeros((sum(dims), sum(dims)), dtype=complex)
+            m[lo:lo + dims[b], lo:lo + dims[b]] = k
+            ops.append(m)
+    return ops
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_dd_check_works_iff_kick_ergodic(data):
+    # the paper's theorem: decoupling works for (generic) H iff the kick is
+    # ergodic, with ergodicity read as a one-dimensional null space of S - I
+    d1 = data.draw(st.sampled_from([2, 3]), label="d1")
+    d2 = data.draw(st.integers(2, 8 // d1), label="d2")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rank = st.integers(1, 3)
+    if data.draw(st.booleans(), label="direct sum"):
+        da = data.draw(st.integers(1, d2 - 1), label="first block dim")
+        kraus = direct_sum_kraus(stinespring_kraus(da, data.draw(rank), rng),
+                                 stinespring_kraus(d2 - da, data.draw(rank), rng))
+    else:
+        kraus = stinespring_kraus(d2, data.draw(rank, label="rank"), rng)
+    s = sum(np.kron(k, k.conj()) for k in kraus)
+    nullity = int(np.sum(np.linalg.svd(s - np.eye(d2 * d2), compute_uv=False) <= 1e-8))
+    v = dd_check(Superoperator(d2, s), random_hermitian(d1 * d2, rng), d1)
+    assert v.kick_ergodic == (nullity == 1)
+    assert v.works == (nullity == 1)
 
 
 def expm_reference_evolution(s_kick, h, t, n):
