@@ -3,11 +3,14 @@
 Everything downstream works with plain ``numpy.ndarray`` of dtype complex128.
 This module wraps the handful of primitives the rest of the package relies on:
 the eigenvalues of modulus above a radius with biorthonormal right and left
-eigenvectors (one ordered Schur form), matrix exponential, SVD-based norms,
-and Kronecker products.
+eigenvectors (one ordered Schur form, real for a real matrix and complex
+otherwise, always returning complex eigendata), matrix exponential, SVD-based
+norms, and Kronecker products.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -89,28 +92,39 @@ def expm(m: np.ndarray) -> np.ndarray:
 
 
 def eig(m: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w of modulus >= radius of a square matrix M, with right
-    eigenvectors r and left adjoints lh: M r = r diag(w), lh M = diag(w) lh
-    and lh r = I. ``radius=0`` selects the whole spectrum.
+    """Eigenvalues w of modulus >= radius of a real or complex square matrix
+    M, with right eigenvectors r and left adjoints lh: M r = r diag(w),
+    lh M = diag(w) lh and lh r = I. ``radius=0`` selects the whole spectrum.
+    w, r and lh are complex either way.
 
     One ordered Schur form M = Q T Q^dag puts the selection first, one
-    triangular Sylvester solve T11 Y - Y T22 = -T12 splits it off, and with
-    T11 = W diag(w) W^-1, r = Q1 W has unit columns and lh = W^-1 [I, -Y] Q^dag
-    (NaN where W is singular: the selection is then defective).
+    (quasi-)triangular Sylvester solve T11 Y - Y T22 = -T12 splits it off, and
+    with T11 = W diag(w) W^-1, r = Q1 W has unit columns and
+    lh = W^-1 [I, -Y] Q^dag (NaN where W is singular: the selection is then
+    defective). A real M takes the real Schur form, whose 2x2 diagonal blocks
+    hold complex-conjugate pairs; a pair has one modulus, so the selection
+    never splits it.
     """
+    if np.iscomplexobj(m):
+        output, sort = "complex", lambda z: abs(z) >= radius
+    else:
+        output, sort = "real", lambda x, y: math.hypot(x, y) >= radius  # = |x + iy|
     try:
-        t, q, k = scipy.linalg.schur(m, output="complex", sort=lambda z: abs(z) >= radius)
+        t, q, k = scipy.linalg.schur(m, output=output, sort=sort)
         w, vecs = np.linalg.eig(t[:k, :k])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise LinalgError(f"eigensolver did not converge: {exc}") from exc
-    lh = dagger(q[:, :k])
+    vecs = vecs.astype(complex, copy=False)
+    qh = dagger(q)  # a view of q when q is real, so never written into
+    lh = qh[:k]
     if 0 < k < len(t):
-        y, scale, info = scipy.linalg.lapack.ztrsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
+        (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (t,))
+        y, scale, info = trsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
         if info:
             raise LinalgError(f"eigenvalues either side of |z| = {radius!r} too close to split")
-        lh -= (y / scale) @ dagger(q[:, k:])
+        lh = lh - (y / scale) @ qh[k:]
     try:
         lh = np.linalg.solve(vecs, lh)
     except np.linalg.LinAlgError:
-        lh = np.full_like(lh, np.nan)
-    return w, q[:, :k] @ vecs, lh
+        lh = np.full(lh.shape, np.nan, dtype=complex)
+    return w.astype(complex, copy=False), q[:, :k] @ vecs, lh

@@ -1,17 +1,22 @@
 """Peripheral spectral analysis of a CPTP superoperator.
 
 Extracts the peripheral eigenvalues (modulus 1), their spectral projections,
-and the peripheral projection of the channel. One
-ordered Schur form splits the peripheral eigenvalues from the rest of the
-spectrum and gives their biorthonormal right and left eigenvectors. Only
-they are clustered and checked for defects: that part of a channel's
-spectrum is always diagonalizable, and nothing downstream reads the rest.
-The right and left eigenoperators of each cluster are kept, because the
-decoherence-free test of ``classify`` reads them directly.
+and the peripheral projection of the channel. One ordered Schur form splits
+the peripheral eigenvalues from the rest of the spectrum and gives their
+biorthonormal right and left eigenvectors. A channel preserves Hermiticity,
+so its superoperator is a real matrix in the coordinates (X_ii, Re X_ij,
+Im X_ij) and that Schur form is real; a matrix that is not
+Hermiticity-preserving to rounding is split by the complex Schur form
+instead. Only the peripheral eigenvalues are clustered and checked for
+defects: that part of a channel's spectrum is always diagonalizable, and
+nothing downstream reads the rest. The right and left eigenoperators of each
+cluster are kept, because the decoherence-free test of ``classify`` reads
+them directly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,14 @@ MAX_PERIPHERAL_TOL = 1e-4
 # A cluster whose unit right eigenvectors have condition number above this is
 # defective (non-diagonalizable).
 DEFECT_COND = 1e8
+
+# S counts as Hermiticity-preserving (HP) when ||conj(S) - F S F|| <= HP_RTOL ||S||
+# (Frobenius; F swaps vec indices (i, j) and (j, i)). The two sides of an HP
+# map agree entry by entry; a kick built from Kraus operators or from products
+# of superoperators misses that by rounding only, at most 1.6 eps ||S|| over
+# the zoo, Stinespring kicks up to d = 8, their squares and their identity
+# extensions. Dropping an anti-HP part of 100 eps moves nothing above rounding.
+HP_RTOL = 100 * np.finfo(float).eps
 
 
 class SpectralError(RuntimeError):
@@ -86,23 +99,53 @@ def cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.
     return [np.array(sorted(c)) for c in clusters]
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j) and its
+    exact inverse.
+
+    X is Hermitian exactly when T vec(X) is real, so an HP superoperator S
+    is the real matrix T S T^-1 in these coordinates. Every entry of T and
+    T^-1 is 0, 1, 1/2, +-i/2 or +-i, so both are exact in floating point and
+    each entry of T S T^-1 is a sum of at most four entries of S.
+    """
+    n = d * d
+    units = np.eye(n).reshape(n, d, d)
+    i, j = np.triu_indices(d, 1)
+    upper, lower = units[d * i + j], units[d * j + i]
+    basis = np.concatenate([units[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
+    t_inv = basis.reshape(n, n).T
+    # T = D T^-1^dag with D = diag(1 on the X_ii rows, 1/2 on the others)
+    t = t_inv.conj().T / np.where(np.arange(n) < d, 1.0, 2.0)[:, None]
+    t.flags.writeable = t_inv.flags.writeable = False  # shared by every caller
+    return t, t_inv
+
+
 def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> PeripheralDecomposition:
     """Decompose the peripheral part of a CPTP superoperator.
 
     Eigenvalues with |lambda| >= 1 - tol count as peripheral. One ordered
     Schur form (``linalg.eig``) gives them with biorthonormal right and left
-    eigenvectors, which are grouped into clusters of width ``tol``. The
-    peripheral part of a channel is always diagonalizable, so a defective
-    cluster is an error, and so is a spectrum too close to the cut 1 - tol to
-    split there.
+    eigenvectors, which are grouped into clusters of width ``tol``. A
+    Hermiticity-preserving S, as every channel is, goes to ``eig`` as the
+    real matrix T S T^-1 and its eigenvectors are mapped back; any other S
+    goes as the complex matrix. The peripheral part of a channel is always
+    diagonalizable, so a defective cluster is an error, and so is a spectrum
+    too close to the cut 1 - tol to split there.
     """
     if not 0 < tol <= MAX_PERIPHERAL_TOL:
         raise ValueError(f"tol must lie in (0, {MAX_PERIPHERAL_TOL:g}]")
-    d = s.dim
+    d, m = s.dim, s.matrix
+    t, t_inv = _hermitian_coordinates(d)
+    x = m.reshape(d, d, d, d)  # F S F is x.transpose(1, 0, 3, 2)
+    off = np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2))
+    hp = off <= HP_RTOL * np.linalg.norm(m)
     try:
-        w, r, lh = eig(s.matrix, 1 - tol)
+        w, r, lh = eig((t @ m @ t_inv).real if hp else m, 1 - tol)
     except LinalgError as exc:
         raise SpectralError(f"no peripheral decomposition at tol={tol:g}: {exc}") from exc
+    if hp:
+        r, lh = t_inv @ r, lh @ t
     if not w.size:
         raise SpectralError("no peripheral eigenvalue found; channel not CPTP?")
 

@@ -184,33 +184,84 @@ def test_eig_updown_superoperator():
         assert np.allclose(p, np.outer(axis.reshape(-1), axis.reshape(-1)) / 2, atol=1e-12)
 
 
+def _real_block_diagonal(values):
+    """Real block-diagonal matrix with eigenvalues ``values``: each non-real z
+    is a 2x2 rotation block that also carries conj(z)."""
+    blocks = [[[z.real]] if z.imag == 0 else [[z.real, -z.imag], [z.imag, z.real]]
+              for z in map(complex, values)]
+    return scipy.linalg.block_diag(*blocks)
+
+
+def _hidden(d, rng, real):
+    """X D X^-1 for a random X, real when ``real`` is set and D is real."""
+    n = len(d)
+    x = rng.standard_normal((n, n))
+    if not real:
+        x = x + 1j * rng.standard_normal((n, n))
+    return x @ d @ np.linalg.inv(x)
+
+
+def assert_eig_contract(m, radius):
+    """eig(m, radius) leaves m unchanged and returns complex w, r, lh with
+    M R = R diag(w), L^dag M = diag(w) L^dag and L^dag R = I."""
+    before = m.copy()
+    w, r, lh = eig(m, radius)
+    assert np.array_equal(m, before)
+    assert w.dtype == r.dtype == lh.dtype == complex
+    scale = np.linalg.norm(m)
+    assert np.linalg.norm(m @ r - r * w) <= 1e-12 * scale * np.linalg.norm(r)
+    assert np.linalg.norm(lh @ m - w[:, None] * lh) <= 1e-12 * scale * np.linalg.norm(lh)
+    assert np.max(np.abs(lh @ r - np.eye(w.size))) <= 1e-12
+    return w
+
+
 def test_eig_residuals_and_biorthogonality():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    scale = np.linalg.norm(m)
     for radius in (0.0, np.median(np.abs(np.linalg.eigvals(m)))):
-        w, r, lh = eig(m, radius)
+        w = assert_eig_contract(m, radius)
         assert w.size == (6 if radius == 0 else 3)
-        # right residuals M R = R diag(w) and left residuals L^dag M = diag(w) L^dag
-        assert np.linalg.norm(m @ r - r * w) <= 1e-12 * scale * np.linalg.norm(r)
-        assert np.linalg.norm(lh @ m - w[:, None] * lh) <= 1e-12 * scale * np.linalg.norm(lh)
-        # biorthonormal: L^dag R = I
-        assert np.max(np.abs(lh @ r - np.eye(w.size))) <= 1e-12
 
 
-def test_eig_selects_by_modulus():
-    # known spectrum on circles of radius 1, 0.9 and 0.5, hidden by a random
-    # similarity: radius r keeps exactly the eigenvalues with |lambda| >= r
-    rng = np.random.default_rng(11)
-    spectrum = np.array([1.0, -1.0, 1j, 0.9, -0.9j, 0.5, 0.5j, 0.0])
-    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    m = x @ np.diag(spectrum) @ np.linalg.inv(x)
-    for radius, count in ((1 - 1e-8, 3), (0.9 - 1e-8, 5), (0.5 - 1e-8, 7), (0.0, 8)):
-        w, r, lh = eig(m, radius)
+def test_eig_real_input_residuals_and_biorthogonality():
+    # a real M with complex-conjugate pairs on both sides of the radius 0.8:
+    # the real Schur route must meet the same contract as the complex one
+    rng = np.random.default_rng(7)
+    d = _real_block_diagonal([1.2 * np.exp(0.4j), 1.1, 0.6 * np.exp(2.1j), 0.3, -0.7])
+    m = _hidden(d, rng, real=True)
+    assert m.dtype == float
+    for radius, count in ((0.0, 7), (0.8, 3)):
+        w = assert_eig_contract(m, radius)
+        assert w.size == count
+
+
+def assert_selects_by_modulus(m, spectrum, counts):
+    """Radii 1, 0.9, 0.5 and 0 (each less 1e-8) keep exactly the eigenvalues
+    of M with |lambda| >= radius, ``counts`` of them; radius 1.5 keeps none."""
+    for radius, count in zip((1 - 1e-8, 0.9 - 1e-8, 0.5 - 1e-8, 0.0), counts):
+        w = assert_eig_contract(m, radius)
         expected = spectrum[np.abs(spectrum) >= radius]
         assert w.size == count
         assert np.allclose(np.sort_complex(np.round(w, 8)), np.sort_complex(expected), atol=1e-10)
     assert eig(m, 1.5)[0].size == 0
+
+
+def test_eig_selects_by_modulus():
+    # known spectrum on circles of radius 1, 0.9 and 0.5, hidden by a random
+    # similarity
+    rng = np.random.default_rng(11)
+    spectrum = np.array([1.0, -1.0, 1j, 0.9, -0.9j, 0.5, 0.5j, 0.0])
+    assert_selects_by_modulus(_hidden(np.diag(spectrum), rng, real=False), spectrum, (3, 5, 7, 8))
+
+
+def test_eig_real_input_selects_by_modulus():
+    # the same circles for a real M, which also carries the conjugate of each
+    # non-real value: the pairs i, -i and 0.9 exp(+-0.7i) are selected whole
+    rng = np.random.default_rng(11)
+    spectrum = np.array([1.0, -1.0, 1j, 0.9 * np.exp(0.7j), 0.5, 0.5 * np.exp(2j), 0.0])
+    m = _hidden(_real_block_diagonal(spectrum), rng, real=True)
+    spectrum = np.concatenate([spectrum, spectrum[spectrum.imag != 0].conj()])
+    assert_selects_by_modulus(m, spectrum, (4, 6, 9, 10))
 
 
 def test_eig_defective_selection_keeps_values():

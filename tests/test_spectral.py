@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bathdd import spectral
 from bathdd.channel import Superoperator, to_superoperator
+from bathdd.linalg import eig
 from bathdd.spectral import (
     PERIPHERAL_TOL,
     SpectralError,
@@ -141,6 +143,60 @@ def test_projections_exact_beside_defective_block(jordan, seed):
         assert np.max(np.abs(p.matrix - exact_k)) <= 1e-10
 
 
+def _hermitian_coordinates(d):
+    """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j), built
+    from matrix units, and its inverse T^-1 (columns E_ii, E_ij + E_ji and
+    i E_ij - i E_ji)."""
+    units = np.eye(d * d).reshape(d, d, d * d)  # units[i, j] = vec(E_ij)
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    diag = [units[i, i] for i in range(d)]
+    sym = [units[i, j] + units[j, i] for i, j in pairs]
+    anti = [units[i, j] - units[j, i] for i, j in pairs]
+    t_inv = np.array(diag + sym + [1j * a for a in anti]).T
+    t = np.array(diag + [v / 2 for v in sym] + [-0.5j * a for a in anti])
+    return t, t_inv
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_route_projections_exact_beside_defective_block(seed, monkeypatch):
+    # S = T^-1 M T with M = X D X^-1 real: S maps Hermitian operators to
+    # Hermitian ones, so it is analysed in real arithmetic. D has peripheral
+    # values 1, -1 and the pair +-i (a rotation block), a 3x3 Jordan block at
+    # 0.5 and contracting rotation blocks; the peripheral projections are
+    # T^-1 X E_k X^-1 T exactly, with E_k the spectral projections of D
+    rng = np.random.default_rng(seed)
+    n = 16
+    d = np.zeros((n, n))
+    d[0, 0], d[1, 1] = 1.0, -1.0
+    d[2:4, 2:4] = [[0.0, -1.0], [1.0, 0.0]]
+    d[4:7, 4:7] = 0.5 * np.eye(3) + np.eye(3, k=1)
+    d[7, 7] = 0.9 * rng.uniform()
+    for b in range(8, n, 2):
+        a = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        d[b:b + 2, b:b + 2] = [[a.real, -a.imag], [a.imag, a.real]]
+    x = rng.standard_normal((n, n))
+    x_inv = np.linalg.inv(x)
+    t, t_inv = _hermitian_coordinates(4)
+    s = t_inv @ (x @ d @ x_inv) @ t
+
+    inputs = []
+    monkeypatch.setattr(spectral, "eig", lambda m, radius: inputs.append(m) or eig(m, radius))
+    dec = analyze_peripheral(Superoperator(4, s))
+    assert [m.dtype for m in inputs] == [np.float64]
+
+    e = {lam: np.zeros((n, n), dtype=complex) for lam in (1.0, -1.0, 1j, -1j)}
+    e[1.0][0, 0] = e[-1.0][1, 1] = 1.0
+    for lam in (1j, -1j):
+        e[lam][2:4, 2:4] = [[0.5, 0.5 * lam], [-0.5 * lam, 0.5]]
+    exact = {lam: t_inv @ x @ ek @ x_inv @ t for lam, ek in e.items()}
+    assert np.max(np.abs(dec.peripheral_projection.matrix - sum(exact.values()))) <= 1e-10
+    assert sorted(dec.multiplicities) == [1, 1, 1, 1]
+    for lam, p in zip(dec.peripheral_values, dec.projections):
+        key = min(exact, key=lambda z: abs(z - lam))
+        assert abs(key - lam) <= 1e-10
+        assert np.max(np.abs(p.matrix - exact[key])) <= 1e-10
+
+
 def test_peripheral_jordan_block_is_defective():
     # eigenvalue 1 carries a 2x2 Jordan block: not the superoperator of a
     # channel, whose peripheral spectrum is always diagonalizable
@@ -160,7 +216,7 @@ def _stinespring(d, rank, seed):
 @pytest.mark.parametrize("kraus", [
     *(pytest.param(builtin(name).channel.kraus, id=name) for name in names()),
     *(pytest.param(_stinespring(d, rank, seed=10 * d + rank), id=f"stinespring_d{d}_r{rank}")
-      for d in range(2, 6) for rank in (1, 2, 3)),
+      for d in range(2, 9) for rank in (1, 2, 3)),
 ])
 def test_projections_match_full_eigendecomposition(kraus):
     # reference without bathdd: S = sum_k K kron conj(K) in the row
