@@ -13,13 +13,12 @@ from .channel import (
     Superoperator,
     choi,
     extend_with_identity,
-    identity_superoperator,
     load_channel,
     save_channel,
     to_superoperator,
     validate_cptp,
 )
-from .classify import Classification, CycleStructure, classify, cycle_structure
+from .classify import Classification, classify
 from .hamiltonian import SchmidtDecomposition, adjoint_rep, random_hamiltonian, schmidt
 from .harness import (
     SweepConfig,

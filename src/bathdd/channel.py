@@ -25,7 +25,6 @@ __all__ = [
     "channel_to_dict",
     "choi",
     "extend_with_identity",
-    "identity_superoperator",
     "load_channel",
     "save_channel",
     "to_superoperator",
@@ -98,10 +97,6 @@ def to_superoperator(ch: KrausChannel) -> Superoperator:
     """Matrix of the Kraus sum: sum_k E_k kron conj(E_k)."""
     m = sum(kron(k, k.conj()) for k in ch.kraus)
     return Superoperator(ch.dim, m)
-
-
-def identity_superoperator(d: int) -> Superoperator:
-    return Superoperator(d, np.eye(d * d, dtype=complex))
 
 
 def choi(s: Superoperator) -> np.ndarray:

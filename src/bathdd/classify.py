@@ -1,15 +1,21 @@
 """Channel classification: ergodic / mixing / irreducible / DFS-free, plus
-cycle structure of the peripheral spectrum.
+the cycle lengths of a DFS-free kick.
 
 Every verdict is read from one peripheral decomposition at one tolerance. A
 kick has no decoherence-free subsystem exactly when its Zeno limit
 suppresses every Hamiltonian, so DFS-freeness is decided by that criterion:
 within each peripheral cluster, every right eigenoperator commutes with the
-adjoint of every left eigenoperator.
+adjoint of every left eigenoperator. A DFS-free kick only permutes the blocks
+of its asymptotic space, so its peripheral spectrum is exactly a union of
+full groups of roots of unity, one per cycle; the cycle lengths are read off
+that spectrum exactly, with no second tolerance.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,12 +30,7 @@ from .spectral import (
     fixed_point_state,
 )
 
-__all__ = [
-    "Classification",
-    "CycleStructure",
-    "classify",
-    "cycle_structure",
-]
+__all__ = ["Classification", "classify"]
 
 COMMUTE_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -45,16 +46,12 @@ class Classification:
     irreducible: bool
     dfs_free: bool
     cycle_lengths: tuple[int, ...] = ()
+    # at most one cycle, so eigenvalue 1 is simple; the spectrum determines
+    # the cycle lengths either way
     cycles_unique: bool = True
 
     def to_record(self) -> dict:
         return {**asdict(self), "cycle_lengths": list(self.cycle_lengths)}
-
-
-@dataclass(frozen=True)
-class CycleStructure:
-    lengths: tuple[int, ...]
-    unique: bool
 
 
 def _is_dfs_free(dec: PeripheralDecomposition) -> bool:
@@ -75,60 +72,34 @@ def _is_dfs_free(dec: PeripheralDecomposition) -> bool:
     )
 
 
-def _peripheral_multiset(dec: PeripheralDecomposition) -> list[complex]:
-    values: list[complex] = []
-    for lam, mult in zip(dec.peripheral_values, dec.multiplicities):
-        values.extend([complex(lam)] * int(mult))
-    return values
+def _cycle_lengths(dec: PeripheralDecomposition) -> tuple[int, ...]:
+    """Cycle lengths of a DFS-free kick, read exactly from its peripheral spectrum.
 
-
-def _extract_cycles(values: list[complex], tol: float) -> tuple[int, ...]:
-    """Greedy largest-K-first matching of the spectrum to root-of-unity groups."""
-    remaining = list(values)
-    lengths: list[int] = []
-    while remaining:
-        matched = None
-        for k in range(len(remaining), 0, -1):
-            roots = [np.exp(2j * np.pi * m / k) for m in range(k)]
-            pool = list(remaining)
-            picks = []
-            ok = True
-            for r in roots:
-                dists = [abs(v - r) for v in pool]
-                best = int(np.argmin(dists)) if pool else None
-                if best is None or dists[best] > tol:
-                    ok = False
-                    break
-                picks.append(pool.pop(best))
-            if ok:
-                matched = (k, pool)
-                break
-        if matched is None:
-            raise SpectralError(
-                "peripheral spectrum cannot be matched to root-of-unity groups; "
-                "misclassification or tolerance issue"
-            )
-        lengths.append(matched[0])
-        remaining = matched[1]
-    return tuple(sorted(lengths, reverse=True))
-
-
-def cycle_structure(
-    s: Superoperator | PeripheralDecomposition, tol: float = PERIPHERAL_TOL
-) -> CycleStructure:
-    """Cycle lengths of a DFS-free channel, recovered from its spectrum.
-
-    A superoperator is analysed at ``tol``, and the peripheral values are
-    matched to roots of unity within the same ``tol``. For multi-cycle
-    spectra the decomposition is not always unique from the spectrum alone;
-    ``unique`` is False whenever a peripheral eigenvalue is degenerate, since
-    then alternative groupings can exist.
+    Such a kick permutes the blocks of its asymptotic space, so its peripheral
+    spectrum is the union of the L-th roots of unity over its cycles of length
+    L <= dim_recurrent. Each value, with its multiplicity, is rounded to the
+    nearest fraction j/q of a turn with q <= dim_recurrent, counted in whole
+    1/lcm(1, ..., dim_recurrent) turns; such fractions lie at least
+    1/dim_recurrent^2 of a turn apart, so this rounding is no threshold. The
+    root e^{2 pi i/q} occurs once per cycle whose length q divides, which peels
+    off the cycle counts from the longest length down. The roots rebuilt from
+    those lengths must equal the rounded spectrum, so no count is negative.
     """
-    dec = s if isinstance(s, PeripheralDecomposition) else analyze_peripheral(s, tol)
-    values = _peripheral_multiset(dec)
-    lengths = _extract_cycles(values, tol)
-    unique = all(int(m) == 1 for m in dec.multiplicities)
-    return CycleStructure(lengths=lengths, unique=unique)
+    q_max = dec.dim_recurrent
+    grid = math.lcm(*range(1, q_max + 1))
+    turns = Counter()
+    for lam, mult in zip(dec.peripheral_values, dec.multiplicities):
+        x = cmath.phase(lam) / (2 * math.pi)
+        q = min(range(1, q_max + 1), key=lambda q: abs(x * q - round(x * q)) / q)
+        turns[round(x * q) * (grid // q) % grid] += int(mult)
+    count = {}
+    for q in range(q_max, 0, -1):
+        count[q] = turns[grid // q % grid] - sum(count[k * q] for k in range(2, q_max // q + 1))
+    lengths = tuple(q for q in range(q_max, 0, -1) for _ in range(count[q]))
+    if Counter(j * (grid // q) for q in lengths for j in range(q)) != turns:
+        raise SpectralError("peripheral spectrum is no union of full root-of-unity groups "
+                            f"(in 1/{grid} turns: {sorted(turns.elements())})")
+    return lengths
 
 
 def classify(
@@ -141,20 +112,9 @@ def classify(
     ergodic = dim_fixed == 1
     mixing = dim_recurrent == 1
 
-    irreducible = False
-    if ergodic:
-        rho = fixed_point_state(dec)
-        irreducible = bool(np.min(np.linalg.eigvalsh(rho)) > RANK_TOL)
-
+    irreducible = ergodic and bool(np.min(np.linalg.eigvalsh(fixed_point_state(dec))) > RANK_TOL)
     dfs_free = _is_dfs_free(dec)
-
-    cycle_lengths: tuple[int, ...] = ()
-    cycles_unique = True
-    if dfs_free:
-        cycles = cycle_structure(dec, tol)
-        cycle_lengths = cycles.lengths
-        cycles_unique = cycles.unique
-
+    cycle_lengths = _cycle_lengths(dec) if dfs_free else ()
     return Classification(
         name=name,
         dim_fixed=dim_fixed,
@@ -164,5 +124,5 @@ def classify(
         irreducible=irreducible,
         dfs_free=dfs_free,
         cycle_lengths=cycle_lengths,
-        cycles_unique=cycles_unique,
+        cycles_unique=len(cycle_lengths) <= 1,
     )

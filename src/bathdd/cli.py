@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 input channel fails the CPTP check, 2 usage error,
-3 numerical failure (defective peripheral cluster, unmatched spectrum, ...).
+3 numerical failure (defective peripheral cluster, ...).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .hamiltonian import random_hamiltonian
 from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
 from .linalg import LinalgError, is_hermitian
 from .spectral import MAX_PERIPHERAL_TOL, PERIPHERAL_TOL, SpectralError, analyze_peripheral
-from .zeno import dd_check, zeno_hamiltonian
+from .zeno import DD_TOL, SUPPRESSION_TOL, dd_check, zeno_hamiltonian
 from .zoo import builtin, names
 
 EXIT_OK = 0
@@ -205,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_channel(p)
     p.add_argument("--hamiltonian", required=True, help="JSON file or random:SEED")
     p.add_argument("--d1", type=_positive(int), default=2, help="system dimension")
-    p.add_argument("--tol", type=_positive(float), default=1e-8)
+    p.add_argument("--tol", type=_positive(float), default=DD_TOL)
     p.set_defaults(func=_cmd_dd_check)
 
     p = sub.add_parser("zeno-check", help="is the Zeno Hamiltonian suppressed?")
     add_channel(p)
     p.add_argument("--hamiltonian", required=True, help="JSON file or random:SEED")
-    p.add_argument("--tol", type=_positive(float), default=1e-8)
+    p.add_argument("--tol", type=_positive(float), default=SUPPRESSION_TOL)
     p.set_defaults(func=_cmd_zeno_check)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

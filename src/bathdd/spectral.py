@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Superoperator
-from .linalg import LinalgError, dagger, eig, unvec
+from .linalg import LinalgError, dagger, eig, unvec, vec
 
 __all__ = [
     "PeripheralDecomposition",
@@ -175,18 +175,19 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
 
 
 def fixed_point_state(dec: PeripheralDecomposition) -> np.ndarray:
-    """The unique fixed-point state of an ergodic channel."""
-    if dec.dim_fixed != 1:
-        raise SpectralError(
-            f"fixed-point space is {dec.dim_fixed}-dimensional; "
-            "use right_ops[0] for non-ergodic channels"
-        )
-    x = dec.right_ops[0][0]
-    tr = np.trace(x)
+    """The invariant state P_1(I/d) reached from the maximally mixed input.
+
+    It is the unique fixed-point state of an ergodic channel; a larger fixed
+    space holds many invariant states, and this is the one the maximally mixed
+    state relaxes to.
+    """
+    d = dec.dim
+    rho = unvec(dec.projections[0].matrix @ vec(np.eye(d) / d), d)
+    rho = (rho + dagger(rho)) / 2
+    tr = np.trace(rho)
     if abs(tr) < 1e-12:
-        raise SpectralError("fixed operator is traceless; cannot normalize to a state")
-    rho = x / tr
-    return (rho + dagger(rho)) / 2
+        raise SpectralError("fixed-point projection of I/d is traceless; map not trace-preserving?")
+    return rho / tr
 
 
 def peripheral_power(dec: PeripheralDecomposition, n: int) -> Superoperator:

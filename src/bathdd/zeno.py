@@ -14,8 +14,8 @@ import numpy as np
 
 from .channel import Superoperator, extend_with_identity
 from .hamiltonian import adjoint_rep
-from .linalg import assert_hermitian, dagger, kron, unvec, vec
-from .spectral import PeripheralDecomposition, analyze_peripheral
+from .linalg import assert_hermitian, dagger, kron
+from .spectral import PeripheralDecomposition, analyze_peripheral, fixed_point_state
 
 __all__ = [
     "DdVerdict",
@@ -108,17 +108,6 @@ def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_
     return float(np.linalg.norm(zeno_hamiltonian(dec, h).matrix)) <= tol
 
 
-def _reference_state(dec: PeripheralDecomposition) -> np.ndarray:
-    """The invariant state P_1(I/d) reached from the maximally mixed input:
-    the fixed-point state of an ergodic kick; for degenerate fixed spaces
-    only a reference (the effective Hamiltonian is then not uniquely defined)."""
-    d = dec.dim
-    p1 = dec.projections[0].matrix
-    rho = unvec(p1 @ vec(np.eye(d) / d), d)
-    rho = (rho + rho.conj().T) / 2
-    return rho / np.trace(rho)
-
-
 def dd_check(
     s2: Superoperator, h: np.ndarray, d1: int, tol: float = DD_TOL
 ) -> DdVerdict:
@@ -141,7 +130,7 @@ def dd_check(
         raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
     h = assert_hermitian(h)
     dec2 = analyze_peripheral(s2)
-    h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), _reference_state(dec2))
+    h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), fixed_point_state(dec2))
     h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
     k_adj = adjoint_rep(h - kron(h_eff, np.eye(d2))).matrix
     lifted = [extend_with_identity(p, d1).matrix for p in dec2.projections]

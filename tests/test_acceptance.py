@@ -10,10 +10,9 @@ import pytest
 from bathdd.channel import (
     Superoperator,
     extend_with_identity,
-    identity_superoperator,
     to_superoperator,
 )
-from bathdd.classify import classify, cycle_structure
+from bathdd.classify import classify
 from bathdd.hamiltonian import random_hamiltonian
 from bathdd.harness import choi_distance, reduced_choi_purity
 from bathdd.linalg import dagger, expm, kron
@@ -71,9 +70,10 @@ def test_criterion_01_classification_table():
 def test_criterion_02_ergodic_peripheral_structure():
     ok = True
     for name in ERGODIC_ZOO:
-        dec = analyze_peripheral(sup(name))
+        s = sup(name)
+        dec = analyze_peripheral(s)
         rho = fixed_point_state(dec)
-        k = cycle_structure(dec).lengths[0]
+        k = classify(s).cycle_lengths[0]
         roots = sorted(np.exp(2j * np.pi * np.arange(k) / k), key=np.angle)
         got = sorted(dec.peripheral_values, key=np.angle)
         ok &= np.allclose(got, roots, atol=1e-8)
@@ -256,7 +256,7 @@ def test_criterion_11_ergodicity_stability():
             mix = Superoperator(se.dim, 0.1 * se.matrix + 0.9 * so.matrix)
             ok &= classify(mix).ergodic
         with_id = Superoperator(
-            se.dim, 0.1 * se.matrix + 0.9 * identity_superoperator(se.dim).matrix
+            se.dim, 0.1 * se.matrix + 0.9 * np.eye(se.dim**2)
         )
         ok &= classify(with_id).mixing
     report(11, "small ergodic admixtures keep ergodicity; admixture to the "

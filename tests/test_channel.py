@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from bathdd.channel import (
     ChannelError,
     KrausChannel,
+    Superoperator,
     channel_from_dict,
     channel_to_dict,
     choi,
     extend_with_identity,
-    identity_superoperator,
     load_channel,
     save_channel,
     to_superoperator,
@@ -122,7 +122,7 @@ def test_cptp_spectrum_in_unit_disc(seed):
 def test_apply_examples():
     s_tri = to_superoperator(builtin("E_triangle").channel)
     assert np.allclose(unvec(s_tri.matrix @ vec(unit(3, 0, 0))), unit(3, 2, 2))
-    s_id = identity_superoperator(3)
+    s_id = Superoperator(3, np.eye(9))
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3))
     assert np.allclose(unvec(s_id.matrix @ vec(a)), a)
@@ -132,7 +132,7 @@ def test_apply_examples():
 
 
 def test_choi_identity_is_maximally_entangled():
-    lam = choi(identity_superoperator(2))
+    lam = choi(Superoperator(2, np.eye(4)))
     omega = np.zeros(4, dtype=complex)
     omega[0] = omega[3] = 1 / np.sqrt(2)
     assert np.allclose(lam, np.outer(omega, omega.conj()))

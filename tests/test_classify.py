@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bathdd.channel import KrausChannel, Superoperator, identity_superoperator, to_superoperator
-from bathdd.classify import classify, cycle_structure
+from bathdd.channel import KrausChannel, Superoperator, to_superoperator
+from bathdd.classify import _cycle_lengths, classify
+from bathdd.spectral import SpectralError, analyze_peripheral
 from bathdd.zeno import suppression_check
 from bathdd.zoo import builtin, names
 from test_zeno import random_stinespring
+
+IDENTITY_2 = Superoperator(2, np.eye(4))
 
 
 @pytest.mark.parametrize("name", names())
@@ -49,17 +54,26 @@ def test_p_rho_rank_deficient_not_irreducible():
 
 
 def test_cycle_structures():
-    assert cycle_structure(to_superoperator(builtin("E_triangle").channel)).lengths == (3,)
-    assert cycle_structure(to_superoperator(builtin("E_updown").channel)).lengths == (2,)
-    cs = cycle_structure(to_superoperator(builtin("E_dephase", d=2).channel))
-    assert cs.lengths == (1, 1)
-    assert not cs.unique
+    assert classify(to_superoperator(builtin("E_triangle").channel)).cycle_lengths == (3,)
+    assert classify(to_superoperator(builtin("E_updown").channel)).cycle_lengths == (2,)
+    c = classify(to_superoperator(builtin("E_dephase", d=2).channel))
+    assert c.cycle_lengths == (1, 1)
+    assert not c.cycles_unique
 
 
 def test_cycle_structure_identity():
-    cs = cycle_structure(identity_superoperator(2))
-    assert cs.lengths == (1, 1, 1, 1)
-    assert not cs.unique
+    # the identity channel is one decoherence-free subsystem: cycle lengths
+    # are defined only for DFS-free kicks
+    c = classify(IDENTITY_2)
+    assert not c.dfs_free
+    assert c.cycle_lengths == ()
+
+
+@pytest.mark.parametrize("name", ["E_omega", "E_df"])
+def test_kicks_with_a_dfs_have_no_cycle_lengths(name):
+    c = classify(to_superoperator(builtin(name).channel))
+    assert not c.dfs_free
+    assert c.cycle_lengths == ()
 
 
 def mixture(s_a, s_b, w):
@@ -75,10 +89,24 @@ def test_ergodic_mixtures_stay_ergodic():
     assert c.ergodic
 
 
-def test_mixture_with_identity_is_mixing():
-    erg = to_superoperator(builtin("E_updown").channel)
-    c = classify(mixture(erg, identity_superoperator(2), 0.1))
+@pytest.fixture(scope="module")
+def updown():
+    return to_superoperator(builtin("E_updown").channel)
+
+
+def test_mixture_with_identity_is_mixing(updown):
+    c = classify(mixture(updown, IDENTITY_2, 0.1))
     assert c.mixing
+
+
+def test_updown_identity_mixtures_across_the_cut(updown):
+    # weight p of the identity moves the flip eigenvalue -1 to -1 + 2p, which
+    # crosses the peripheral cut 1 - tol at p = 5e-9: every point of the grid
+    # is either a 2-cycle or mixing, and none raises
+    lengths = [classify(mixture(IDENTITY_2, updown, p)).cycle_lengths
+               for p in np.linspace(4.9e-9, 5.1e-9, 201)]
+    assert set(lengths) <= {(2,), (1,)}
+    assert lengths[0] == (2,) and lengths[-1] == (1,)
 
 
 def test_unitary_channel_not_dfs_free():
@@ -138,4 +166,40 @@ def test_cycle_structure_analyses_at_its_tol():
     p = 1e-6
     flip = np.sqrt(1 - p) * np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
     s = to_superoperator(KrausChannel(2, (*flip, np.sqrt(p) * np.eye(2))))
-    assert cycle_structure(s, tol=1e-5).lengths == classify(s, tol=1e-5).cycle_lengths == (2,)
+    assert classify(s, tol=1e-5).cycle_lengths == (2,)
+
+
+def permutation_kick(cycles, transient, seed):
+    """Kraus operators |pi(i)><i| of a permutation with the given cycles, plus
+    |0><t| for one transient level t if asked, conjugated by a random unitary."""
+    d = sum(cycles) + transient
+    kraus, start = [], 0
+    for length in cycles:
+        for i in range(start, start + length):
+            kraus.append(np.outer(np.eye(d)[start + (i - start + 1) % length], np.eye(d)[i]))
+        start += length
+    if transient:
+        kraus.append(np.outer(np.eye(d)[0], np.eye(d)[d - 1]))
+    u = random_unitary(d, seed)
+    return to_superoperator(KrausChannel(d, tuple(u @ k @ u.conj().T for k in kraus)))
+
+
+PERMUTATION_CYCLES = [(3, 2, 1), (2, 2), (4, 2), (3, 3, 1), (6, 1), (5,), (4, 3), (2, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("transient", [0, 1], ids=["steady", "transient"])
+@pytest.mark.parametrize("cycles", PERMUTATION_CYCLES,
+                         ids=["-".join(map(str, c)) for c in PERMUTATION_CYCLES])
+def test_permutation_kick_cycle_lengths(cycles, transient):
+    c = classify(permutation_kick(cycles, transient, seed=sum(cycles) + transient))
+    assert c.dfs_free
+    assert c.dim_recurrent == sum(cycles)
+    assert c.cycle_lengths == tuple(sorted(cycles, reverse=True))
+    assert c.cycles_unique == (len(cycles) == 1)
+
+
+def test_cycle_lengths_reject_a_spectrum_that_is_no_union_of_root_groups():
+    dec = analyze_peripheral(to_superoperator(builtin("E_triangle").channel))
+    third = np.exp(2j * np.pi / 3)
+    with pytest.raises(SpectralError, match="root-of-unity"):
+        _cycle_lengths(dataclasses.replace(dec, peripheral_values=np.array([1, third, third])))

@@ -7,18 +7,16 @@ from bathdd.channel import (
     KrausChannel,
     Superoperator,
     extend_with_identity,
-    identity_superoperator,
     to_superoperator,
 )
 from bathdd.hamiltonian import adjoint_rep, random_hamiltonian, schmidt
 from bathdd.harness import choi_distance
 from bathdd.linalg import expm, kron
-from bathdd.spectral import analyze_peripheral
+from bathdd.spectral import analyze_peripheral, fixed_point_state
 from bathdd.zeno import (
     DD_TOL,
     _factor_kick,
     _kicked_evolutions,
-    _reference_state,
     dd_check,
     dd_evolution,
     suppression_check,
@@ -99,7 +97,7 @@ def test_zeno_evolution_degenerate_cases():
     s = sup("E_updown")
     h = random_bloch(0)
     assert np.allclose(zeno_evolution(s, h, 0.0, 1).matrix, s.matrix)
-    free = zeno_evolution(identity_superoperator(2), h, 1.0, 7)
+    free = zeno_evolution(Superoperator(2, np.eye(4)), h, 1.0, 7)
     assert np.allclose(free.matrix, expm(-1j * adjoint_rep(h).matrix), atol=1e-12)
     with pytest.raises(ValueError):
         zeno_evolution(s, h, 1.0, 0)
@@ -216,7 +214,7 @@ def reference_dd_check(s2, h, d1):
     dec2 = analyze_peripheral(s2)
     h_z = zeno_hamiltonian(analyze_peripheral(extend_with_identity(s2, d1)), h)
     sd = schmidt(h, d1, d2)
-    rho = _reference_state(dec2)
+    rho = fixed_point_state(dec2)
     coeffs = [float(np.real(np.trace(h2_i @ rho))) for _, h2_i in sd.terms]
     h_eff = sd.h1 + sum(c * h1_i for c, (h1_i, _) in zip(coeffs, sd.terms))
     g = adjoint_rep(kron(h_eff, np.eye(d2)))
