@@ -14,7 +14,6 @@ from .channel import (
     choi,
     extend_with_identity,
     load_channel,
-    save_channel,
     to_superoperator,
     validate_cptp,
 )

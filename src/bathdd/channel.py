@@ -22,11 +22,9 @@ __all__ = [
     "KrausChannel",
     "Superoperator",
     "channel_from_dict",
-    "channel_to_dict",
     "choi",
     "extend_with_identity",
     "load_channel",
-    "save_channel",
     "to_superoperator",
     "validate_cptp",
 ]
@@ -151,13 +149,6 @@ def _matrix_from_pairs(rows) -> np.ndarray:
     return m
 
 
-def channel_to_dict(ch: KrausChannel) -> dict:
-    out = {"dim": ch.dim, "kraus": [_matrix_to_pairs(k) for k in ch.kraus]}
-    if ch.name:
-        out["name"] = ch.name
-    return out
-
-
 def channel_from_dict(data: dict) -> KrausChannel:
     try:
         dim = _integer(data["dim"], "dim")
@@ -165,10 +156,6 @@ def channel_from_dict(data: dict) -> KrausChannel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"bad channel specification: {exc}") from exc
     return KrausChannel(dim, kraus, name=str(data.get("name", "")))
-
-
-def save_channel(ch: KrausChannel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(channel_to_dict(ch), indent=1))
 
 
 def load_channel(path: str | Path) -> KrausChannel:

@@ -16,16 +16,16 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .channel import Superoperator
-from .linalg import dagger
 from .spectral import (
     PERIPHERAL_TOL,
     PeripheralDecomposition,
     SpectralError,
+    _same_cluster,
     analyze_peripheral,
     fixed_point_state,
 )
@@ -46,9 +46,12 @@ class Classification:
     irreducible: bool
     dfs_free: bool
     cycle_lengths: tuple[int, ...] = ()
-    # at most one cycle, so eigenvalue 1 is simple; the spectrum determines
-    # the cycle lengths either way
-    cycles_unique: bool = True
+    # derived from cycle_lengths: at most one cycle, so eigenvalue 1 is
+    # simple; the spectrum determines the cycle lengths either way
+    cycles_unique: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cycles_unique", len(self.cycle_lengths) <= 1)
 
     def to_record(self) -> dict:
         return {**asdict(self), "cycle_lengths": list(self.cycle_lengths)}
@@ -57,19 +60,18 @@ class Classification:
 def _is_dfs_free(dec: PeripheralDecomposition) -> bool:
     """True when the kick's Zeno limit suppresses every Hamiltonian.
 
-    Within cluster l, with P_l = sum_a |X_a><L_a| over the right and left
+    Within a cluster, with P_l = sum_a |X_a><L_a| over the right and left
     eigenoperators, the Zeno generator P_l [H, .] P_l has the entries
     <L_a, [H, X_b]> = tr(H [X_b, L_a^dag]). It vanishes for every H exactly
     when each X_b commutes with each L_a^dag of the same cluster, and the
     kick has no decoherence-free subsystem exactly when that holds on every
-    cluster.
+    cluster. X_b is column b of ``right`` and L_a^dag row a of ``left``,
+    each read as a d x d matrix, the latter transposed.
     """
-    return all(
-        np.linalg.norm(x @ l_dag - l_dag @ x) <= COMMUTE_TOL
-        for xs, ls in zip(dec.right_ops, dec.left_ops)
-        for l_dag in map(dagger, ls)
-        for x in xs
-    )
+    a, b = np.nonzero(_same_cluster(dec))
+    x = dec.right.T.reshape(-1, dec.dim, dec.dim)[b]
+    l_dag = dec.left.reshape(-1, dec.dim, dec.dim)[a].swapaxes(-1, -2)
+    return bool(np.max(np.linalg.norm(x @ l_dag - l_dag @ x, axis=(-2, -1))) <= COMMUTE_TOL)
 
 
 def _cycle_lengths(dec: PeripheralDecomposition) -> tuple[int, ...]:
@@ -102,27 +104,19 @@ def _cycle_lengths(dec: PeripheralDecomposition) -> tuple[int, ...]:
     return lengths
 
 
-def classify(
-    s: Superoperator, name: str = "", tol: float = PERIPHERAL_TOL
-) -> Classification:
+def classify(s: Superoperator, name: str = "", tol: float = PERIPHERAL_TOL) -> Classification:
     """Decide the spectral profile of a CPTP superoperator."""
     dec = analyze_peripheral(s, tol)
-    dim_fixed = dec.dim_fixed
-    dim_recurrent = dec.dim_recurrent
-    ergodic = dim_fixed == 1
-    mixing = dim_recurrent == 1
-
+    ergodic = dec.dim_fixed == 1
     irreducible = ergodic and bool(np.min(np.linalg.eigvalsh(fixed_point_state(dec))) > RANK_TOL)
     dfs_free = _is_dfs_free(dec)
-    cycle_lengths = _cycle_lengths(dec) if dfs_free else ()
     return Classification(
         name=name,
-        dim_fixed=dim_fixed,
-        dim_recurrent=dim_recurrent,
+        dim_fixed=dec.dim_fixed,
+        dim_recurrent=dec.dim_recurrent,
         ergodic=ergodic,
-        mixing=mixing,
+        mixing=dec.dim_recurrent == 1,
         irreducible=irreducible,
         dfs_free=dfs_free,
-        cycle_lengths=cycle_lengths,
-        cycles_unique=len(cycle_lengths) <= 1,
+        cycle_lengths=_cycle_lengths(dec) if dfs_free else (),
     )

@@ -1,17 +1,14 @@
 """Peripheral spectral analysis of a CPTP superoperator.
 
-Extracts the peripheral eigenvalues (modulus 1), their spectral projections,
-and the peripheral projection of the channel. One ordered Schur form splits
-the peripheral eigenvalues from the rest of the spectrum and gives their
-biorthonormal right and left eigenvectors. A channel preserves Hermiticity,
+One ordered Schur form splits the peripheral eigenvalues (modulus 1) from
+the rest of the spectrum and gives their biorthonormal right and left
+eigenvectors; every spectral projection and power of the peripheral part is
+read from those, in the rank of that part. A channel preserves Hermiticity,
 so its superoperator is a real matrix in the coordinates (X_ii, Re X_ij,
 Im X_ij) and that Schur form is real; a matrix that is not
-Hermiticity-preserving to rounding is split by the complex Schur form
-instead. Only the peripheral eigenvalues are clustered and checked for
-defects: that part of a channel's spectrum is always diagonalizable, and
-nothing downstream reads the rest. The right and left eigenoperators of each
-cluster are kept, because the decoherence-free test of ``classify`` reads
-them directly.
+Hermiticity-preserving to rounding takes the complex Schur form instead.
+Only the peripheral part, always diagonalizable for a channel, is clustered
+and checked for defects.
 """
 
 from __future__ import annotations
@@ -58,19 +55,17 @@ class PeripheralDecomposition:
     """Spectral data of the peripheral part of a channel.
 
     ``peripheral_values`` holds one representative eigenvalue per cluster,
-    eigenvalue 1 first; ``multiplicities`` the cluster sizes.
-    ``projections[i]`` is the spectral projection onto the i-th peripheral
-    eigenspace, and ``right_ops[i]``/``left_ops[i]`` are its right and left
-    eigenoperators, biorthonormal within the cluster.
+    eigenvalue 1 first; ``multiplicities`` the cluster sizes. ``right``
+    (d^2 x k) holds the k peripheral right eigenvectors as columns and
+    ``left`` (k x d^2) their left adjoints as rows, with left @ right = I_k,
+    both grouped by cluster in the order of ``peripheral_values``.
     """
 
     dim: int
     peripheral_values: np.ndarray
     multiplicities: np.ndarray
-    projections: tuple[Superoperator, ...]
-    peripheral_projection: Superoperator
-    right_ops: tuple[tuple[np.ndarray, ...], ...]  # per cluster, unvec'd right eigvecs
-    left_ops: tuple[tuple[np.ndarray, ...], ...]
+    right: np.ndarray
+    left: np.ndarray
 
     @property
     def dim_fixed(self) -> int:
@@ -79,6 +74,19 @@ class PeripheralDecomposition:
     @property
     def dim_recurrent(self) -> int:
         return int(np.sum(self.multiplicities))
+
+    @property
+    def projections(self) -> tuple[Superoperator, ...]:
+        """The spectral projection onto each peripheral eigenspace."""
+        ends = np.cumsum(self.multiplicities)
+        return tuple(Superoperator(self.dim, self.right[:, e - m:e] @ self.left[e - m:e])
+                     for m, e in zip(self.multiplicities, ends))
+
+
+def _same_cluster(dec: PeripheralDecomposition) -> np.ndarray:
+    """The k x k mask of eigenvector pairs that lie in the same cluster."""
+    labels = np.repeat(np.arange(dec.multiplicities.size), dec.multiplicities)
+    return labels[:, None] == labels
 
 
 def cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:
@@ -152,37 +160,25 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
     clusters = cluster_indices(w, tol)
     for idx in clusters:
         if np.linalg.cond(r[:, idx]) > DEFECT_COND:
-            raise SpectralError(
-                "peripheral eigenvalue cluster is defective or ill-conditioned; "
-                "tol may be too loose for this channel"
-            )
+            raise SpectralError("peripheral eigenvalue cluster is defective or ill-conditioned; "
+                                "tol may be too loose for this channel")
     # put the lambda = 1 cluster first
     values = np.array([w[idx].mean() for idx in clusters])
     order = np.argsort(np.abs(values - 1.0), kind="stable")
     values, clusters = values[order], [clusters[i] for i in order]
     if abs(values[0] - 1.0) > tol * 10:
         raise SpectralError("eigenvalue 1 not found in the peripheral spectrum")
-    projections = tuple(Superoperator(d, r[:, idx] @ lh[idx]) for idx in clusters)
-    return PeripheralDecomposition(
-        dim=d,
-        peripheral_values=values,
-        multiplicities=np.array([idx.size for idx in clusters]),
-        projections=projections,
-        peripheral_projection=Superoperator(d, r @ lh),
-        right_ops=tuple(tuple(unvec(r[:, j], d) for j in idx) for idx in clusters),
-        left_ops=tuple(tuple(unvec(lh[j].conj(), d) for j in idx) for idx in clusters),
-    )
+    idx = np.concatenate(clusters)
+    return PeripheralDecomposition(d, values, np.array([c.size for c in clusters]),
+                                   r[:, idx], lh[idx])
 
 
 def fixed_point_state(dec: PeripheralDecomposition) -> np.ndarray:
-    """The invariant state P_1(I/d) reached from the maximally mixed input.
-
-    It is the unique fixed-point state of an ergodic channel; a larger fixed
-    space holds many invariant states, and this is the one the maximally mixed
-    state relaxes to.
-    """
-    d = dec.dim
-    rho = unvec(dec.projections[0].matrix @ vec(np.eye(d) / d), d)
+    """The invariant state P_1(I/d) reached from the maximally mixed input: the
+    unique fixed-point state of an ergodic channel, and among the many
+    invariant states of a larger fixed space the one I/d relaxes to."""
+    d, k = dec.dim, dec.dim_fixed
+    rho = unvec(dec.right[:, :k] @ (dec.left[:k] @ vec(np.eye(d) / d)), d)
     rho = (rho + dagger(rho)) / 2
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
@@ -191,10 +187,8 @@ def fixed_point_state(dec: PeripheralDecomposition) -> np.ndarray:
 
 
 def peripheral_power(dec: PeripheralDecomposition, n: int) -> Superoperator:
-    """E_phi^n = sum_l lambda_l^n P_l, computed spectrally."""
+    """E_phi^n = sum_l lambda_l^n P_l = right diag(lambda^n) left."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    m = sum(
-        lam**n * p.matrix for lam, p in zip(dec.peripheral_values, dec.projections)
-    )
-    return Superoperator(dec.dim, m)
+    lam_n = np.repeat(dec.peripheral_values**n, dec.multiplicities)
+    return Superoperator(dec.dim, (dec.right * lam_n) @ dec.left)

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import Superoperator, extend_with_identity
 from .hamiltonian import adjoint_rep
 from .linalg import assert_hermitian, dagger, kron
-from .spectral import PeripheralDecomposition, analyze_peripheral, fixed_point_state
+from .spectral import PeripheralDecomposition, _same_cluster, analyze_peripheral, fixed_point_state
 
 __all__ = [
     "DdVerdict",
@@ -46,12 +46,12 @@ class DdVerdict:
 
 
 def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
-    """sum_l P_l [H, .] P_l over the peripheral projections of the kick."""
+    """sum_l P_l [H, .] P_l = right (S o (left [H, .] right)) left, S the same-cluster mask."""
     h_adj = adjoint_rep(h)
     if h_adj.dim != dec.dim:
         raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match kick dim {dec.dim}")
-    m = sum(p.matrix @ h_adj.matrix @ p.matrix for p in dec.projections)
-    return Superoperator(dec.dim, m)
+    core = _same_cluster(dec) * (dec.left @ h_adj.matrix @ dec.right)
+    return Superoperator(dec.dim, dec.right @ core @ dec.left)
 
 
 def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:

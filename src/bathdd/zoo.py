@@ -4,13 +4,13 @@ Hamiltonians used throughout the tests and the figure reproductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import KrausChannel, _integer, _real
 from .classify import Classification
-from .linalg import kron
+from .linalg import is_hermitian, kron
 
 __all__ = [
     "ZooEntry",
@@ -37,12 +37,6 @@ class ZooEntry:
     witnesses: tuple[tuple[str, np.ndarray, bool], ...] = ()
 
 
-def _ket(d: int, i: int) -> np.ndarray:
-    v = np.zeros((d, 1), dtype=complex)
-    v[i, 0] = 1.0
-    return v
-
-
 def _unit(d: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=complex)
     m[i, j] = 1.0
@@ -60,14 +54,29 @@ def _expected(name, dim_fixed, dim_recurrent, ergodic, mixing, irreducible,
         irreducible=irreducible,
         dfs_free=dfs_free,
         cycle_lengths=tuple(cycles),
-        cycles_unique=all_unique_cycles(cycles),
     )
 
 
-def all_unique_cycles(cycles) -> bool:
-    # every length-1 cycle and repeated cycle length makes the spectral
-    # decomposition ambiguous; single cycles are always unique
-    return len(cycles) <= 1
+def _reset_kraus(rho, what: str, d: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Eigenvalues of the density matrix ``rho`` and the Kraus operators
+    {sqrt(lambda_a) |a><b|} of X -> tr(X) rho, over its eigenpairs
+    (lambda_a, |a>) and the basis kets |b>.
+
+    ``rho`` must be square (d x d when ``d`` is given), Hermitian, positive
+    semidefinite and of unit trace; anything else raises ``ValueError``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or d not in (None, len(rho)):
+        size = "square" if d is None else f"{d}x{d}"
+        raise ValueError(f"{what} must be a {size} density matrix, got shape {rho.shape}")
+    if not is_hermitian(rho):
+        raise ValueError(f"{what} must be a density matrix: it is not Hermitian")
+    vals, vecs = np.linalg.eigh(rho)
+    if np.min(vals) < -1e-12 or abs(np.sum(vals) - 1) > 1e-10:
+        raise ValueError(f"{what} must be a density matrix: eigenvalues {vals.round(12)}")
+    eye = np.eye(len(rho))
+    return vals, [np.sqrt(lam) * np.outer(vecs[:, a], eye[b])
+                  for a, lam in enumerate(vals) if lam > 1e-14 for b in range(len(rho))]
 
 
 def _updown() -> ZooEntry:
@@ -125,19 +134,8 @@ def _p_rho(rho=np.eye(2) / 2) -> ZooEntry:
     Kraus set: {sqrt(lambda_a) |a><b|} over eigenpairs (lambda_a, |a>) of the
     target state and all basis kets |b>.
     """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    vals, vecs = np.linalg.eigh(rho)
-    if np.min(vals) < -1e-12 or abs(np.sum(vals) - 1) > 1e-10:
-        raise ValueError("P_rho requires a density matrix")
-    kraus = []
-    for a in range(d):
-        if vals[a] <= 1e-14:
-            continue
-        ket_a = vecs[:, a : a + 1]
-        for b in range(d):
-            kraus.append(np.sqrt(vals[a]) * (ket_a @ _ket(d, b).conj().T))
-    ch = KrausChannel(d, tuple(kraus), name="P_rho")
+    vals, kraus = _reset_kraus(rho, "P_rho's rho")
+    ch = KrausChannel(len(vals), tuple(kraus), name="P_rho")
     full_rank = bool(np.min(vals) > 1e-10)
     return ZooEntry(
         "P_rho", ch,
@@ -147,19 +145,9 @@ def _p_rho(rho=np.eye(2) / 2) -> ZooEntry:
 
 def _omega(omega=np.eye(2) / 2) -> ZooEntry:
     """Two-qubit channel A -> tr_2(A) kron Omega (bath reset to Omega)."""
-    omega = np.asarray(omega, dtype=complex)
-    vals, vecs = np.linalg.eigh(omega)
-    if np.min(vals) < -1e-12 or abs(np.sum(vals) - 1) > 1e-10:
-        raise ValueError("E_omega requires a density matrix Omega")
     eye = np.eye(2, dtype=complex)
-    kraus = []
-    for m in range(2):
-        if vals[m] <= 1e-14:
-            continue
-        ket_m = vecs[:, m : m + 1]
-        for k in range(2):
-            kraus.append(kron(eye, np.sqrt(vals[m]) * (ket_m @ _ket(2, k).conj().T)))
-    ch = KrausChannel(4, tuple(kraus), name="E_omega")
+    _, resets = _reset_kraus(omega, "E_omega's omega", 2)
+    ch = KrausChannel(4, tuple(kron(eye, k) for k in resets), name="E_omega")
     witness = ("Z_on_dfs", kron(Z, eye), False)
     return ZooEntry(
         "E_omega", ch,
@@ -184,17 +172,12 @@ def _df(u0=None, u1=None, rho0=None, rho1=None) -> ZooEntry:
     """
     u0 = DF_U0 if u0 is None else np.asarray(u0, dtype=complex)
     u1 = DF_U1 if u1 is None else np.asarray(u1, dtype=complex)
-    rho0 = DF_RHO0 if rho0 is None else np.asarray(rho0, dtype=complex)
-    rho1 = DF_RHO1 if rho1 is None else np.asarray(rho1, dtype=complex)
-    kraus = []
-    for flip, u, rho in ((_unit(2, 1, 0), u1, rho1), (_unit(2, 0, 1), u0, rho0)):
-        vals, vecs = np.linalg.eigh(rho)
-        for m in range(2):
-            if vals[m] <= 1e-14:
-                continue
-            for k in range(2):
-                prep_k = np.sqrt(vals[m]) * (vecs[:, m : m + 1] @ _ket(2, k).conj().T)
-                kraus.append(kron(kron(flip, u), prep_k))
+    rho0 = DF_RHO0 if rho0 is None else rho0
+    rho1 = DF_RHO1 if rho1 is None else rho1
+    kraus = [kron(kron(flip, u), prep)
+             for flip, u, rho, what in ((_unit(2, 1, 0), u1, rho1, "rho1"),
+                                        (_unit(2, 0, 1), u0, rho0, "rho0"))
+             for prep in _reset_kraus(rho, f"E_df's {what}", 2)[1]]
     ch = KrausChannel(8, tuple(kraus), name="E_df")
     eye = np.eye(2, dtype=complex)
     # Z on the decoherence-free factor commutes with the diagonal block

@@ -77,9 +77,9 @@ def test_criterion_02_ergodic_peripheral_structure():
         roots = sorted(np.exp(2j * np.pi * np.arange(k) / k), key=np.angle)
         got = sorted(dec.peripheral_values, key=np.angle)
         ok &= np.allclose(got, roots, atol=1e-8)
-        for rs, ls in zip(dec.right_ops, dec.left_ops):
-            ok &= len(rs) == 1  # rank-1 projections: non-degenerate spectrum
-            r, l = rs[0], ls[0]
+        ok &= bool(np.all(dec.multiplicities == 1))  # rank-1 projections: non-degenerate spectrum
+        for r, l in zip(dec.right.T, dec.left.conj()):
+            r, l = r.reshape(dec.dim, dec.dim), l.reshape(dec.dim, dec.dim)
             ok &= np.linalg.norm(dagger(l) @ r - r @ dagger(l)) <= 1e-8
             sig = herm_sqrt(dagger(r) @ r)
             ok &= np.linalg.norm(sig / np.trace(sig) - rho) <= 1e-8

@@ -9,17 +9,25 @@ from bathdd.channel import (
     ChannelError,
     KrausChannel,
     Superoperator,
+    _matrix_to_pairs,
     channel_from_dict,
-    channel_to_dict,
     choi,
     extend_with_identity,
     load_channel,
-    save_channel,
     to_superoperator,
     validate_cptp,
 )
 from bathdd.linalg import dagger, kron, unvec, vec
 from bathdd.zoo import builtin
+
+
+def channel_dict(ch):
+    """The channel file format: dim, Kraus operators as [re, im] pairs, name."""
+    return {"dim": ch.dim, "kraus": [_matrix_to_pairs(k) for k in ch.kraus], "name": ch.name}
+
+
+def save_channel(ch, path):
+    path.write_text(json.dumps(channel_dict(ch)))
 
 
 def unit(d, i, j):
@@ -211,7 +219,7 @@ def test_json_roundtrip(tmp_path):
 def test_dict_format_pairs():
     ch = KrausChannel(2, (np.array([[0, 1j], [1, 0]], dtype=complex) / np.sqrt(2),
                           np.eye(2) / np.sqrt(2)), name="x")
-    data = channel_to_dict(ch)
+    data = channel_dict(ch)
     assert data["dim"] == 2
     assert data["kraus"][0][0][1] == [0.0, pytest.approx(1 / np.sqrt(2))]
     back = channel_from_dict(json.loads(json.dumps(data)))

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from bathdd.channel import KrausChannel, save_channel
+from bathdd.channel import KrausChannel
 from bathdd.cli import build_parser, main
 from bathdd.spectral import PERIPHERAL_TOL
 from bathdd.zoo import builtin
+from test_channel import save_channel
 
 
 def run(capsys, *argv):

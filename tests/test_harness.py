@@ -108,7 +108,7 @@ def test_choi_distance_reset_fixture():
 def test_resolve_channel(tmp_path):
     ch = resolve_channel("zoo:E_square", {"p": 0.25})
     assert ch.dim == 3
-    from bathdd.channel import save_channel
+    from test_channel import save_channel
 
     p = tmp_path / "c.json"
     save_channel(ch, p)

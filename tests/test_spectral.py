@@ -3,7 +3,9 @@ import pytest
 
 from bathdd import spectral
 from bathdd.channel import Superoperator, to_superoperator
-from bathdd.linalg import eig
+from bathdd.classify import COMMUTE_TOL, _is_dfs_free
+from bathdd.hamiltonian import adjoint_rep, random_hamiltonian
+from bathdd.linalg import dagger, eig
 from bathdd.spectral import (
     PERIPHERAL_TOL,
     SpectralError,
@@ -12,6 +14,7 @@ from bathdd.spectral import (
     fixed_point_state,
     peripheral_power,
 )
+from bathdd.zeno import zeno_hamiltonian
 from bathdd.zoo import builtin, names
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -19,6 +22,11 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 def dec_of(name, **params):
     return analyze_peripheral(to_superoperator(builtin(name, **params).channel))
+
+
+def peripheral_projection(dec):
+    """P_phi = sum_l P_l, from the peripheral eigenvectors."""
+    return dec.right @ dec.left
 
 
 def test_cluster_indices():
@@ -72,15 +80,13 @@ def test_projection_identities(name, params):
             assert np.linalg.norm(prod - target) < 1e-8
     # E_phi = E P_phi = P_phi E
     e_phi = peripheral_power(dec, 1).matrix
-    p_phi = dec.peripheral_projection.matrix
+    p_phi = peripheral_projection(dec)
     assert np.linalg.norm(e_phi - s.matrix @ p_phi) < 1e-8
     assert np.linalg.norm(e_phi - p_phi @ s.matrix) < 1e-8
     assert dec.dim_fixed >= 1
     # peripheral eigenvector residuals
-    for lam, rs in zip(dec.peripheral_values, dec.right_ops):
-        for r in rs:
-            v = r.reshape(-1)
-            assert np.linalg.norm(s.matrix @ v - lam * v) < 1e-8 * np.linalg.norm(s.matrix)
+    for lam, v in zip(np.repeat(dec.peripheral_values, dec.multiplicities), dec.right.T):
+        assert np.linalg.norm(s.matrix @ v - lam * v) < 1e-8 * np.linalg.norm(s.matrix)
 
 
 def test_fixed_point_states():
@@ -100,10 +106,10 @@ def test_fixed_point_state_of_non_ergodic_kick():
 def test_peripheral_power():
     dec = dec_of("E_updown")
     assert np.allclose(peripheral_power(dec, 0).matrix,
-                       dec.peripheral_projection.matrix, atol=1e-9)
+                       peripheral_projection(dec), atol=1e-9)
     # (-1)^2 = 1: squared peripheral part is the peripheral projection
     assert np.allclose(peripheral_power(dec, 2).matrix,
-                       dec.peripheral_projection.matrix, atol=1e-9)
+                       peripheral_projection(dec), atol=1e-9)
     assert np.allclose(peripheral_power(dec, 2).matrix,
                        np.linalg.matrix_power(peripheral_power(dec, 1).matrix, 2), atol=1e-9)
 
@@ -136,7 +142,7 @@ def test_projections_exact_beside_defective_block(jordan, seed):
 
     dec = analyze_peripheral(Superoperator(4, x @ d @ x_inv))
     exact = x[:, :3] @ x_inv[:3, :]
-    assert np.max(np.abs(dec.peripheral_projection.matrix - exact)) <= 1e-10
+    assert np.max(np.abs(peripheral_projection(dec) - exact)) <= 1e-10
     for lam, p in zip(dec.peripheral_values, dec.projections):
         k = int(np.argmin(np.abs(np.diag(d)[:3] - lam)))
         exact_k = np.outer(x[:, k], x_inv[k, :])
@@ -189,7 +195,7 @@ def test_real_route_projections_exact_beside_defective_block(seed, monkeypatch):
     for lam in (1j, -1j):
         e[lam][2:4, 2:4] = [[0.5, 0.5 * lam], [-0.5 * lam, 0.5]]
     exact = {lam: t_inv @ x @ ek @ x_inv @ t for lam, ek in e.items()}
-    assert np.max(np.abs(dec.peripheral_projection.matrix - sum(exact.values()))) <= 1e-10
+    assert np.max(np.abs(peripheral_projection(dec) - sum(exact.values()))) <= 1e-10
     assert sorted(dec.multiplicities) == [1, 1, 1, 1]
     for lam, p in zip(dec.peripheral_values, dec.projections):
         key = min(exact, key=lambda z: abs(z - lam))
@@ -213,28 +219,77 @@ def _stinespring(d, rank, seed):
     return [q[k * d:(k + 1) * d] for k in range(rank)]
 
 
-@pytest.mark.parametrize("kraus", [
-    *(pytest.param(builtin(name).channel.kraus, id=name) for name in names()),
-    *(pytest.param(_stinespring(d, rank, seed=10 * d + rank), id=f"stinespring_d{d}_r{rank}")
-      for d in range(2, 9) for rank in (1, 2, 3)),
-])
-def test_projections_match_full_eigendecomposition(kraus):
-    # reference without bathdd: S = sum_k K kron conj(K) in the row
-    # vectorization, and P = VR[:, J] inv(VR)[J, :] over the eigenvalues J
-    # of the cluster, which is accurate for these diagonalizable kicks
+KICKS = {
+    **{name: builtin(name).channel.kraus for name in names()},
+    **{f"stinespring_d{d}_r{rank}": _stinespring(d, rank, seed=10 * d + rank)
+       for d in range(2, 9) for rank in (1, 2, 3)},
+}
+
+
+@pytest.fixture(scope="module")
+def analysed():
+    """(S, decomposition) of a kick of KICKS, with S = sum_k K kron conj(K)
+    in the row vectorization; each kick is analysed once per module."""
+    cache = {}
+
+    def get(key):
+        if key not in cache:
+            kraus = KICKS[key]
+            s = sum(np.kron(k, k.conj()) for k in kraus)
+            cache[key] = s, analyze_peripheral(Superoperator(kraus[0].shape[0], s))
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("key", KICKS)
+def test_projections_match_full_eigendecomposition(key, analysed):
+    # reference without bathdd: P = VR[:, J] inv(VR)[J, :] over the
+    # eigenvalues J of the cluster, which is accurate for these
+    # diagonalizable kicks
     tol = PERIPHERAL_TOL
-    s = sum(np.kron(k, k.conj()) for k in kraus)
+    s, dec = analysed(key)
     w, vr = np.linalg.eig(s)
     vr_inv = np.linalg.inv(vr)
     on = np.abs(w) >= 1 - tol
 
-    dec = analyze_peripheral(Superoperator(kraus[0].shape[0], s), tol)
     reference = vr[:, on] @ vr_inv[on]
-    assert np.max(np.abs(dec.peripheral_projection.matrix - reference)) <= 1e-10
+    assert np.max(np.abs(peripheral_projection(dec) - reference)) <= 1e-10
     assert dec.dim_recurrent == np.count_nonzero(on)
     for lam, p in zip(dec.peripheral_values, dec.projections):
         j = on & (np.abs(w - lam) <= tol)
         assert np.max(np.abs(p.matrix - vr[:, j] @ vr_inv[j])) <= 1e-10
+
+
+@pytest.mark.parametrize("key", KICKS)
+def test_readers_in_the_kick_rank_match_per_cluster_references(key, analysed):
+    # the d^2 x d^2 formulas: the projection of each cluster formed
+    # explicitly, sum_l lambda_l^n P_l, sum_l P_l [H, .] P_l, and the
+    # commutator [X_b, L_a^dag] of every same-cluster pair in a loop
+    _, dec = analysed(key)
+    d = dec.dim
+    ends = np.cumsum(dec.multiplicities)
+    clusters = [range(e - m, e) for m, e in zip(dec.multiplicities, ends)]
+    proj = [dec.right[:, c] @ dec.left[c] for c in clusters]
+    for p, q in zip(dec.projections, proj, strict=True):
+        assert np.array_equal(p.matrix, q)
+    for n in (0, 1, 2, 3):
+        reference = sum(lam**n * p for lam, p in zip(dec.peripheral_values, proj))
+        assert np.max(np.abs(peripheral_power(dec, n).matrix - reference)) <= 1e-10
+
+    h = random_hamiltonian(d, seed=d)
+    h_adj = adjoint_rep(h).matrix
+    reference = sum(p @ h_adj @ p for p in proj)
+    assert np.max(np.abs(zeno_hamiltonian(dec, h).matrix - reference)) <= 1e-10
+
+    def commutator_norm(a, b):
+        x = dec.right[:, b].reshape(d, d)  # right eigenoperator X_b
+        l_dag = dagger(dec.left[a].conj().reshape(d, d))  # L_a = unvec(conj(row a))
+        return np.linalg.norm(x @ l_dag - l_dag @ x)
+
+    worst = max(commutator_norm(a, b) for c in clusters for a in c for b in c)
+    assert worst <= 1e-10 or worst >= 1e-6
+    assert _is_dfs_free(dec) == (worst <= COMMUTE_TOL)
 
 
 def test_spectrum_on_the_cut_is_an_error():

@@ -178,7 +178,7 @@ def test_dd_check_dephasing_fails():
     # expected residual: norm of the undecoupled generator on the
     # peripheral range
     dec2 = analyze_peripheral(s2)
-    p_ext = extend_with_identity(dec2.peripheral_projection, 2)
+    p_ext = extend_with_identity(Superoperator(s2.dim, dec2.right @ dec2.left), 2)
     expected = np.linalg.norm(adjoint_rep(h).matrix @ p_ext.matrix)
     assert expected > 0.1
     assert v.residual == pytest.approx(expected, abs=1e-8)
@@ -218,7 +218,7 @@ def reference_dd_check(s2, h, d1):
     coeffs = [float(np.real(np.trace(h2_i @ rho))) for _, h2_i in sd.terms]
     h_eff = sd.h1 + sum(c * h1_i for c, (h1_i, _) in zip(coeffs, sd.terms))
     g = adjoint_rep(kron(h_eff, np.eye(d2)))
-    p_phi_ext = extend_with_identity(dec2.peripheral_projection, d1)
+    p_phi_ext = extend_with_identity(Superoperator(d2, dec2.right @ dec2.left), d1)
     residual = float(np.linalg.norm(h_z.matrix - g.matrix @ p_phi_ext.matrix))
     ergodic = dec2.dim_fixed == 1
     return residual, h_eff if ergodic else None, ergodic

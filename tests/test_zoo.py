@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from bathdd.channel import to_superoperator, validate_cptp
+from bathdd.cli import main
 from bathdd.linalg import kron, unvec, vec
 from bathdd.zoo import DF_RHO0, DF_RHO1, DF_U0, DF_U1, builtin, names, pauli
 
@@ -46,6 +49,32 @@ def test_p_rho_projects_onto_target():
 def test_p_rho_rejects_non_state():
     with pytest.raises(ValueError):
         builtin("P_rho", rho=np.diag([0.5, 0.7]))
+
+
+BAD_STATES = {
+    "non_hermitian": [[0.5, 0.5], [0.0, 0.5]],
+    "negative": [[2.0, 0.0], [0.0, -1.0]],
+    "wrong_trace": [[0.5, 0.0], [0.0, 0.7]],
+    "non_square": [[0.5, 0.5]],
+}
+
+
+@pytest.mark.parametrize("state", BAD_STATES)
+@pytest.mark.parametrize("name,param", [
+    ("P_rho", "rho"), ("E_omega", "omega"), ("E_df", "rho0"), ("E_df", "rho1"),
+])
+def test_invalid_state_parameter_raises_and_exits_2(name, param, state, tmp_path, capsys):
+    # eigh reads one triangle only, so a non-Hermitian state must be refused
+    # before it, not replaced by the Hermitian matrix of that triangle
+    with pytest.raises(ValueError, match=param):
+        builtin(name, **{param: BAD_STATES[state]})
+    cfg = {"channel": f"zoo:{name}", "channel_params": {param: BAD_STATES[state]},
+           "mode": "zeno", "n_values": [1], "hamiltonians": {"random": 1, "seed": 0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
 
 
 def test_omega_resets_bath():
