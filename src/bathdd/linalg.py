@@ -2,10 +2,9 @@
 
 Everything downstream works with plain ``numpy.ndarray`` of dtype complex128.
 This module wraps the handful of primitives the rest of the package relies on:
-the eigenvalues of modulus above a radius with biorthonormal right and left
-eigenvectors (one ordered Schur form, real for a real matrix and complex
-otherwise, always returning complex eigendata), matrix exponential, SVD-based
-norms, and Kronecker products.
+the eigenvalues of modulus above a radius of a real matrix with biorthonormal
+right and left eigenvectors (one ordered real Schur form, returning complex
+eigendata), matrix exponential, SVD-based norms, and Kronecker products.
 """
 
 from __future__ import annotations
@@ -92,37 +91,32 @@ def expm(m: np.ndarray) -> np.ndarray:
 
 
 def eig(m: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w of modulus >= radius of a real or complex square matrix
-    M, with right eigenvectors r and left adjoints lh: M r = r diag(w),
+    """Eigenvalues w of modulus >= radius of a real square matrix M, with
+    right eigenvectors r and left adjoints lh: M r = r diag(w),
     lh M = diag(w) lh and lh r = I. ``radius=0`` selects the whole spectrum.
-    w, r and lh are complex either way.
+    w, r and lh are complex; complex M raises ``ValueError``.
 
-    One ordered Schur form M = Q T Q^dag puts the selection first, one
-    (quasi-)triangular Sylvester solve T11 Y - Y T22 = -T12 splits it off, and
+    One ordered real Schur form M = Q T Q^T puts the selection first, one
+    quasi-triangular Sylvester solve T11 Y - Y T22 = -T12 splits it off, and
     with T11 = W diag(w) W^-1, r = Q1 W has unit columns and
-    lh = W^-1 [I, -Y] Q^dag (NaN where W is singular: the selection is then
-    defective). A real M takes the real Schur form, whose 2x2 diagonal blocks
-    hold complex-conjugate pairs; a pair has one modulus, so the selection
-    never splits it.
+    lh = W^-1 [I, -Y] Q^T (NaN where W is singular: the selection is then
+    defective). The 2x2 diagonal blocks of T hold complex-conjugate pairs; a
+    pair has one modulus, so the selection never splits it.
     """
     if np.iscomplexobj(m):
-        output, sort = "complex", lambda z: abs(z) >= radius
-    else:
-        output, sort = "real", lambda x, y: math.hypot(x, y) >= radius  # = |x + iy|
+        raise ValueError("eig takes a real matrix")
     try:
-        t, q, k = scipy.linalg.schur(m, output=output, sort=sort)
+        t, q, k = scipy.linalg.schur(m, sort=lambda x, y: math.hypot(x, y) >= radius)
         w, vecs = np.linalg.eig(t[:k, :k])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise LinalgError(f"eigensolver did not converge: {exc}") from exc
     vecs = vecs.astype(complex, copy=False)
-    qh = dagger(q)  # a view of q when q is real, so never written into
-    lh = qh[:k]
+    lh = q.T[:k]
     if 0 < k < len(t):
-        (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (t,))
-        y, scale, info = trsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
+        y, scale, info = scipy.linalg.lapack.dtrsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
         if info:
             raise LinalgError(f"eigenvalues either side of |z| = {radius!r} too close to split")
-        lh = lh - (y / scale) @ qh[k:]
+        lh = lh - (y / scale) @ q.T[k:]
     try:
         lh = np.linalg.solve(vecs, lh)
     except np.linalg.LinAlgError:

@@ -6,9 +6,9 @@ eigenvectors; every spectral projection and power of the peripheral part is
 read from those, in the rank of that part. A channel preserves Hermiticity,
 so its superoperator is a real matrix in the coordinates (X_ii, Re X_ij,
 Im X_ij) and that Schur form is real; a matrix that is not
-Hermiticity-preserving to rounding takes the complex Schur form instead.
-Only the peripheral part, always diagonalizable for a channel, is clustered
-and checked for defects.
+Hermiticity-preserving to rounding is not a channel and is refused. Only the
+peripheral part, always diagonalizable for a channel, is clustered and
+checked for defects.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ __all__ = [
 PERIPHERAL_TOL = 1e-8
 MAX_PERIPHERAL_TOL = 1e-4
 
-# A cluster whose unit right eigenvectors have condition number above this is
-# defective (non-diagonalizable).
+# A peripheral eigenvalue whose condition number ||r_j|| ||l_j|| (unit right
+# eigenvector, biorthonormal left one) exceeds this is defective or too close
+# to being so: the peripheral part of a channel is diagonalizable.
 DEFECT_COND = 1e8
 
-# S counts as Hermiticity-preserving (HP) when ||conj(S) - F S F|| <= HP_RTOL ||S||
+# S is accepted as Hermiticity-preserving (HP) when ||conj(S) - F S F|| <= HP_RTOL ||S||
 # (Frobenius; F swaps vec indices (i, j) and (j, i)). The two sides of an HP
 # map agree entry by entry; a kick built from Kraus operators or from products
 # of superoperators misses that by rounding only, at most 1.6 eps ||S|| over
@@ -74,13 +75,6 @@ class PeripheralDecomposition:
     @property
     def dim_recurrent(self) -> int:
         return int(np.sum(self.multiplicities))
-
-    @property
-    def projections(self) -> tuple[Superoperator, ...]:
-        """The spectral projection onto each peripheral eigenspace."""
-        ends = np.cumsum(self.multiplicities)
-        return tuple(Superoperator(self.dim, self.right[:, e - m:e] @ self.left[e - m:e])
-                     for m, e in zip(self.multiplicities, ends))
 
 
 def _same_cluster(dec: PeripheralDecomposition) -> np.ndarray:
@@ -134,34 +128,33 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
 
     Eigenvalues with |lambda| >= 1 - tol count as peripheral. One ordered
     Schur form (``linalg.eig``) gives them with biorthonormal right and left
-    eigenvectors, which are grouped into clusters of width ``tol``. A
-    Hermiticity-preserving S, as every channel is, goes to ``eig`` as the
-    real matrix T S T^-1 and its eigenvectors are mapped back; any other S
-    goes as the complex matrix. The peripheral part of a channel is always
-    diagonalizable, so a defective cluster is an error, and so is a spectrum
-    too close to the cut 1 - tol to split there.
+    eigenvectors, which are grouped into clusters of width ``tol``. S must
+    preserve Hermiticity, as every channel does (``ValueError`` otherwise); it
+    goes to ``eig`` as the real matrix T S T^-1 and its eigenvectors are
+    mapped back. The peripheral part of a channel is always diagonalizable,
+    so a defective eigenvalue is an error, and so is a spectrum too close to
+    the cut 1 - tol to split there.
     """
     if not 0 < tol <= MAX_PERIPHERAL_TOL:
         raise ValueError(f"tol must lie in (0, {MAX_PERIPHERAL_TOL:g}]")
     d, m = s.dim, s.matrix
     t, t_inv = _hermitian_coordinates(d)
     x = m.reshape(d, d, d, d)  # F S F is x.transpose(1, 0, 3, 2)
-    off = np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2))
-    hp = off <= HP_RTOL * np.linalg.norm(m)
+    if np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2)) > HP_RTOL * np.linalg.norm(m):
+        raise ValueError("superoperator is not Hermiticity-preserving: not a channel")
     try:
-        w, r, lh = eig((t @ m @ t_inv).real if hp else m, 1 - tol)
+        w, r, lh = eig((t @ m @ t_inv).real, 1 - tol)
     except LinalgError as exc:
         raise SpectralError(f"no peripheral decomposition at tol={tol:g}: {exc}") from exc
-    if hp:
-        r, lh = t_inv @ r, lh @ t
     if not w.size:
         raise SpectralError("no peripheral eigenvalue found; channel not CPTP?")
+    # NaN left vectors (singular W) fail the comparison too
+    if not np.all(np.linalg.norm(r, axis=0) * np.linalg.norm(lh, axis=1) <= DEFECT_COND):
+        raise SpectralError("peripheral eigenvalue cluster is defective or ill-conditioned; "
+                            "tol may be too loose for this channel")
+    r, lh = t_inv @ r, lh @ t
 
     clusters = cluster_indices(w, tol)
-    for idx in clusters:
-        if np.linalg.cond(r[:, idx]) > DEFECT_COND:
-            raise SpectralError("peripheral eigenvalue cluster is defective or ill-conditioned; "
-                                "tol may be too loose for this channel")
     # put the lambda = 1 cluster first
     values = np.array([w[idx].mean() for idx in clusters])
     order = np.argsort(np.abs(values - 1.0), kind="stable")

@@ -54,6 +54,19 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
     return Superoperator(dec.dim, dec.right @ core @ dec.left)
 
 
+def _lift(dec: PeripheralDecomposition, d1: int) -> PeripheralDecomposition:
+    """The peripheral decomposition of I_d1 kron E from that of E: each right
+    eigenoperator X_b becomes the d1^2 operators E_kl kron X_b, and each left
+    one likewise, so the columns and rows stay grouped by cluster."""
+    d, k = dec.dim, dec.dim_recurrent
+    eye = np.eye(d1)
+    right = np.einsum("km,ln,ijb->kiljbmn", eye, eye, dec.right.reshape(d, d, k))
+    left = np.einsum("km,ln,bij->bmnkilj", eye, eye, dec.left.reshape(k, d, d))
+    n, k1 = (d1 * d) ** 2, k * d1 * d1
+    return PeripheralDecomposition(d1 * d, dec.peripheral_values, dec.multiplicities * d1 * d1,
+                                   right.reshape(n, k1), left.reshape(k1, n))
+
+
 def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     """S = A B with A of size N x r and B of size r x N, from one SVD of the kick.
 
@@ -122,8 +135,8 @@ def dd_check(
     Zeno Hamiltonian of H to the decoupled generator on the range of the
     peripheral projection, the only part the Zeno limit constrains.
 
-    Only E_2 is analysed: the peripheral projections of I_1 kron E_2 are the
-    lifts I_1 kron P_l of the bath kick's projections P_l.
+    Only E_2 is analysed: the peripheral eigendata of I_1 kron E_2 are the
+    lifts of the bath kick's (``_lift``), so its projections are I_1 kron P_l.
     """
     d2 = s2.dim
     if h.shape[0] != d1 * d2:
@@ -132,9 +145,8 @@ def dd_check(
     dec2 = analyze_peripheral(s2)
     h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), fixed_point_state(dec2))
     h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
-    k_adj = adjoint_rep(h - kron(h_eff, np.eye(d2))).matrix
-    lifted = [extend_with_identity(p, d1).matrix for p in dec2.projections]
-    residual = float(np.linalg.norm(sum(p @ k_adj @ p for p in lifted)))
+    k = h - kron(h_eff, np.eye(d2))
+    residual = float(np.linalg.norm(zeno_hamiltonian(_lift(dec2, d1), k).matrix))
     ergodic = dec2.dim_fixed == 1
     return DdVerdict(works=residual <= tol, residual=residual,
                      effective_hamiltonian=h_eff if ergodic else None, kick_ergodic=ergodic)

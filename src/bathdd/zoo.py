@@ -43,20 +43,6 @@ def _unit(d: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _expected(name, dim_fixed, dim_recurrent, ergodic, mixing, irreducible,
-              dfs_free, cycles=()):
-    return Classification(
-        name=name,
-        dim_fixed=dim_fixed,
-        dim_recurrent=dim_recurrent,
-        ergodic=ergodic,
-        mixing=mixing,
-        irreducible=irreducible,
-        dfs_free=dfs_free,
-        cycle_lengths=tuple(cycles),
-    )
-
-
 def _reset_kraus(rho, what: str, d: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Eigenvalues of the density matrix ``rho`` and the Kraus operators
     {sqrt(lambda_a) |a><b|} of X -> tr(X) rho, over its eigenpairs
@@ -81,27 +67,24 @@ def _reset_kraus(rho, what: str, d: int | None = None) -> tuple[np.ndarray, list
 
 def _updown() -> ZooEntry:
     ch = KrausChannel(2, (_unit(2, 0, 1), _unit(2, 1, 0)), name="E_updown")
-    return ZooEntry(
-        "E_updown", ch,
-        _expected("E_updown", 1, 2, True, False, True, True, (2,)),
-    )
+    expected = Classification("E_updown", dim_fixed=1, dim_recurrent=2, ergodic=True,
+                              mixing=False, irreducible=True, dfs_free=True, cycle_lengths=(2,))
+    return ZooEntry("E_updown", ch, expected)
 
 
 def _hook() -> ZooEntry:
     ch = KrausChannel(3, (_unit(3, 0, 1), _unit(3, 1, 0), _unit(3, 0, 2)), name="E_hook")
-    return ZooEntry(
-        "E_hook", ch,
-        _expected("E_hook", 1, 2, True, False, False, True, (2,)),
-    )
+    expected = Classification("E_hook", dim_fixed=1, dim_recurrent=2, ergodic=True,
+                              mixing=False, irreducible=False, dfs_free=True, cycle_lengths=(2,))
+    return ZooEntry("E_hook", ch, expected)
 
 
 def _triangle() -> ZooEntry:
     ch = KrausChannel(3, (_unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 2, 0)),
                       name="E_triangle")
-    return ZooEntry(
-        "E_triangle", ch,
-        _expected("E_triangle", 1, 3, True, False, True, True, (3,)),
-    )
+    expected = Classification("E_triangle", dim_fixed=1, dim_recurrent=3, ergodic=True,
+                              mixing=False, irreducible=True, dfs_free=True, cycle_lengths=(3,))
+    return ZooEntry("E_triangle", ch, expected)
 
 
 def _square(p: float = 0.5) -> ZooEntry:
@@ -113,19 +96,18 @@ def _square(p: float = 0.5) -> ZooEntry:
     k3 = np.sqrt(p) * _unit(3, 0, 2)
     k4 = np.sqrt(1 - p) * _unit(3, 1, 2)
     ch = KrausChannel(3, (k1, k2, k3, k4), name="E_square")
-    return ZooEntry(
-        "E_square", ch,
-        _expected("E_square", 1, 2, True, False, True, True, (2,)),
-    )
+    expected = Classification("E_square", dim_fixed=1, dim_recurrent=2, ergodic=True,
+                              mixing=False, irreducible=True, dfs_free=True, cycle_lengths=(2,))
+    return ZooEntry("E_square", ch, expected)
 
 
 def _dephase(d: int = 2) -> ZooEntry:
     d = _integer(d, "d")
     ch = KrausChannel(d, tuple(_unit(d, i, i) for i in range(d)), name="E_dephase")
-    return ZooEntry(
-        "E_dephase", ch,
-        _expected("E_dephase", d, d, False, False, False, True, (1,) * d),
-    )
+    expected = Classification("E_dephase", dim_fixed=d, dim_recurrent=d, ergodic=False,
+                              mixing=False, irreducible=False, dfs_free=True,
+                              cycle_lengths=(1,) * d)
+    return ZooEntry("E_dephase", ch, expected)
 
 
 def _p_rho(rho=np.eye(2) / 2) -> ZooEntry:
@@ -137,10 +119,9 @@ def _p_rho(rho=np.eye(2) / 2) -> ZooEntry:
     vals, kraus = _reset_kraus(rho, "P_rho's rho")
     ch = KrausChannel(len(vals), tuple(kraus), name="P_rho")
     full_rank = bool(np.min(vals) > 1e-10)
-    return ZooEntry(
-        "P_rho", ch,
-        _expected("P_rho", 1, 1, True, True, full_rank, True, (1,)),
-    )
+    expected = Classification("P_rho", dim_fixed=1, dim_recurrent=1, ergodic=True,
+                              mixing=True, irreducible=full_rank, dfs_free=True, cycle_lengths=(1,))
+    return ZooEntry("P_rho", ch, expected)
 
 
 def _omega(omega=np.eye(2) / 2) -> ZooEntry:
@@ -149,11 +130,9 @@ def _omega(omega=np.eye(2) / 2) -> ZooEntry:
     _, resets = _reset_kraus(omega, "E_omega's omega", 2)
     ch = KrausChannel(4, tuple(kron(eye, k) for k in resets), name="E_omega")
     witness = ("Z_on_dfs", kron(Z, eye), False)
-    return ZooEntry(
-        "E_omega", ch,
-        _expected("E_omega", 4, 4, False, False, False, False),
-        witnesses=(witness,),
-    )
+    expected = Classification("E_omega", dim_fixed=4, dim_recurrent=4, ergodic=False,
+                              mixing=False, irreducible=False, dfs_free=False)
+    return ZooEntry("E_omega", ch, expected, witnesses=(witness,))
 
 
 # Fixed parameters of the block-permuting three-qubit channel: diagonal
@@ -164,30 +143,27 @@ DF_RHO0 = np.diag([0.25, 0.75]).astype(complex)
 DF_RHO1 = np.diag([0.6, 0.4]).astype(complex)
 
 
-def _df(u0=None, u1=None, rho0=None, rho1=None) -> ZooEntry:
+def _df(rho0=None, rho1=None) -> ZooEntry:
     """Three-qubit channel permuting two recurrent sub-blocks while acting
     unitarily on a two-dimensional decoherence-free factor:
     |0><0| kron A -> |1><1| kron U1 tr_3(A) U1^dag kron rho1 and vice versa,
-    coherences between the blocks are destroyed.
+    coherences between the blocks are destroyed. The unitaries are fixed
+    (``DF_U0``, ``DF_U1``): the expected profile and the witness hold for them.
     """
-    u0 = DF_U0 if u0 is None else np.asarray(u0, dtype=complex)
-    u1 = DF_U1 if u1 is None else np.asarray(u1, dtype=complex)
     rho0 = DF_RHO0 if rho0 is None else rho0
     rho1 = DF_RHO1 if rho1 is None else rho1
     kraus = [kron(kron(flip, u), prep)
-             for flip, u, rho, what in ((_unit(2, 1, 0), u1, rho1, "rho1"),
-                                        (_unit(2, 0, 1), u0, rho0, "rho0"))
+             for flip, u, rho, what in ((_unit(2, 1, 0), DF_U1, rho1, "rho1"),
+                                        (_unit(2, 0, 1), DF_U0, rho0, "rho0"))
              for prep in _reset_kraus(rho, f"E_df's {what}", 2)[1]]
     ch = KrausChannel(8, tuple(kraus), name="E_df")
     eye = np.eye(2, dtype=complex)
     # Z on the decoherence-free factor commutes with the diagonal block
     # unitaries, so its Zeno Hamiltonian survives.
     witness = ("Z_on_dfs", kron(kron(eye, Z), eye), False)
-    return ZooEntry(
-        "E_df", ch,
-        _expected("E_df", 2, 8, False, False, False, False),
-        witnesses=(witness,),
-    )
+    expected = Classification("E_df", dim_fixed=2, dim_recurrent=8, ergodic=False,
+                              mixing=False, irreducible=False, dfs_free=False)
+    return ZooEntry("E_df", ch, expected, witnesses=(witness,))
 
 
 _BUILDERS = {

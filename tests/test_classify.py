@@ -7,7 +7,7 @@ from bathdd.channel import KrausChannel, Superoperator, to_superoperator
 from bathdd.classify import _cycle_lengths, classify
 from bathdd.spectral import SpectralError, analyze_peripheral
 from bathdd.zeno import suppression_check
-from bathdd.zoo import builtin, names
+from bathdd.zoo import DF_RHO0, DF_RHO1, builtin, names
 from test_zeno import random_stinespring
 
 IDENTITY_2 = Superoperator(2, np.eye(4))
@@ -128,6 +128,17 @@ def random_unitary(d, seed):
     return q
 
 
+def df_with_unitaries(u0, u1):
+    """E_df's Kraus formula with other unitaries U0, U1 on the decoherence-free
+    factor: |1><0| kron U1 kron sqrt(p_a) |a><b| for rho1 = diag(p), and
+    |0><1| kron U0 likewise for rho0."""
+    flips = (np.array([[0, 0], [1, 0]]), np.array([[0, 1], [0, 0]]))
+    kraus = [np.kron(np.kron(flip, u), np.sqrt(rho[a, a]) * np.outer(np.eye(2)[a], np.eye(2)[b]))
+             for flip, u, rho in zip(flips, (u1, u0), (DF_RHO1, DF_RHO0))
+             for a in range(2) for b in range(2)]
+    return to_superoperator(KrausChannel(8, tuple(kraus)))
+
+
 def flip_times_unitary(seed):
     flip = builtin("E_updown").channel.kraus
     u = random_unitary(2, seed)
@@ -136,9 +147,8 @@ def flip_times_unitary(seed):
 
 THEOREM_KICKS = {
     **{name: lambda name=name: to_superoperator(builtin(name).channel) for name in names()},
-    **{f"E_df_phases_{seed}": lambda seed=seed: to_superoperator(builtin(
-        "E_df", u0=diagonal_unitary(2, seed), u1=diagonal_unitary(2, seed + 1)).channel)
-       for seed in (1, 2)},
+    **{f"E_df_phases_{seed}": lambda seed=seed: df_with_unitaries(
+        diagonal_unitary(2, seed), diagonal_unitary(2, seed + 1)) for seed in (1, 2)},
     **{f"stinespring_{d}_{rank}": lambda d=d, rank=rank: random_stinespring(d, rank, 10 * d + rank)
        for d in range(2, 7) for rank in (1, 2, 3)},
     **{f"unitary_{d}": lambda d=d: to_superoperator(KrausChannel(d, (random_unitary(d, d),)))

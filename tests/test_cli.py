@@ -203,6 +203,7 @@ BAD_FILES = {
     "zero_n": {**SWEEP_BASE, "n_values": [0, 2]},
     "bad_params": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"p": 3.0}},
     "unknown_param": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"q": 3.0}},
+    "df_unitary": {**SWEEP_BASE, "channel": "zoo:E_df", "channel_params": {"u0": [[1, 0], [0, 1]]}},
     "fixture_dim": {**SWEEP_BASE, "mode": "dd", "hamiltonians": {"fixture": "ZZI"}},
     "hamiltonians_key": {**SWEEP_BASE, "hamiltonians": {"random": 1, "seeds": 42}},
     "dim1": {"dim": 1, "kraus": [[[[1.0, 0.0]]]]},
@@ -249,6 +250,7 @@ BAD_FILES = {
     ["sweep", "--config", "{zero_n}", "--out", "{out}"],
     ["sweep", "--config", "{bad_params}", "--out", "{out}"],
     ["sweep", "--config", "{unknown_param}", "--out", "{out}"],
+    ["sweep", "--config", "{df_unitary}", "--out", "{out}"],
     ["sweep", "--config", "{fixture_dim}", "--out", "{out}"],
     ["sweep", "--config", "{hamiltonians_key}", "--out", "{out}"],
     ["zeno-check", "{dim1}", "--hamiltonian", "random:1"],

@@ -20,8 +20,8 @@ from bathdd.linalg import (
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
-def complex_matrices(n, elements=None):
-    el = st.floats(-5, 5, allow_nan=False) if elements is None else elements
+def complex_matrices(n):
+    el = st.floats(-5, 5, allow_nan=False)
     re = arrays(np.float64, (n, n), elements=el)
     im = arrays(np.float64, (n, n), elements=el)
     return st.builds(lambda a, b: a + 1j * b, re, im)
@@ -154,7 +154,7 @@ def test_expm_accuracy_large_norm():
 
 
 def test_eig_diagonal():
-    m = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+    m = np.diag([1.0, -1.0, 0.0, 0.0])
     w, r, lh = eig(m, 0.0)
     assert sorted(np.round(w.real, 10)) == [-1.0, 0.0, 0.0, 1.0]
     assert np.allclose(lh @ r, np.eye(4), atol=1e-12)
@@ -162,15 +162,15 @@ def test_eig_diagonal():
 
 def test_eig_updown_superoperator():
     # superoperator of the spin-flip channel built via an independent
-    # matrix-unit construction
-    k1 = np.array([[0, 1], [0, 0]], dtype=complex)
+    # matrix-unit construction; it is real in the matrix-unit basis
+    k1 = np.array([[0.0, 1.0], [0.0, 0.0]])
     k2 = k1.T.copy()
-    s = np.zeros((4, 4), dtype=complex)
+    s = np.zeros((4, 4))
     for i in range(2):
         for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
+            unit = np.zeros((2, 2))
             unit[i, j] = 1.0
-            out = k1 @ unit @ dagger(k1) + k2 @ unit @ dagger(k2)
+            out = k1 @ unit @ k1.T + k2 @ unit @ k2.T
             s[:, 2 * i + j] = out.reshape(-1)
     w, r, lh = eig(s, 0.0)
     assert np.allclose(sorted(np.round(w.real, 9)), [-1, 0, 0, 1])
@@ -192,12 +192,9 @@ def _real_block_diagonal(values):
     return scipy.linalg.block_diag(*blocks)
 
 
-def _hidden(d, rng, real):
-    """X D X^-1 for a random X, real when ``real`` is set and D is real."""
-    n = len(d)
-    x = rng.standard_normal((n, n))
-    if not real:
-        x = x + 1j * rng.standard_normal((n, n))
+def _hidden(d, rng):
+    """X D X^-1 for a random real X."""
+    x = rng.standard_normal(d.shape)
     return x @ d @ np.linalg.inv(x)
 
 
@@ -217,7 +214,7 @@ def assert_eig_contract(m, radius):
 
 def test_eig_residuals_and_biorthogonality():
     rng = np.random.default_rng(7)
-    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m = rng.standard_normal((6, 6))
     for radius in (0.0, np.median(np.abs(np.linalg.eigvals(m)))):
         w = assert_eig_contract(m, radius)
         assert w.size == (6 if radius == 0 else 3)
@@ -225,10 +222,10 @@ def test_eig_residuals_and_biorthogonality():
 
 def test_eig_real_input_residuals_and_biorthogonality():
     # a real M with complex-conjugate pairs on both sides of the radius 0.8:
-    # the real Schur route must meet the same contract as the complex one
+    # the selection must keep each pair whole
     rng = np.random.default_rng(7)
     d = _real_block_diagonal([1.2 * np.exp(0.4j), 1.1, 0.6 * np.exp(2.1j), 0.3, -0.7])
-    m = _hidden(d, rng, real=True)
+    m = _hidden(d, rng)
     assert m.dtype == float
     for radius, count in ((0.0, 7), (0.8, 3)):
         w = assert_eig_contract(m, radius)
@@ -248,10 +245,12 @@ def assert_selects_by_modulus(m, spectrum, counts):
 
 def test_eig_selects_by_modulus():
     # known spectrum on circles of radius 1, 0.9 and 0.5, hidden by a random
-    # similarity
+    # real similarity: real values and the conjugate pairs +-i, +-0.9i, +-0.5i
     rng = np.random.default_rng(11)
-    spectrum = np.array([1.0, -1.0, 1j, 0.9, -0.9j, 0.5, 0.5j, 0.0])
-    assert_selects_by_modulus(_hidden(np.diag(spectrum), rng, real=False), spectrum, (3, 5, 7, 8))
+    spectrum = np.array([1.0, -1.0, 1j, 0.9, 0.9j, 0.5, 0.5j, 0.0])
+    m = _hidden(_real_block_diagonal(spectrum), rng)
+    spectrum = np.concatenate([spectrum, spectrum[spectrum.imag != 0].conj()])
+    assert_selects_by_modulus(m, spectrum, (4, 7, 10, 11))
 
 
 def test_eig_real_input_selects_by_modulus():
@@ -259,7 +258,7 @@ def test_eig_real_input_selects_by_modulus():
     # non-real value: the pairs i, -i and 0.9 exp(+-0.7i) are selected whole
     rng = np.random.default_rng(11)
     spectrum = np.array([1.0, -1.0, 1j, 0.9 * np.exp(0.7j), 0.5, 0.5 * np.exp(2j), 0.0])
-    m = _hidden(_real_block_diagonal(spectrum), rng, real=True)
+    m = _hidden(_real_block_diagonal(spectrum), rng)
     spectrum = np.concatenate([spectrum, spectrum[spectrum.imag != 0].conj()])
     assert_selects_by_modulus(m, spectrum, (4, 6, 9, 10))
 
@@ -267,7 +266,7 @@ def test_eig_real_input_selects_by_modulus():
 def test_eig_defective_selection_keeps_values():
     # a nilpotent 3x3 Jordan block in disguise: the values are exact, the
     # right eigenvectors are dependent and no left adjoints exist
-    m = np.array([[0, 0, 1j], [1j, 0, 0], [0, 0, 0]])
+    m = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     w, r, lh = eig(m, 0.0)
     assert np.allclose(w, 0)
     assert np.linalg.cond(r) > 1e12
@@ -275,7 +274,7 @@ def test_eig_defective_selection_keeps_values():
 
 
 @settings(max_examples=25)
-@given(complex_matrices(3, st.floats(-3, 3, allow_nan=False)))
+@given(arrays(np.float64, (3, 3), elements=st.floats(-3, 3, allow_nan=False)))
 def test_eig_trace_and_det(m):
     w, _, _ = eig(m, 0.0)
     scale = max(1, np.linalg.norm(m))

@@ -29,6 +29,12 @@ def peripheral_projection(dec):
     return dec.right @ dec.left
 
 
+def projections(dec):
+    """The spectral projection right[:, c] @ left[c] of each cluster c."""
+    ends = np.cumsum(dec.multiplicities)
+    return [dec.right[:, e - m:e] @ dec.left[e - m:e] for m, e in zip(dec.multiplicities, ends)]
+
+
 def test_cluster_indices():
     vals = np.array([1.0, 1.0 + 1e-10, -1.0, 0.5])
     clusters = cluster_indices(vals, tol=1e-8)
@@ -43,7 +49,7 @@ def test_projection_channel_single_peripheral():
     assert np.allclose(dec.peripheral_values, [1.0])
     # P(A) = rho_* tr(A): projection equals the channel itself
     s = to_superoperator(builtin("P_rho").channel)
-    assert np.allclose(dec.projections[0].matrix, s.matrix, atol=1e-10)
+    assert np.allclose(projections(dec)[0], s.matrix, atol=1e-10)
 
 
 def test_updown_peripheral_structure():
@@ -53,7 +59,7 @@ def test_updown_peripheral_structure():
     # closed-form projections: 1/2 I tr(I .) and 1/2 Z tr(Z .)
     p0 = np.outer(np.eye(2).reshape(-1) / 2, np.eye(2).reshape(-1).conj())
     p1 = np.outer(Z.reshape(-1) / 2, Z.reshape(-1).conj())
-    got = {0: dec.projections[0].matrix, 1: dec.projections[1].matrix}
+    got = projections(dec)
     assert np.allclose(got[0], p0, atol=1e-9)
     assert np.allclose(got[1], p1, atol=1e-9)
 
@@ -73,10 +79,11 @@ def test_projection_identities(name, params):
     s = to_superoperator(builtin(name, **params).channel)
     dec = analyze_peripheral(s)
     # P_l P_l' = delta_ll' P_l
-    for i, pi in enumerate(dec.projections):
-        for j, pj in enumerate(dec.projections):
-            prod = pi.matrix @ pj.matrix
-            target = pi.matrix if i == j else 0 * pi.matrix
+    proj = projections(dec)
+    for i, pi in enumerate(proj):
+        for j, pj in enumerate(proj):
+            prod = pi @ pj
+            target = pi if i == j else 0 * pi
             assert np.linalg.norm(prod - target) < 1e-8
     # E_phi = E P_phi = P_phi E
     e_phi = peripheral_power(dec, 1).matrix
@@ -121,34 +128,6 @@ def test_peripheral_power_dephasing_is_itself():
         assert np.allclose(peripheral_power(dec, n).matrix, s.matrix, atol=1e-9)
 
 
-@pytest.mark.parametrize("jordan", [2, 3, 4])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_projections_exact_beside_defective_block(jordan, seed):
-    # M = X D X^-1 with peripheral values (1, -1, i), a Jordan block at 0.5
-    # and a random contracting diagonal: the peripheral projections are
-    # X[:, k] X^-1[k, :] exactly, however ill-conditioned the block is
-    rng = np.random.default_rng(seed)
-    n = 16
-    d = np.zeros((n, n), dtype=complex)
-    d[[0, 1, 2], [0, 1, 2]] = [1.0, -1.0, 1j]
-    block = range(3, 3 + jordan)
-    d[block, block] = 0.5
-    d[block[:-1], block[1:]] = 1.0
-    rest = range(3 + jordan, n)
-    radius = 0.9 * np.sqrt(rng.uniform(size=len(rest)))
-    d[rest, rest] = radius * np.exp(2j * np.pi * rng.uniform(size=len(rest)))
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x_inv = np.linalg.inv(x)
-
-    dec = analyze_peripheral(Superoperator(4, x @ d @ x_inv))
-    exact = x[:, :3] @ x_inv[:3, :]
-    assert np.max(np.abs(peripheral_projection(dec) - exact)) <= 1e-10
-    for lam, p in zip(dec.peripheral_values, dec.projections):
-        k = int(np.argmin(np.abs(np.diag(d)[:3] - lam)))
-        exact_k = np.outer(x[:, k], x_inv[k, :])
-        assert np.max(np.abs(p.matrix - exact_k)) <= 1e-10
-
-
 def _hermitian_coordinates(d):
     """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j), built
     from matrix units, and its inverse T^-1 (columns E_ii, E_ij + E_ji and
@@ -163,53 +142,91 @@ def _hermitian_coordinates(d):
     return t, t_inv
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_real_route_projections_exact_beside_defective_block(seed, monkeypatch):
-    # S = T^-1 M T with M = X D X^-1 real: S maps Hermitian operators to
-    # Hermitian ones, so it is analysed in real arithmetic. D has peripheral
-    # values 1, -1 and the pair +-i (a rotation block), a 3x3 Jordan block at
-    # 0.5 and contracting rotation blocks; the peripheral projections are
-    # T^-1 X E_k X^-1 T exactly, with E_k the spectral projections of D
+def hermiticity_preserving(m):
+    """T^-1 M T for a real d^2 x d^2 M: it maps Hermitian operators to
+    Hermitian ones, as a channel does, and has the spectrum of M."""
+    t, t_inv = _hermitian_coordinates(int(round(np.sqrt(len(m)))))
+    return t_inv @ m @ t
+
+
+def kick_beside_jordan_block(jordan, seed):
+    """S = T^-1 M T with M = X D X^-1 real. D has peripheral values 1, -1 and
+    the pair +-i (a rotation block), a Jordan block of size ``jordan`` at 0.5
+    and contracting real values and rotation blocks. Returns S and its exact
+    peripheral projections T^-1 X E_k X^-1 T by eigenvalue, with E_k the
+    spectral projections of D."""
     rng = np.random.default_rng(seed)
     n = 16
     d = np.zeros((n, n))
     d[0, 0], d[1, 1] = 1.0, -1.0
     d[2:4, 2:4] = [[0.0, -1.0], [1.0, 0.0]]
-    d[4:7, 4:7] = 0.5 * np.eye(3) + np.eye(3, k=1)
-    d[7, 7] = 0.9 * rng.uniform()
-    for b in range(8, n, 2):
+    end = 4 + jordan
+    d[4:end, 4:end] = 0.5 * np.eye(jordan) + np.eye(jordan, k=1)
+    if (n - end) % 2:
+        d[end, end] = 0.9 * rng.uniform()
+        end += 1
+    for b in range(end, n, 2):
         a = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         d[b:b + 2, b:b + 2] = [[a.real, -a.imag], [a.imag, a.real]]
     x = rng.standard_normal((n, n))
     x_inv = np.linalg.inv(x)
-    t, t_inv = _hermitian_coordinates(4)
-    s = t_inv @ (x @ d @ x_inv) @ t
-
-    inputs = []
-    monkeypatch.setattr(spectral, "eig", lambda m, radius: inputs.append(m) or eig(m, radius))
-    dec = analyze_peripheral(Superoperator(4, s))
-    assert [m.dtype for m in inputs] == [np.float64]
 
     e = {lam: np.zeros((n, n), dtype=complex) for lam in (1.0, -1.0, 1j, -1j)}
     e[1.0][0, 0] = e[-1.0][1, 1] = 1.0
     for lam in (1j, -1j):
         e[lam][2:4, 2:4] = [[0.5, 0.5 * lam], [-0.5 * lam, 0.5]]
-    exact = {lam: t_inv @ x @ ek @ x_inv @ t for lam, ek in e.items()}
+    return (hermiticity_preserving(x @ d @ x_inv),
+            {lam: hermiticity_preserving(x @ ek @ x_inv) for lam, ek in e.items()})
+
+
+def assert_projections_exact(dec, exact):
     assert np.max(np.abs(peripheral_projection(dec) - sum(exact.values()))) <= 1e-10
     assert sorted(dec.multiplicities) == [1, 1, 1, 1]
-    for lam, p in zip(dec.peripheral_values, dec.projections):
+    for lam, p in zip(dec.peripheral_values, projections(dec)):
         key = min(exact, key=lambda z: abs(z - lam))
         assert abs(key - lam) <= 1e-10
-        assert np.max(np.abs(p.matrix - exact[key])) <= 1e-10
+        assert np.max(np.abs(p - exact[key])) <= 1e-10
+
+
+@pytest.mark.parametrize("jordan", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projections_exact_beside_defective_block(jordan, seed):
+    # the peripheral projections are exact however ill-conditioned the
+    # Jordan block at 0.5 is
+    s, exact = kick_beside_jordan_block(jordan, seed)
+    assert_projections_exact(analyze_peripheral(Superoperator(4, s)), exact)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_route_projections_exact_beside_defective_block(seed, monkeypatch):
+    # S maps Hermitian operators to Hermitian ones, so it goes to eig once,
+    # as a real matrix
+    s, exact = kick_beside_jordan_block(3, seed)
+    inputs = []
+    monkeypatch.setattr(spectral, "eig", lambda m, radius: inputs.append(m) or eig(m, radius))
+    dec = analyze_peripheral(Superoperator(4, s))
+    assert [m.dtype for m in inputs] == [np.float64]
+    assert_projections_exact(dec, exact)
 
 
 def test_peripheral_jordan_block_is_defective():
     # eigenvalue 1 carries a 2x2 Jordan block: not the superoperator of a
     # channel, whose peripheral spectrum is always diagonalizable
-    m = np.diag([1.0, 1.0, 0.5, 0.2]).astype(complex)
+    m = np.diag([1.0, 1.0, 0.5, 0.2])
     m[0, 1] = 1.0
     with pytest.raises(SpectralError, match="defective"):
+        analyze_peripheral(Superoperator(2, hermiticity_preserving(m)))
+
+
+def test_non_channel_input_is_refused():
+    # a superoperator that does not preserve Hermiticity is no channel; eig
+    # itself takes real matrices only
+    m = np.diag([1.0, 0.5, 0.5, 0.2]).astype(complex)
+    m[1, 2] = 1e-6j
+    with pytest.raises(ValueError, match="not Hermiticity-preserving"):
         analyze_peripheral(Superoperator(2, m))
+    with pytest.raises(ValueError, match="real"):
+        eig(m, 0.5)
 
 
 def _stinespring(d, rank, seed):
@@ -256,9 +273,9 @@ def test_projections_match_full_eigendecomposition(key, analysed):
     reference = vr[:, on] @ vr_inv[on]
     assert np.max(np.abs(peripheral_projection(dec) - reference)) <= 1e-10
     assert dec.dim_recurrent == np.count_nonzero(on)
-    for lam, p in zip(dec.peripheral_values, dec.projections):
+    for lam, p in zip(dec.peripheral_values, projections(dec)):
         j = on & (np.abs(w - lam) <= tol)
-        assert np.max(np.abs(p.matrix - vr[:, j] @ vr_inv[j])) <= 1e-10
+        assert np.max(np.abs(p - vr[:, j] @ vr_inv[j])) <= 1e-10
 
 
 @pytest.mark.parametrize("key", KICKS)
@@ -270,9 +287,7 @@ def test_readers_in_the_kick_rank_match_per_cluster_references(key, analysed):
     d = dec.dim
     ends = np.cumsum(dec.multiplicities)
     clusters = [range(e - m, e) for m, e in zip(dec.multiplicities, ends)]
-    proj = [dec.right[:, c] @ dec.left[c] for c in clusters]
-    for p, q in zip(dec.projections, proj, strict=True):
-        assert np.array_equal(p.matrix, q)
+    proj = projections(dec)
     for n in (0, 1, 2, 3):
         reference = sum(lam**n * p for lam, p in zip(dec.peripheral_values, proj))
         assert np.max(np.abs(peripheral_power(dec, n).matrix - reference)) <= 1e-10
@@ -297,10 +312,10 @@ def test_spectrum_on_the_cut_is_an_error():
     # are coupled: no Sylvester solve can split them, so no projections
     tol = 1e-8
     edge = 1 - tol
-    m = np.diag([1.0, edge, np.nextafter(edge, 0), 0.5]).astype(complex)
+    m = np.diag([1.0, edge, np.nextafter(edge, 0), 0.5])
     m[1, 2] = 1.0
     with pytest.raises(SpectralError, match="tol=1e-08"):
-        analyze_peripheral(Superoperator(2, m), tol)
+        analyze_peripheral(Superoperator(2, hermiticity_preserving(m)), tol)
 
 
 def test_tol_validation():

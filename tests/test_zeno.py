@@ -26,6 +26,7 @@ from bathdd.zeno import (
 from bathdd.zoo import builtin, names, pauli
 from test_channel import random_unitary
 from test_harness import plain_kicked_evolution
+from test_spectral import projections
 
 Z = pauli("z")
 X = pauli("x")
@@ -50,9 +51,10 @@ def test_zeno_hamiltonian_block_structure():
     s = sup("E_updown")
     dec = analyze_peripheral(s)
     hz = zeno_hamiltonian(dec, random_bloch(3))
-    for i, pi in enumerate(dec.projections):
-        for j, pj in enumerate(dec.projections):
-            block = pi.matrix @ hz.matrix @ pj.matrix
+    proj = projections(dec)
+    for i, pi in enumerate(proj):
+        for j, pj in enumerate(proj):
+            block = pi @ hz.matrix @ pj
             if i != j:
                 assert np.linalg.norm(block) < 1e-8
 
@@ -226,7 +228,7 @@ def reference_dd_check(s2, h, d1):
 
 def assert_matches_reference(s2, seed):
     rng = np.random.default_rng(seed)
-    for d1 in (2, 3):
+    for d1 in (1, 2, 3):
         d = d1 * s2.dim
         if d > 8:
             continue
