@@ -65,7 +65,7 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
         except ValueError as exc:
             raise UsageError(f"cannot draw Hamiltonian {spec!r} at dim {dim}: {exc}") from exc
     try:
-        h = _matrix_from_pairs(json.loads(open(spec).read())["matrix"])
+        h = _matrix_from_pairs(json.loads(Path(spec).read_text())["matrix"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot load Hamiltonian {spec!r}: {exc}") from exc
     if h.shape != (dim, dim):
@@ -131,7 +131,7 @@ def _cmd_zeno_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        cfg = SweepConfig.from_dict(json.loads(open(args.config).read()))
+        cfg = SweepConfig.from_dict(json.loads(Path(args.config).read_text()))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad sweep config {args.config!r}: {exc}") from exc
     _require_cptp(_load(cfg.channel, cfg.channel_params))

@@ -122,6 +122,8 @@ class SweepConfig:
             raise ValueError(f"unknown sweep mode {cfg.mode!r}")
         if min(cfg.n_values, default=0) < 1 or cfg.d1 < 1:
             raise ValueError("n_values must be non-empty; n and d1 must be positive")
+        if len(set(cfg.n_values)) < len(cfg.n_values):
+            raise ValueError(f"n_values repeats an n: {list(cfg.n_values)}")
         if not np.isfinite(cfg.t):
             raise ValueError(f"t must be finite, got {cfg.t}")
         fixture = cfg.hamiltonians.get("fixture")

@@ -5,6 +5,8 @@ This module wraps the handful of primitives the rest of the package relies on:
 the eigenvalues of modulus above a radius of a real matrix with biorthonormal
 right and left eigenvectors (one ordered real Schur form, returning complex
 eigendata), matrix exponential, SVD-based norms, and Kronecker products.
+SciPy is imported by ``eig`` and ``expm`` on their first call, so importing the
+package, dd-mode sweeps and the dd figure reproductions never load it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "LinalgError",
@@ -87,6 +88,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expm requires a square matrix")
+    import scipy.linalg
+
     return scipy.linalg.expm(m)
 
 
@@ -105,6 +108,8 @@ def eig(m: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     if np.iscomplexobj(m):
         raise ValueError("eig takes a real matrix")
+    import scipy.linalg
+
     try:
         t, q, k = scipy.linalg.schur(m, sort=lambda x, y: math.hypot(x, y) >= radius)
         w, vecs = np.linalg.eig(t[:k, :k])

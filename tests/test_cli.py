@@ -201,6 +201,7 @@ BAD_FILES = {
     "bad_mode": {**SWEEP_BASE, "mode": "dephase"},
     "bad_fixture": {**SWEEP_BASE, "hamiltonians": {"fixture": "XX"}},
     "zero_n": {**SWEEP_BASE, "n_values": [0, 2]},
+    "repeated_n": {**SWEEP_BASE, "mode": "dd", "n_values": [1, 1, 2]},
     "bad_params": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"p": 3.0}},
     "unknown_param": {**SWEEP_BASE, "channel": "zoo:E_square", "channel_params": {"q": 3.0}},
     "df_unitary": {**SWEEP_BASE, "channel": "zoo:E_df", "channel_params": {"u0": [[1, 0], [0, 1]]}},
@@ -248,6 +249,7 @@ BAD_FILES = {
     ["sweep", "--config", "{bad_mode}", "--out", "{out}"],
     ["sweep", "--config", "{bad_fixture}", "--out", "{out}"],
     ["sweep", "--config", "{zero_n}", "--out", "{out}"],
+    ["sweep", "--config", "{repeated_n}", "--out", "{out}"],
     ["sweep", "--config", "{bad_params}", "--out", "{out}"],
     ["sweep", "--config", "{unknown_param}", "--out", "{out}"],
     ["sweep", "--config", "{df_unitary}", "--out", "{out}"],
