@@ -1,15 +1,16 @@
 """Metrics, parameter sweeps, and desk-scale reproduction of the reference
 decoupling/suppression curves.
 
-Every curve is the kicked evolution of ``zeno_evolution`` on chunks of the
-stacked Hamiltonian ensemble: with the kick factored once per sweep as S = A B,
-each n costs one small power for the core C_n of (S W)^n = A C_n. Mode "dd"
-kicks the bath of a bipartite system with I_1 kron E_2 and records the purity
-of the system legs of the Choi state, from the bath-traced factors of A and
-C_n; mode "zeno" kicks with E and records the trace-norm distance between the
-Choi states of A C_n and of E_phi^n (full suppression), which saturates at a
-nonzero constant when suppression fails. ``FIGURES`` holds each reference
-panel as a ``SweepConfig`` row, which ``reproduce`` runs through ``sweep``.
+Every curve is the kicked evolution (S W)^n = A P_n (B W) of
+``zeno._kicked_evolutions`` on chunks of the stacked Hamiltonian ensemble: the
+kick is factored once per sweep as S = A B, and each n costs one small power
+P_n = (B W A)^{n-1}. Mode "dd" kicks the bath of a bipartite system with
+I_1 kron E_2, the lift of E_2's own factors, and records the purity of the
+system legs of the Choi state from the bath-traced A and B W; mode "zeno" kicks
+with E and records the trace-norm distance between the Choi states of
+A P_n (B W) and of E_phi^n (full suppression), which saturates at a nonzero
+constant when suppression fails. ``FIGURES`` holds each reference panel as a
+``SweepConfig`` row, which ``reproduce`` runs through ``sweep``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, _integer, _real, choi, extend_with_identity,
-                      load_channel, to_superoperator)
+from .channel import (KrausChannel, Superoperator, _integer, _real, choi, load_channel,
+                      to_superoperator)
 from .hamiltonian import random_hamiltonian
 from .linalg import kron, trace_norm
 from .spectral import analyze_peripheral, peripheral_power
-from .zeno import _factor_kick, _kicked_evolutions
+from .zeno import _factor_kick, _kicked_evolutions, _lift
 from .zoo import builtin, pauli
 
 __all__ = [
@@ -91,7 +92,8 @@ class SweepConfig:
     ``channel`` is a zoo name ("zoo:E_updown") or a channel JSON file path.
     ``hamiltonians`` is either {"random": count, "seed": s} (count 100 and
     seed 0 by default) or {"fixture": name} with a named witness Hamiltonian;
-    their dimension is the channel's, times d1 in mode "dd".
+    their dimension is the channel's, times d1 in mode "dd". A config that is
+    out of range, whether built here or by ``from_dict``, raises ``ValueError``.
     """
 
     channel: str
@@ -102,6 +104,26 @@ class SweepConfig:
     d1: int = 2
     channel_params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("dd", "zeno"):
+            raise ValueError(f"unknown sweep mode {self.mode!r}")
+        if min(self.n_values, default=0) < 1 or self.d1 < 1:
+            raise ValueError("n_values must be non-empty; n and d1 must be positive")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ValueError(f"n_values repeats an n: {list(self.n_values)}")
+        if not np.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
+        fixture = self.hamiltonians.get("fixture")
+        known = {"random", "seed"} if fixture is None else {"fixture"}
+        extra = set(self.hamiltonians) - known
+        if extra:
+            raise ValueError(f"unknown hamiltonians keys {sorted(extra)}; known: {sorted(known)}")
+        if fixture is not None and fixture not in FIXTURE_HAMILTONIANS:
+            raise ValueError(f"unknown fixture {fixture!r}; known: {sorted(FIXTURE_HAMILTONIANS)}")
+        if _integer(self.hamiltonians.get("random", 1), "the random Hamiltonian count") < 1:
+            raise ValueError("the random Hamiltonian count must be positive")
+        _integer(self.hamiltonians.get("seed", 0), "the Hamiltonian seed")
+
     @staticmethod
     def from_dict(data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
@@ -109,7 +131,7 @@ class SweepConfig:
         extra = set(data) - {f.name for f in fields(SweepConfig)}
         if extra:
             raise ValueError(f"unknown sweep config keys: {sorted(extra)}")
-        cfg = SweepConfig(
+        return SweepConfig(
             channel=data["channel"],
             mode=data["mode"],
             n_values=tuple(_integer(n, "every n in n_values") for n in data["n_values"]),
@@ -118,25 +140,6 @@ class SweepConfig:
             d1=_integer(data.get("d1", 2), "d1"),
             channel_params=dict(data.get("channel_params", {})),
         )
-        if cfg.mode not in ("dd", "zeno"):
-            raise ValueError(f"unknown sweep mode {cfg.mode!r}")
-        if min(cfg.n_values, default=0) < 1 or cfg.d1 < 1:
-            raise ValueError("n_values must be non-empty; n and d1 must be positive")
-        if len(set(cfg.n_values)) < len(cfg.n_values):
-            raise ValueError(f"n_values repeats an n: {list(cfg.n_values)}")
-        if not np.isfinite(cfg.t):
-            raise ValueError(f"t must be finite, got {cfg.t}")
-        fixture = cfg.hamiltonians.get("fixture")
-        known = {"random", "seed"} if fixture is None else {"fixture"}
-        extra = set(cfg.hamiltonians) - known
-        if extra:
-            raise ValueError(f"unknown hamiltonians keys {sorted(extra)}; known: {sorted(known)}")
-        if fixture is not None and fixture not in FIXTURE_HAMILTONIANS:
-            raise ValueError(f"unknown fixture {fixture!r}; known: {sorted(FIXTURE_HAMILTONIANS)}")
-        if _integer(cfg.hamiltonians.get("random", 1), "the random Hamiltonian count") < 1:
-            raise ValueError("the random Hamiltonian count must be positive")
-        _integer(cfg.hamiltonians.get("seed", 0), "the Hamiltonian seed")
-        return cfg
 
 
 FIXTURE_HAMILTONIANS = {
@@ -153,8 +156,9 @@ def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
     return load_channel(spec)
 
 
-# A chunk holds at most _STACK Hamiltonians and _STACK_BYTES per stacked d^2 x d^2 array:
-# memory is flat in the count, and at 64x64 chunks of 4-8 ran 1.5x faster per H than 32.
+# A chunk holds at most _STACK Hamiltonians and _STACK_BYTES per complex d^2 x d^2 array it
+# could stack: zeno mode stacks the maps A P_n (B W), dd mode only the smaller (k, r, d^2)
+# B W. Memory is flat in the count, and at 64x64 chunks of 4-8 ran 1.5x faster per H than 32.
 _STACK, _STACK_BYTES = 32, 1 << 18
 
 
@@ -178,30 +182,31 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int):
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"). The kick
-    is factored once as S = A B, and each chunk of Hamiltonians is checked and
-    diagonalised once. Per n, the stacked core C_n of ``_kicked_evolutions``
-    gives the purity of (T A)(T C_n^T)^T / d ("dd") or the Choi distance of A C_n."""
+    channel is factored once as A B, lifted to I_1 kron E_2 by ``_lift`` in mode
+    "dd", and each chunk of Hamiltonians is checked and diagonalised once. Per n,
+    the stacked P_n and B W of ``_kicked_evolutions`` give the purity of the
+    d1^2 x d1^2 (T A) P_n (T (B W)^T)^T / d ("dd") or the Choi distance of
+    A P_n (B W) ("zeno")."""
     ch = resolve_channel(cfg.channel, cfg.channel_params)
     s = to_superoperator(ch)
+    a, b = _factor_kick(s)
     if cfg.mode == "dd":
-        kick, metric = extend_with_identity(s, cfg.d1), "purity"
-        a, b = _factor_kick(kick)
-        rows = _trace_bath(a, cfg.d1, ch.dim)
-        score = lambda c, n: _reduced_purity(
-            rows, _trace_bath(c.swapaxes(-1, -2), cfg.d1, ch.dim), kick.dim)
-    elif cfg.mode == "zeno":
-        dec, kick, metric = analyze_peripheral(s), s, "choi_distance"
-        targets = {n: peripheral_power(dec, n) for n in cfg.n_values}
-        a, b = _factor_kick(kick)
-        score = lambda c, n: choi_distance(Superoperator(kick.dim, a @ c), targets[n])
+        d1, d2, dim, metric = cfg.d1, ch.dim, cfg.d1 * ch.dim, "purity"
+        a, b = _lift(a, b, d1)
+        rows = _trace_bath(a, d1, d2)
+        score = lambda p, bw, n: _reduced_purity(
+            rows @ p, _trace_bath(bw.swapaxes(-1, -2), d1, d2), dim)
     else:
-        raise ValueError(f"unknown sweep mode {cfg.mode!r}")
+        dim, metric = ch.dim, "choi_distance"
+        dec = analyze_peripheral(s)
+        targets = {n: peripheral_power(dec, n) for n in cfg.n_values}
+        score = lambda p, bw, n: choi_distance(Superoperator(dim, a @ (p @ bw)), targets[n])
 
     records: list[SweepRecord] = []
     per_n: dict[int, list[float]] = {n: [] for n in cfg.n_values}
-    for seeds, h_label, hs in _hamiltonian_chunks(cfg, kick.dim):
-        for n, c in zip(cfg.n_values, _kicked_evolutions((a, b), hs, cfg.t, cfg.n_values)):
-            values = score(c, n).tolist()
+    for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim):
+        for n, (p, bw) in zip(cfg.n_values, _kicked_evolutions((a, b), hs, cfg.t, cfg.n_values)):
+            values = score(p, bw, n).tolist()
             per_n[n] += values
             records += (SweepRecord(n, metric, v, seed, cfg.channel, h_label, cfg.t)
                         for seed, v in zip(seeds, values))

@@ -9,6 +9,7 @@ kick's peripheral spectral projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -54,24 +55,26 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
     return Superoperator(dec.dim, dec.right @ core @ dec.left)
 
 
-def _lift(dec: PeripheralDecomposition, d1: int) -> PeripheralDecomposition:
-    """The peripheral decomposition of I_d1 kron E from that of E: each right
-    eigenoperator X_b becomes the d1^2 operators E_kl kron X_b, and each left
-    one likewise, so the columns and rows stay grouped by cluster."""
-    d, k = dec.dim, dec.dim_recurrent
+def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (columns, rows) of a bath map M = columns @ rows lifted to those of
+    I_d1 kron M: each column X_b, read as a d x d operator, becomes the d1^2
+    operators E_kl kron X_b, and each row likewise, grouped by b. So eigendata
+    stay grouped by cluster, and the factors of E = A B become the rank
+    d1^2 r factors of I_d1 kron E."""
+    d, k = isqrt(columns.shape[0]), columns.shape[1]
     eye = np.eye(d1)
-    right = np.einsum("km,ln,ijb->kiljbmn", eye, eye, dec.right.reshape(d, d, k))
-    left = np.einsum("km,ln,bij->bmnkilj", eye, eye, dec.left.reshape(k, d, d))
+    lifted_columns = np.einsum("km,ln,ijb->kiljbmn", eye, eye, columns.reshape(d, d, k))
+    lifted_rows = np.einsum("km,ln,bij->bmnkilj", eye, eye, rows.reshape(k, d, d))
     n, k1 = (d1 * d) ** 2, k * d1 * d1
-    return PeripheralDecomposition(d1 * d, dec.peripheral_values, dec.multiplicities * d1 * d1,
-                                   right.reshape(n, k1), left.reshape(k1, n))
+    return lifted_columns.reshape(n, k1), lifted_rows.reshape(k1, n)
 
 
 def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     """S = A B with A of size N x r and B of size r x N, from one SVD of the kick.
 
     r is the rank by numpy's ``matrix_rank`` rule (sigma > sigma_max N eps), so
-    only round-off is cut: a lifted kick I kron E has rank d1^2 rank(E).
+    only round-off is cut. A bath-DD sweep factors the bath kick E alone and
+    lifts its factors with ``_lift``: I kron E has rank d1^2 rank(E).
     """
     u, sigma, vh = np.linalg.svd(s_kick.matrix)
     r = int(np.count_nonzero(sigma > sigma[0] * len(sigma) * np.finfo(sigma.dtype).eps))
@@ -79,21 +82,25 @@ def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kicked_evolutions(factors, h: np.ndarray, t: float, n_values):
-    """C_n = (B W A)^{n-1} (B W), the r x N core of (S W)^n = A C_n, for each n.
+    """(P_n, B W) for each n, with P_n = (B W A)^{n-1}, so (S W)^n = A P_n (B W).
 
     S = A B comes from ``_factor_kick``. The free step W = V kron conj(V) is never
-    formed: row b of B, read as a d x d matrix X, maps to b W = vec(V^T X conj(V)).
-    H is checked and diagonalised once. A (k, d, d) stack of H yields (k, r, N) stacks.
+    formed: row b of B, read as a d x d matrix X_b, maps to b W = vec(V^T X_b conj(V)),
+    so with the rows laid side by side once, B W is V^T [X_1 ... X_r] and then the
+    stacked (r d x d) times conj(V). H is checked and diagonalised once. A (k, d, d)
+    stack of H yields (k, r, r) and (k, r, N) stacks.
     """
     a, b = factors
     energies, u = np.linalg.eigh(assert_hermitian(h))
-    x = b.reshape(-1, *u.shape[-2:])
+    d, r, lead = u.shape[-1], b.shape[0], u.shape[:-2]
+    x_side = b.reshape(r, d, d).swapaxes(0, 1).reshape(d, r * d)
     for n in n_values:
         if n < 1:
             raise ValueError("n must be at least 1")
-        v = ((u * np.exp(-1j * (t / n) * energies)[..., None, :]) @ dagger(u))[..., None, :, :]
-        bw = (v.swapaxes(-1, -2) @ x @ v.conj()).reshape(v.shape[:-3] + b.shape)
-        yield np.linalg.matrix_power(bw @ a, n - 1) @ bw
+        v = (u * np.exp(-1j * (t / n) * energies)[..., None, :]) @ dagger(u)
+        vx = (v.swapaxes(-1, -2) @ x_side).reshape(*lead, d, r, d).swapaxes(-3, -2)
+        bw = (vx.reshape(*lead, r * d, d) @ v.conj()).reshape(*lead, r, d * d)
+        yield np.linalg.matrix_power(bw @ a, n - 1), bw
 
 
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:
@@ -101,13 +108,14 @@ def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Su
 
     The free step e^{-i (t/n) [H,.]} is the unitary channel of
     V = U e^{-i (t/n) diag(w)} U^dag, from one ``eigh`` of the d x d Hamiltonian.
-    With the kick factored through its rank r as S = A B, the product is A C_n
-    for the r x d^2 core C_n of ``_kicked_evolutions``: one r x r power, and
-    B W without W. A (k, d, d) stack of Hamiltonians, each checked for
-    Hermiticity on its own, gives the (k, d^2, d^2) stack of their evolutions.
+    With the kick factored through its rank r as S = A B, the product is
+    A P_n (B W) from ``_kicked_evolutions``: one r x r power, and B W without W.
+    A (k, d, d) stack of Hamiltonians, each checked for Hermiticity on its own,
+    gives the (k, d^2, d^2) stack of their evolutions.
     """
     a, b = _factor_kick(s_kick)
-    return Superoperator(s_kick.dim, a @ next(_kicked_evolutions((a, b), h, t, (n,))))
+    p, bw = next(_kicked_evolutions((a, b), h, t, (n,)))
+    return Superoperator(s_kick.dim, a @ (p @ bw))
 
 
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:
@@ -146,7 +154,9 @@ def dd_check(
     h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), fixed_point_state(dec2))
     h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
     k = h - kron(h_eff, np.eye(d2))
-    residual = float(np.linalg.norm(zeno_hamiltonian(_lift(dec2, d1), k).matrix))
+    lifted = PeripheralDecomposition(d1 * d2, dec2.peripheral_values, dec2.multiplicities * d1 * d1,
+                                     *_lift(dec2.right, dec2.left, d1))
+    residual = float(np.linalg.norm(zeno_hamiltonian(lifted, k).matrix))
     ergodic = dec2.dim_fixed == 1
     return DdVerdict(works=residual <= tol, residual=residual,
                      effective_hamiltonian=h_eff if ergodic else None, kick_ergodic=ergodic)

@@ -167,6 +167,29 @@ def test_sweep_config_from_dict_keeps_integral_numbers():
     assert all(type(n) is int for n in cfg.n_values)
 
 
+VALID_SWEEP = dict(channel="zoo:E_updown", mode="dd", n_values=(1, 2),
+                   hamiltonians={"random": 2, "seed": 0})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"mode": "both"}, "unknown sweep mode"),
+    ({"n_values": (1, 1, 2)}, "repeats an n"),
+    ({"n_values": (0, 2)}, "must be positive"),
+    ({"n_values": ()}, "non-empty"),
+    ({"d1": 0}, "must be positive"),
+    ({"t": float("inf")}, "finite"),
+    ({"hamiltonians": {"random": 2, "bogus": 1}}, "unknown hamiltonians keys"),
+    ({"hamiltonians": {"fixture": "XX"}}, "unknown fixture"),
+    ({"hamiltonians": {"random": 0}}, "count must be positive"),
+], ids=["mode", "repeated_n", "n_zero", "no_n", "d1_zero", "t_inf", "hamiltonians_key",
+        "fixture", "count_zero"])
+def test_sweep_config_built_in_python_is_validated(change, message):
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(**{**VALID_SWEEP, **change})
+    with pytest.raises(ValueError, match=message):
+        replace(SweepConfig(**VALID_SWEEP), **change)
+
+
 def plain_kicked_evolution(kick, h, t, n):
     """(S W)^n with W = V kron conj(V) and V = expm(-i (t/n) H): the unfactored
     n-fold product, built without bathdd's kicked-evolution code."""
@@ -230,6 +253,30 @@ def test_stacked_sweep_matches_per_pair_reference(cfg):
     want = per_pair_reference(cfg)
     assert got.keys() == want.keys()
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+
+
+def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
+    import bathdd.channel
+    import bathdd.harness
+    import bathdd.zeno
+
+    def refuse(*args):
+        raise AssertionError("a dd sweep formed the lifted kick")
+
+    factored = []
+
+    def record(s_kick):
+        factored.append(s_kick.matrix.shape)
+        return bathdd.zeno._factor_kick(s_kick)
+
+    monkeypatch.setattr(bathdd.channel, "extend_with_identity", refuse)
+    monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse)
+    monkeypatch.setattr(bathdd.harness, "extend_with_identity", refuse, raising=False)
+    monkeypatch.setattr(bathdd.harness, "_factor_kick", record)
+    for cfg, d2 in ((FIGURES["fig3a"].config, 4), (STACKED_CASES["updown:d1=3"], 2)):
+        records = sweep(with_hamiltonians(cfg, random=2, seed=0))
+        assert len(records) == 5 * len(cfg.n_values)
+        assert factored.pop() == (d2 * d2, d2 * d2) and not factored
 
 
 def test_sweep_deterministic_replay(tmp_path):

@@ -17,6 +17,7 @@ from bathdd.zeno import (
     DD_TOL,
     _factor_kick,
     _kicked_evolutions,
+    _lift,
     dd_check,
     dd_evolution,
     suppression_check,
@@ -366,6 +367,25 @@ def test_factored_kicked_evolution_matches_plain_product(name):
         got = zeno_evolution(kick, hs, 0.7, n).matrix
         for h, m in zip(hs, got):
             assert np.max(np.abs(m - plain_kicked_evolution(kick, h, 0.7, n).matrix)) <= 1e-12
+
+
+# bath kicks whose factors are lifted to those of I kron E, with the rank of E;
+# the Stinespring kick of Kraus rank 9 on d = 3 has full rank 9 = d^2
+BATH_KICKS = {**{name: (sup(name), None) for name in names()},
+              "stinespring:full-rank": (random_stinespring(3, 9, 0), 9)}
+
+
+@pytest.mark.parametrize("d1", [1, 2, 3])
+@pytest.mark.parametrize("name", BATH_KICKS)
+def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
+    s2, rank = BATH_KICKS[name]
+    a2, b2 = _factor_kick(s2)
+    if rank is not None:
+        assert a2.shape[1] == rank
+    a, b = _lift(a2, b2, d1)
+    n = (d1 * s2.dim) ** 2
+    assert a.shape == (n, d1 * d1 * a2.shape[1]) and b.shape == (d1 * d1 * b2.shape[0], n)
+    assert np.max(np.abs(a @ b - extend_with_identity(s2, d1).matrix)) <= 1e-14
 
 
 def test_factored_kicked_evolution_error_paths():
