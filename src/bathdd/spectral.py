@@ -9,6 +9,11 @@ Im X_ij) and that Schur form is real; a matrix that is not
 Hermiticity-preserving to rounding is not a channel and is refused. Only the
 peripheral part, always diagonalizable for a channel, is clustered and
 checked for defects.
+
+Analyses are memoised in-process by content: a kick with the same matrix
+bytes and tolerance is analysed once, in a cache bounded at ``_CACHE_SIZE``
+entries, and every caller shares that one read-only decomposition. Separate
+processes share nothing, so a single CLI verdict still takes one Schur form.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ __all__ = [
     "PeripheralDecomposition",
     "SpectralError",
     "analyze_peripheral",
-    "cluster_indices",
     "fixed_point_state",
     "peripheral_power",
 ]
@@ -45,6 +49,10 @@ DEFECT_COND = 1e8
 # the zoo, Stinespring kicks up to d = 8, their squares and their identity
 # extensions. Dropping an anti-HP part of 100 eps moves nothing above rounding.
 HP_RTOL = 100 * np.finfo(float).eps
+
+# Distinct (kick, tol) analyses kept per process; at d = 8 a key holds a
+# 64 x 64 complex matrix, so 64 entries keep at most 4 MB of keys.
+_CACHE_SIZE = 64
 
 
 class SpectralError(RuntimeError):
@@ -83,7 +91,7 @@ def _same_cluster(dec: PeripheralDecomposition) -> np.ndarray:
     return labels[:, None] == labels
 
 
-def cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:
+def _cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:
     """Group indices of eigenvalues lying within ``tol`` of each other.
 
     Greedy transitive clustering; adequate because the channels of interest
@@ -134,10 +142,22 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
     mapped back. The peripheral part of a channel is always diagonalizable,
     so a defective eigenvalue is an error, and so is a spectrum too close to
     the cut 1 - tol to split there.
+
+    The result is memoised by content (dim, matrix bytes, tol) in a bounded
+    in-process cache, so asking several questions of one kick costs one
+    Schur form; another process analyses afresh. It is shared between
+    callers, so its arrays are read-only; refused input is not cached and
+    raises on every call.
     """
     if not 0 < tol <= MAX_PERIPHERAL_TOL:
         raise ValueError(f"tol must lie in (0, {MAX_PERIPHERAL_TOL:g}]")
-    d, m = s.dim, s.matrix
+    return _analyze(s.dim, s.matrix.tobytes(), float(tol))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _analyze(d: int, data: bytes, tol: float) -> PeripheralDecomposition:
+    """The body of ``analyze_peripheral`` on the bytes of S."""
+    m = np.frombuffer(data, dtype=complex).reshape(d * d, d * d)
     t, t_inv = _hermitian_coordinates(d)
     x = m.reshape(d, d, d, d)  # F S F is x.transpose(1, 0, 3, 2)
     if np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2)) > HP_RTOL * np.linalg.norm(m):
@@ -154,7 +174,7 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
                             "tol may be too loose for this channel")
     r, lh = t_inv @ r, lh @ t
 
-    clusters = cluster_indices(w, tol)
+    clusters = _cluster_indices(w, tol)
     # put the lambda = 1 cluster first
     values = np.array([w[idx].mean() for idx in clusters])
     order = np.argsort(np.abs(values - 1.0), kind="stable")
@@ -162,8 +182,10 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
     if abs(values[0] - 1.0) > tol * 10:
         raise SpectralError("eigenvalue 1 not found in the peripheral spectrum")
     idx = np.concatenate(clusters)
-    return PeripheralDecomposition(d, values, np.array([c.size for c in clusters]),
-                                   r[:, idx], lh[idx])
+    arrays = values, np.array([c.size for c in clusters]), r[:, idx], lh[idx]
+    for a in arrays:
+        a.flags.writeable = False  # shared by every caller of this kick
+    return PeripheralDecomposition(d, *arrays)
 
 
 def fixed_point_state(dec: PeripheralDecomposition) -> np.ndarray:

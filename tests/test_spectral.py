@@ -3,18 +3,18 @@ import pytest
 
 from bathdd import spectral
 from bathdd.channel import Superoperator, to_superoperator
-from bathdd.classify import COMMUTE_TOL, _is_dfs_free
+from bathdd.classify import COMMUTE_TOL, _is_dfs_free, classify
 from bathdd.hamiltonian import adjoint_rep, random_hamiltonian
 from bathdd.linalg import dagger, eig
 from bathdd.spectral import (
     PERIPHERAL_TOL,
     SpectralError,
+    _cluster_indices,
     analyze_peripheral,
-    cluster_indices,
     fixed_point_state,
     peripheral_power,
 )
-from bathdd.zeno import zeno_hamiltonian
+from bathdd.zeno import dd_check, suppression_check, zeno_hamiltonian
 from bathdd.zoo import builtin, names
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -37,7 +37,7 @@ def projections(dec):
 
 def test_cluster_indices():
     vals = np.array([1.0, 1.0 + 1e-10, -1.0, 0.5])
-    clusters = cluster_indices(vals, tol=1e-8)
+    clusters = _cluster_indices(vals, tol=1e-8)
     merged = sorted(tuple(c) for c in clusters)
     assert merged == [(0, 1), (2,), (3,)]
 
@@ -197,15 +197,22 @@ def test_projections_exact_beside_defective_block(jordan, seed):
     assert_projections_exact(analyze_peripheral(Superoperator(4, s)), exact)
 
 
+@pytest.fixture
+def eig_inputs(monkeypatch):
+    """The matrices that reach eig during the test."""
+    inputs = []
+    monkeypatch.setattr(spectral, "eig", lambda m, radius: inputs.append(m) or eig(m, radius))
+    return inputs
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_real_route_projections_exact_beside_defective_block(seed, monkeypatch):
+def test_real_route_projections_exact_beside_defective_block(seed, eig_inputs):
     # S maps Hermitian operators to Hermitian ones, so it goes to eig once,
     # as a real matrix
     s, exact = kick_beside_jordan_block(3, seed)
-    inputs = []
-    monkeypatch.setattr(spectral, "eig", lambda m, radius: inputs.append(m) or eig(m, radius))
+    spectral._analyze.cache_clear()  # an earlier test analyses the same matrix
     dec = analyze_peripheral(Superoperator(4, s))
-    assert [m.dtype for m in inputs] == [np.float64]
+    assert [m.dtype for m in eig_inputs] == [np.float64]
     assert_projections_exact(dec, exact)
 
 
@@ -324,3 +331,72 @@ def test_tol_validation():
         analyze_peripheral(s, tol=0.0)
     with pytest.raises(ValueError):
         analyze_peripheral(s, tol=1e-3)
+
+
+def _fresh_kick(d, seed):
+    """S of a Stinespring kick that no other test analyses (seeds >= 1000)."""
+    return sum(np.kron(k, k.conj()) for k in _stinespring(d, 2, seed))
+
+
+def test_equal_kick_is_analysed_once(eig_inputs):
+    # every verdict on one kick reads one decomposition, whatever Superoperator
+    # or memory layout carries the matrix
+    m = _fresh_kick(3, 1000)
+    first = analyze_peripheral(Superoperator(3, m))
+    again = analyze_peripheral(Superoperator(3, np.asfortranarray(m.copy())))
+    classify(Superoperator(3, m.copy()))
+    suppression_check(Superoperator(3, m.copy()), random_hamiltonian(3, seed=1000))
+    dd_check(Superoperator(3, m.copy()), random_hamiltonian(6, seed=1000), 2)
+    assert len(eig_inputs) == 1
+    assert again is first
+
+
+def test_each_tol_is_analysed_once(eig_inputs):
+    s = Superoperator(3, _fresh_kick(3, 1001))
+    for _ in range(2):
+        analyze_peripheral(s, 1e-8)
+        analyze_peripheral(s, np.float64(1e-9))
+    assert len(eig_inputs) == 2
+
+
+def test_matrix_edited_in_place_is_analysed_afresh(eig_inputs):
+    before, after = _fresh_kick(2, 1002), _fresh_kick(2, 1003)
+    s = Superoperator(2, before.copy())
+    analyze_peripheral(s)
+    s.matrix[:] = after
+    rho = fixed_point_state(analyze_peripheral(s))
+    assert len(eig_inputs) == 2
+    assert np.max(np.abs(after @ rho.reshape(-1) - rho.reshape(-1))) <= 1e-12
+    assert np.max(np.abs(before @ rho.reshape(-1) - rho.reshape(-1))) > 1e-6
+
+
+def test_shared_decomposition_is_read_only():
+    dec = analyze_peripheral(Superoperator(2, _fresh_kick(2, 1004)))
+    for name in ("peripheral_values", "multiplicities", "right", "left"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dec, name)[0] = 0
+
+
+def test_refused_input_raises_on_every_call(eig_inputs):
+    non_hp = np.diag([1.0, 0.5, 0.5, 0.2]).astype(complex)
+    non_hp[1, 2] = 1e-6j
+    defective = np.diag([1.0, 1.0, 0.5, 0.2])
+    defective[0, 1] = 1.0
+    s = Superoperator(2, _fresh_kick(2, 1005))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+            analyze_peripheral(Superoperator(2, non_hp))
+        with pytest.raises(SpectralError, match="defective"):
+            analyze_peripheral(Superoperator(2, hermiticity_preserving(defective)))
+        for tol in (0.0, 1e-3, float("nan")):
+            with pytest.raises(ValueError, match="tol must lie"):
+                analyze_peripheral(s, tol)
+    assert len(eig_inputs) == 2  # the defective matrix, once per call
+
+
+def test_memo_is_bounded():
+    for seed in range(2000, 2000 + spectral._CACHE_SIZE + 5):
+        analyze_peripheral(Superoperator(2, _fresh_kick(2, seed)))
+    info = spectral._analyze.cache_info()
+    assert info.maxsize == spectral._CACHE_SIZE
+    assert info.currsize <= info.maxsize
