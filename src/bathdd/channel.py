@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -105,19 +106,28 @@ def choi(s: Superoperator) -> np.ndarray:
     return s.matrix.reshape(*shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(shape) / d
 
 
-def extend_with_identity(s2: Superoperator, d1: int) -> Superoperator:
-    """Superoperator of I_1 kron E_2 acting on B(H_1 kron H_2)."""
+def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (columns, rows) of a bath map M = columns @ rows lifted to those of
+    I_d1 kron M: each column X_b, read as a d x d operator, becomes the d1^2
+    operators E_kl kron X_b, and each row likewise, grouped by b. So eigendata
+    stay grouped by cluster, and the factors of E = A B become the rank
+    d1^2 r factors of I_d1 kron E."""
     if d1 < 1:
         raise ChannelError("d1 must be at least 1")
+    d, k = isqrt(columns.shape[0]), columns.shape[1]
+    eye = np.eye(d1)
+    lifted_columns = np.einsum("km,ln,ijb->kiljbmn", eye, eye, columns.reshape(d, d, k))
+    lifted_rows = np.einsum("km,ln,bij->bmnkilj", eye, eye, rows.reshape(k, d, d))
+    n, k1 = (d1 * d) ** 2, k * d1 * d1
+    return lifted_columns.reshape(n, k1), lifted_rows.reshape(k1, n)
+
+
+def extend_with_identity(s2: Superoperator, d1: int) -> Superoperator:
+    """Superoperator of I_1 kron E_2 acting on B(H_1 kron H_2): E_2 = E_2 I, lifted by ``_lift``."""
     if d1 == 1:
         return s2
-    d2 = s2.dim
-    r = s2.matrix.reshape(d2, d2, d2, d2)
-    eye = np.eye(d1)
-    # indices: out (i1 i2, j1 j2), in (k1 k2, l1 l2)
-    big = np.einsum("ik,jl,abcd->iajbkcld", eye, eye, r)
-    d = d1 * d2
-    return Superoperator(d, big.reshape(d * d, d * d))
+    columns, rows = _lift(s2.matrix, np.eye(s2.dim**2), d1)
+    return Superoperator(d1 * s2.dim, columns @ rows)
 
 
 # --- channel file format -----------------------------------------------------

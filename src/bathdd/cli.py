@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input channel fails the CPTP check, 2 usage error,
-3 numerical failure (defective peripheral cluster, ...).
+Exit codes: 0 success, 1 input channel fails the CPTP check, 2 usage error
+(an input too large for memory included), 3 numerical failure (defective
+peripheral cluster, ...).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (KrausChannel, _matrix_from_pairs, _matrix_to_pairs, to_superoperator,
-                      validate_cptp)
+from .channel import (KrausChannel, Superoperator, _matrix_from_pairs, _matrix_to_pairs,
+                      to_superoperator, validate_cptp)
 from .classify import classify
 from .hamiltonian import random_hamiltonian
 from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
@@ -52,6 +53,13 @@ def _require_cptp(ch: KrausChannel) -> None:
         raise SystemExit(EXIT_NOT_CPTP)
 
 
+def _kick(spec: str) -> tuple[KrausChannel, Superoperator]:
+    """The channel named by ``spec``, refused unless CPTP, and its superoperator."""
+    ch = _load(spec)
+    _require_cptp(ch)
+    return ch, to_superoperator(ch)
+
+
 def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
     if spec.startswith("random:"):
         try:
@@ -76,17 +84,14 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
 
 
 def _cmd_classify(args) -> int:
-    ch = _load(args.channel)
-    _require_cptp(ch)
-    c = classify(to_superoperator(ch), name=ch.name or args.channel, tol=args.tol)
+    ch, s = _kick(args.channel)
+    c = classify(s, name=ch.name or args.channel, tol=args.tol)
     print(json.dumps(c.to_record(), indent=1))
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    ch = _load(args.channel)
-    _require_cptp(ch)
-    dec = analyze_peripheral(to_superoperator(ch), tol=args.tol)
+    dec = analyze_peripheral(_kick(args.channel)[1], tol=args.tol)
     out = {
         "dim": dec.dim,
         "dim_fixed": dec.dim_fixed,
@@ -99,9 +104,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_dd_check(args) -> int:
-    ch = _load(args.channel)
-    _require_cptp(ch)
-    s2 = to_superoperator(ch)
+    ch, s2 = _kick(args.channel)
     h = _load_hamiltonian(args.hamiltonian, args.d1 * ch.dim)
     verdict = dd_check(s2, h, args.d1, tol=args.tol)
     h_eff = verdict.effective_hamiltonian
@@ -116,9 +119,7 @@ def _cmd_dd_check(args) -> int:
 
 
 def _cmd_zeno_check(args) -> int:
-    ch = _load(args.channel)
-    _require_cptp(ch)
-    s = to_superoperator(ch)
+    ch, s = _kick(args.channel)
     h = _load_hamiltonian(args.hamiltonian, ch.dim)
     norm = float(np.linalg.norm(zeno_hamiltonian(analyze_peripheral(s), h).matrix))
     out = {
@@ -228,12 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        raise SystemExit(EXIT_USAGE if exc.code else EXIT_OK)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -242,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SpectralError, LinalgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"input too large for memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

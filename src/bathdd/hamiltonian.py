@@ -9,12 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Superoperator
-from .linalg import assert_hermitian, kron, operator_norm
+from .linalg import assert_hermitian, kron
 
 __all__ = [
     "SchmidtDecomposition",
     "adjoint_rep",
-    "hermitian_basis",
     "random_hamiltonian",
     "schmidt",
 ]
@@ -30,7 +29,7 @@ def adjoint_rep(h: np.ndarray) -> Superoperator:
     return Superoperator(d, kron(h, eye) - kron(eye, h.T))
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
+def _hermitian_basis(d: int) -> list[np.ndarray]:
     """HS-orthonormal Hermitian basis of B(C^d); first element is 1/sqrt(d),
     all others traceless (generalized Gell-Mann matrices).
     """
@@ -90,8 +89,8 @@ def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecom
         raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
     hr = h.reshape(d1, d2, d1, d2)
     # real coefficients c[m, n] = tr((G_m kron G_n) H)
-    g1s = np.stack(hermitian_basis(d1))
-    g2s = np.stack(hermitian_basis(d2))
+    g1s = np.stack(_hermitian_basis(d1))
+    g2s = np.stack(_hermitian_basis(d2))
     coeff = np.real(np.einsum("mji,nlk,ikjl->mn", g1s, g2s, hr))
 
     ident = float(coeff[0, 0] / np.sqrt(d1 * d2))
@@ -131,4 +130,4 @@ def random_hamiltonian(d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d))
     h = (g + g.T) / 2
-    return (h / operator_norm(h)).astype(complex)
+    return (h / float(np.linalg.svd(h, compute_uv=False)[0])).astype(complex)

@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, _integer, _real, choi, load_channel,
+from .channel import (KrausChannel, Superoperator, _integer, _lift, _real, choi, load_channel,
                       to_superoperator)
 from .hamiltonian import random_hamiltonian
 from .linalg import kron, trace_norm
 from .spectral import analyze_peripheral, peripheral_power
-from .zeno import _factor_kick, _kicked_evolutions, _lift
+from .zeno import _factor_kick, _kicked_evolutions
 from .zoo import builtin, pauli
 
 __all__ = [

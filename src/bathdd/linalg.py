@@ -4,7 +4,7 @@ Everything downstream works with plain ``numpy.ndarray`` of dtype complex128.
 This module wraps the handful of primitives the rest of the package relies on:
 the eigenvalues of modulus above a radius of a real matrix with biorthonormal
 right and left eigenvectors (one ordered real Schur form, returning complex
-eigendata), matrix exponential, SVD-based norms, and Kronecker products.
+eigendata), matrix exponential, the SVD-based trace norm, and Kronecker products.
 SciPy is imported by ``eig`` and ``expm`` on their first call, so importing the
 package, dd-mode sweeps and the dd figure reproductions never load it.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "expm",
     "is_hermitian",
     "kron",
-    "operator_norm",
     "trace_norm",
     "unvec",
     "vec",
@@ -71,11 +70,6 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
     """Sum of the singular values of a matrix, or one per matrix of a stack."""
     return np.linalg.svd(m, compute_uv=False).sum(axis=-1)
-
-
-def operator_norm(m: np.ndarray) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,11 +9,10 @@ kick's peripheral spectral projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
-from .channel import Superoperator, extend_with_identity
+from .channel import Superoperator, _lift
 from .hamiltonian import adjoint_rep
 from .linalg import assert_hermitian, dagger, kron
 from .spectral import PeripheralDecomposition, _same_cluster, analyze_peripheral, fixed_point_state
@@ -55,20 +54,6 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
     return Superoperator(dec.dim, dec.right @ core @ dec.left)
 
 
-def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (columns, rows) of a bath map M = columns @ rows lifted to those of
-    I_d1 kron M: each column X_b, read as a d x d operator, becomes the d1^2
-    operators E_kl kron X_b, and each row likewise, grouped by b. So eigendata
-    stay grouped by cluster, and the factors of E = A B become the rank
-    d1^2 r factors of I_d1 kron E."""
-    d, k = isqrt(columns.shape[0]), columns.shape[1]
-    eye = np.eye(d1)
-    lifted_columns = np.einsum("km,ln,ijb->kiljbmn", eye, eye, columns.reshape(d, d, k))
-    lifted_rows = np.einsum("km,ln,bij->bmnkilj", eye, eye, rows.reshape(k, d, d))
-    n, k1 = (d1 * d) ** 2, k * d1 * d1
-    return lifted_columns.reshape(n, k1), lifted_rows.reshape(k1, n)
-
-
 def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     """S = A B with A of size N x r and B of size r x N, from one SVD of the kick.
 
@@ -103,6 +88,12 @@ def _kicked_evolutions(factors, h: np.ndarray, t: float, n_values):
         yield np.linalg.matrix_power(bw @ a, n - 1), bw
 
 
+def _evolution(dim: int, factors, h: np.ndarray, t: float, n: int) -> Superoperator:
+    """A P_n (B W) from ``_kicked_evolutions`` for the kick A B on a dim-dimensional space."""
+    p, bw = next(_kicked_evolutions(factors, h, t, (n,)))
+    return Superoperator(dim, factors[0] @ (p @ bw))
+
+
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:
     """(E e^{-i (t/n) [H,.]})^n, computed as an exact n-fold product.
 
@@ -113,14 +104,13 @@ def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Su
     A (k, d, d) stack of Hamiltonians, each checked for Hermiticity on its own,
     gives the (k, d^2, d^2) stack of their evolutions.
     """
-    a, b = _factor_kick(s_kick)
-    p, bw = next(_kicked_evolutions((a, b), h, t, (n,)))
-    return Superoperator(s_kick.dim, a @ (p @ bw))
+    return _evolution(s_kick.dim, _factor_kick(s_kick), h, t, n)
 
 
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:
-    """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n."""
-    return zeno_evolution(extend_with_identity(s2, d1), h, t, n)
+    """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n, from
+    the factors of E alone, lifted by ``_lift`` as in a bath-DD sweep."""
+    return _evolution(d1 * s2.dim, _lift(*_factor_kick(s2), d1), h, t, n)
 
 
 def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_TOL) -> bool:

@@ -105,6 +105,25 @@ def test_usage_error_bad_subcommand():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["classify", "--help"], 0), ([], 2)])
+def test_parser_exit_codes(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+
+
+def test_input_too_large_for_memory_exits_2_with_one_line(monkeypatch, capsys):
+    import bathdd.cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+    monkeypatch.setattr(bathdd.cli, "dd_check", out_of_memory)
+    code, out, err = run(capsys, "dd-check", "zoo:E_updown", "--hamiltonian", "random:1")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1, err
+
+
 def test_dd_check_random(capsys):
     code, out, _ = run(capsys, "dd-check", "zoo:E_updown",
                        "--hamiltonian", "random:7", "--d1", "2")

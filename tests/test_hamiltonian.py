@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bathdd.hamiltonian import (
+    _hermitian_basis,
     adjoint_rep,
-    hermitian_basis,
     random_hamiltonian,
     schmidt,
 )
-from bathdd.linalg import dagger, expm, kron, operator_norm, unvec, vec
+from bathdd.linalg import dagger, expm, kron, unvec, vec
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,7 +57,7 @@ def test_adjoint_rep_requires_hermitian():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_hermitian_basis_orthonormal_complete(d):
-    basis = hermitian_basis(d)
+    basis = _hermitian_basis(d)
     assert len(basis) == d * d
     assert np.allclose(basis[0], np.eye(d) / np.sqrt(d))
     for i, a in enumerate(basis):
@@ -118,7 +118,7 @@ def test_schmidt_dim_mismatch():
 def test_random_hamiltonian_contract():
     h = random_hamiltonian(4, 42)
     assert np.allclose(h, dagger(h))
-    assert operator_norm(h) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(h, 2) == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(h, random_hamiltonian(4, 42))
     assert not np.array_equal(h, random_hamiltonian(4, 43))
 

@@ -270,7 +270,7 @@ def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
         return bathdd.zeno._factor_kick(s_kick)
 
     monkeypatch.setattr(bathdd.channel, "extend_with_identity", refuse)
-    monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse)
+    monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse, raising=False)
     monkeypatch.setattr(bathdd.harness, "extend_with_identity", refuse, raising=False)
     monkeypatch.setattr(bathdd.harness, "_factor_kick", record)
     for cfg, d2 in ((FIGURES["fig3a"].config, 4), (STACKED_CASES["updown:d1=3"], 2)):

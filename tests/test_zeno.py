@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bathdd.channel import (
     KrausChannel,
     Superoperator,
+    _lift,
     extend_with_identity,
     to_superoperator,
 )
@@ -17,7 +18,6 @@ from bathdd.zeno import (
     DD_TOL,
     _factor_kick,
     _kicked_evolutions,
-    _lift,
     dd_check,
     dd_evolution,
     suppression_check,
@@ -369,23 +369,64 @@ def test_factored_kicked_evolution_matches_plain_product(name):
             assert np.max(np.abs(m - plain_kicked_evolution(kick, h, 0.7, n).matrix)) <= 1e-12
 
 
-# bath kicks whose factors are lifted to those of I kron E, with the rank of E;
+def kraus_lift(ch, d1):
+    """I_d1 kron E from the Kraus operators I_d1 kron K of E, independent of ``_lift``."""
+    return to_superoperator(KrausChannel(d1 * ch.dim, tuple(kron(np.eye(d1), k) for k in ch.kraus)))
+
+
+# bath channels whose factors are lifted to those of I kron E, with the rank of E;
 # the Stinespring kick of Kraus rank 9 on d = 3 has full rank 9 = d^2
-BATH_KICKS = {**{name: (sup(name), None) for name in names()},
-              "stinespring:full-rank": (random_stinespring(3, 9, 0), 9)}
+BATH_KICKS = {**{name: (builtin(name).channel, None) for name in names()},
+              "stinespring:full-rank": (
+                  KrausChannel(3, tuple(stinespring_kraus(3, 9, np.random.default_rng(0)))), 9)}
 
 
 @pytest.mark.parametrize("d1", [1, 2, 3])
 @pytest.mark.parametrize("name", BATH_KICKS)
 def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
-    s2, rank = BATH_KICKS[name]
+    ch, rank = BATH_KICKS[name]
+    s2 = to_superoperator(ch)
     a2, b2 = _factor_kick(s2)
     if rank is not None:
         assert a2.shape[1] == rank
     a, b = _lift(a2, b2, d1)
     n = (d1 * s2.dim) ** 2
     assert a.shape == (n, d1 * d1 * a2.shape[1]) and b.shape == (d1 * d1 * b2.shape[0], n)
-    assert np.max(np.abs(a @ b - extend_with_identity(s2, d1).matrix)) <= 1e-14
+    assert np.max(np.abs(a @ b - kraus_lift(ch, d1).matrix)) <= 1e-14
+
+
+@pytest.mark.parametrize("d1", [1, 2, 3])
+@pytest.mark.parametrize("name", names())
+def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
+    import bathdd.channel
+    import bathdd.zeno
+
+    ch = builtin(name).channel
+    s2 = to_superoperator(ch)
+    hs = np.array([random_hamiltonian(d1 * ch.dim, seed) for seed in range(3)])
+    # zeno_evolution of the Kraus-built I kron E at each n, from one factorisation
+    a, b = _factor_kick(kraus_lift(ch, d1))
+    n_values = (1, 7, 100)
+    want = {n: a @ (p @ bw)
+            for n, (p, bw) in zip(n_values, _kicked_evolutions((a, b), hs, 1.0, n_values))}
+
+    def refuse(*args):
+        raise AssertionError("dd_evolution formed the lifted kick")
+
+    factored = []
+
+    def record(s_kick):
+        factored.append(s_kick.matrix.shape)
+        return _factor_kick(s_kick)
+
+    monkeypatch.setattr(bathdd.channel, "extend_with_identity", refuse)
+    monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse, raising=False)
+    monkeypatch.setattr(bathdd.zeno, "_factor_kick", record)
+    for n, m in want.items():
+        got = dd_evolution(s2, hs, 1.0, n, d1)
+        assert got.dim == d1 * ch.dim
+        assert np.max(np.abs(got.matrix - m)) <= 1e-12
+        assert factored.pop() == (ch.dim**2, ch.dim**2) and not factored
 
 
 def test_factored_kicked_evolution_error_paths():
