@@ -13,9 +13,9 @@ from bathdd.harness import FIGURE_IDS, reproduce
 def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/figures")
     for fig in FIGURE_IDS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         files = reproduce(fig, out)
-        print(f"{fig}: {len(files)} files in {time.time() - t0:.1f}s")
+        print(f"{fig}: {len(files)} files in {time.perf_counter() - t0:.1f}s")
         for f in files:
             print(f"  {f}")
     return 0

@@ -81,14 +81,14 @@ class CptpReport:
     passed: bool
 
 
-def validate_cptp(ch: KrausChannel, tol: float = CPTP_TOL) -> CptpReport:
-    """Check trace preservation and complete positivity of a Kraus channel."""
+def validate_cptp(ch: KrausChannel) -> CptpReport:
+    """Check trace preservation and complete positivity of a Kraus channel within CPTP_TOL."""
     acc = sum(dagger(k) @ k for k in ch.kraus)
     trace_residual = float(np.linalg.norm(acc - np.eye(ch.dim)))
     lam = choi(to_superoperator(ch))
     min_eig = float(np.min(np.linalg.eigvalsh((lam + dagger(lam)) / 2)))
     positivity_residual = max(0.0, -min_eig)
-    passed = trace_residual <= tol and positivity_residual <= tol
+    passed = trace_residual <= CPTP_TOL and positivity_residual <= CPTP_TOL
     return CptpReport(trace_residual, positivity_residual, passed)
 
 

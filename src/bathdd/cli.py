@@ -133,7 +133,7 @@ def _cmd_zeno_check(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         cfg = SweepConfig.from_dict(json.loads(Path(args.config).read_text()))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # TypeError: a required key is missing
         raise UsageError(f"bad sweep config {args.config!r}: {exc}") from exc
     _require_cptp(_load(cfg.channel, cfg.channel_params))
     out_path = Path(args.out) / "sweep.csv"

@@ -92,8 +92,10 @@ class SweepConfig:
     ``channel`` is a zoo name ("zoo:E_updown") or a channel JSON file path.
     ``hamiltonians`` is either {"random": count, "seed": s} (count 100 and
     seed 0 by default) or {"fixture": name} with a named witness Hamiltonian;
-    their dimension is the channel's, times d1 in mode "dd". A config that is
-    out of range, whether built here or by ``from_dict``, raises ``ValueError``.
+    their dimension is the channel's, times d1 in mode "dd"; t is 1.0, d1 2 and
+    channel_params {} by default. Built here, by ``replace`` or by ``from_dict``,
+    each field is checked and stored converted once (2.0 becomes 2; a bool, string
+    or fraction where a number is due is refused); a refused value raises ``ValueError``.
     """
 
     channel: str
@@ -105,24 +107,33 @@ class SweepConfig:
     channel_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, kind in (("channel", str), ("hamiltonians", dict), ("channel_params", dict)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.mode not in ("dd", "zeno"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if min(self.n_values, default=0) < 1 or self.d1 < 1:
+        n_values = tuple(_integer(n, "every n in n_values") for n in self.n_values)
+        t, d1 = _real(self.t, "t"), _integer(self.d1, "d1")
+        if min(n_values, default=0) < 1 or d1 < 1:
             raise ValueError("n_values must be non-empty; n and d1 must be positive")
-        if len(set(self.n_values)) < len(self.n_values):
-            raise ValueError(f"n_values repeats an n: {list(self.n_values)}")
-        if not np.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
+        if len(set(n_values)) < len(n_values):
+            raise ValueError(f"n_values repeats an n: {list(n_values)}")
+        if not np.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
         fixture = self.hamiltonians.get("fixture")
-        known = {"random", "seed"} if fixture is None else {"fixture"}
-        extra = set(self.hamiltonians) - known
+        src = {"random": 100, "seed": 0} if fixture is None else {"fixture": fixture}
+        extra = set(self.hamiltonians) - set(src)
         if extra:
-            raise ValueError(f"unknown hamiltonians keys {sorted(extra)}; known: {sorted(known)}")
-        if fixture is not None and fixture not in FIXTURE_HAMILTONIANS:
+            raise ValueError(f"unknown hamiltonians keys {sorted(extra)}; known: {sorted(src)}")
+        if fixture not in (None, *FIXTURE_HAMILTONIANS):
             raise ValueError(f"unknown fixture {fixture!r}; known: {sorted(FIXTURE_HAMILTONIANS)}")
-        if _integer(self.hamiltonians.get("random", 1), "the random Hamiltonian count") < 1:
-            raise ValueError("the random Hamiltonian count must be positive")
-        _integer(self.hamiltonians.get("seed", 0), "the Hamiltonian seed")
+        if fixture is None:
+            src = {key: _integer(self.hamiltonians.get(key, default), f"hamiltonians[{key!r}]")
+                   for key, default in src.items()}
+            if src["random"] < 1 or src["seed"] < 0:
+                raise ValueError("the random Hamiltonian count must be positive, the seed >= 0")
+        for name, value in (("n_values", n_values), ("t", t), ("d1", d1), ("hamiltonians", src)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_dict(data: dict) -> "SweepConfig":
@@ -131,15 +142,7 @@ class SweepConfig:
         extra = set(data) - {f.name for f in fields(SweepConfig)}
         if extra:
             raise ValueError(f"unknown sweep config keys: {sorted(extra)}")
-        return SweepConfig(
-            channel=data["channel"],
-            mode=data["mode"],
-            n_values=tuple(_integer(n, "every n in n_values") for n in data["n_values"]),
-            hamiltonians=dict(data["hamiltonians"]),
-            t=_real(data.get("t", 1.0), "t"),
-            d1=_integer(data.get("d1", 2), "d1"),
-            channel_params=dict(data.get("channel_params", {})),
-        )
+        return SweepConfig(**data)
 
 
 FIXTURE_HAMILTONIANS = {
@@ -172,11 +175,10 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int):
             raise ValueError(f"fixture {name} has dim {h.shape[0]}, expected {total_dim}")
         yield [name], name, h[None]
         return
-    seed, count = int(src.get("seed", 0)), int(src.get("random", 100))
+    seeds = range(src["seed"], src["seed"] + src["random"])
     size = max(1, min(_STACK, _STACK_BYTES // (16 * total_dim**4)))
-    for first in range(seed, seed + count, size):
-        seeds = range(first, min(first + size, seed + count))
-        yield seeds, "random", np.array([random_hamiltonian(total_dim, s) for s in seeds])
+    for chunk in (seeds[i:i + size] for i in range(0, len(seeds), size)):
+        yield chunk, "random", np.array([random_hamiltonian(total_dim, s) for s in chunk])
 
 
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -234,14 +236,12 @@ def write_records_csv(records: list[SweepRecord], path: Path) -> None:
 
 @dataclass(frozen=True)
 class _Figure:
-    """A reference panel: the random-H sweep and the aggregate row plotted from
-    it, an optional witness-Hamiltonian (fixture) series, the CSV header and
-    the reference constants."""
+    """A reference panel: the random-H sweep, the aggregate row plotted from it,
+    an optional witness-Hamiltonian (fixture) series and the reference constants."""
 
     config: SweepConfig
     aggregate: str  # "min" | "max" | "mean"
     fixture: str | None
-    header: str
     reference: dict
 
 
@@ -253,20 +253,20 @@ def _random_sweep(channel: str, mode: str, seed_offset: int, **channel_params) -
 
 FIGURES = {
     # worst-case purity of bath DD with the spin-flip kick, random H
-    "fig1a": _Figure(_random_sweep("zoo:E_updown", "dd", 0), "min", None, "n,P",
+    "fig1a": _Figure(_random_sweep("zoo:E_updown", "dd", 0), "min", None,
                      {"min_purity_at_n100": 0.99}),
     # worst-case Zeno error with the spin-flip kick, random H
-    "fig1b": _Figure(_random_sweep("zoo:E_updown", "zeno", 1000), "max", None, "n,error",
+    "fig1b": _Figure(_random_sweep("zoo:E_updown", "zeno", 1000), "max", None,
                      {"guide": "2.7/n"}),
     # dephasing kick: fixture purity constant, random mean saturates
-    "fig2a": _Figure(_random_sweep("zoo:E_dephase", "dd", 2000, d=2), "mean", "ZZ", "n,P",
+    "fig2a": _Figure(_random_sweep("zoo:E_dephase", "dd", 2000, d=2), "mean", "ZZ",
                      {"fixture_constant": 0.59, "random_limit": 0.85}),
-    "fig2b": _Figure(_random_sweep("zoo:E_dephase", "zeno", 3000, d=2), "max", None, "n,error",
+    "fig2b": _Figure(_random_sweep("zoo:E_dephase", "zeno", 3000, d=2), "max", None,
                      {"guide": "2/n"}),
     # bath-reset kick with a decoherence-free subsystem
-    "fig3a": _Figure(_random_sweep("zoo:E_omega", "dd", 4000), "mean", "ZZI", "n,P",
+    "fig3a": _Figure(_random_sweep("zoo:E_omega", "dd", 4000), "mean", "ZZI",
                      {"fixture_constant": 0.59, "random_limit": 0.91}),
-    "fig3b": _Figure(_random_sweep("zoo:E_omega", "zeno", 5000), "mean", "ZI", "n,error",
+    "fig3b": _Figure(_random_sweep("zoo:E_omega", "zeno", 5000), "mean", "ZI",
                      {"fixture_constant": 1.68, "random_limit": 0.55}),
 }
 FIGURE_IDS = tuple(FIGURES)
@@ -294,7 +294,7 @@ def reproduce(figure_id: str, out_dir: str | Path) -> list[Path]:
     for name, series_cfg, tag in series:
         path = out / f"{figure_id}_{name}.csv"
         rows = (f"{r.n},{r.value:.12g}" for r in sweep(series_cfg) if r.seed == tag)
-        _write_csv(path, fig.header, rows)
+        _write_csv(path, "n,P" if cfg.mode == "dd" else "n,error", rows)
         written.append(path)
 
     sidecar = {

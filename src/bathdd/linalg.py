@@ -38,17 +38,17 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """True when the matrix, or every matrix of a (k, d, d) stack, is Hermitian
-    entrywise within tol times max(1, its own Frobenius norm)."""
+    entrywise within 1e-12 times max(1, its own Frobenius norm)."""
     m = np.asarray(m, dtype=complex)
     scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    return bool(np.all(np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= tol * scale))
+    return bool(np.all(np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= 1e-12 * scale))
 
 
-def assert_hermitian(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def assert_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 

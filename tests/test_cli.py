@@ -249,6 +249,9 @@ BAD_FILES = {
     "frac_dim": {"dim": 2.5, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
     "bool_kraus": {"dim": 2, "kraus": [[[[True, 0], [0, 0]], [[0, 0], [True, 0]]]]},
     "bool_h": {"matrix": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]},
+    "int_channel": {**SWEEP_BASE, "channel": 5},
+    "null_channel": {**SWEEP_BASE, "channel": None},
+    "pairs_hamiltonians": {**SWEEP_BASE, "hamiltonians": [["random", 2], ["seed", 0]]},
     "sweep": SWEEP_BASE,
 }
 
@@ -297,6 +300,9 @@ BAD_FILES = {
     ["classify", "{frac_dim}"],
     ["classify", "{bool_kraus}"],
     ["zeno-check", "zoo:E_updown", "--hamiltonian", "{bool_h}"],
+    ["sweep", "--config", "{int_channel}", "--out", "{out}"],
+    ["sweep", "--config", "{null_channel}", "--out", "{out}"],
+    ["sweep", "--config", "{pairs_hamiltonians}", "--out", "{out}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
     ["reproduce", "fig1a", "--out", "{h2}"],

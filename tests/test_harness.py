@@ -165,6 +165,8 @@ def test_sweep_config_from_dict_keeps_integral_numbers():
                                  "hamiltonians": {"random": 2.0}, "d1": 2.0})
     assert cfg.n_values == (2, 3) and cfg.d1 == 2
     assert all(type(n) is int for n in cfg.n_values)
+    assert cfg.hamiltonians == {"random": 2, "seed": 0} and type(cfg.hamiltonians["random"]) is int
+    assert SweepConfig("zoo:E_updown", "zeno", [1], {}, t=1).hamiltonians == {"random": 100, "seed": 0}
 
 
 VALID_SWEEP = dict(channel="zoo:E_updown", mode="dd", n_values=(1, 2),
@@ -181,13 +183,25 @@ VALID_SWEEP = dict(channel="zoo:E_updown", mode="dd", n_values=(1, 2),
     ({"hamiltonians": {"random": 2, "bogus": 1}}, "unknown hamiltonians keys"),
     ({"hamiltonians": {"fixture": "XX"}}, "unknown fixture"),
     ({"hamiltonians": {"random": 0}}, "count must be positive"),
+    ({"n_values": (2.5,)}, "every n in n_values must be an integer"),
+    ({"n_values": (True,)}, "every n in n_values must be an integer"),
+    ({"t": "1"}, "t must be a real number"),
+    ({"t": True}, "t must be a real number"),
+    ({"d1": 1.5}, "d1 must be an integer"),
+    ({"hamiltonians": None}, "hamiltonians must be a dict"),
+    ({"hamiltonians": {"random": 2.5}}, r"hamiltonians\['random'\] must be an integer"),
+    ({"channel": 5}, "channel must be a str"),
+    ({"hamiltonians": {"seed": -1}}, "the seed >= 0"),
 ], ids=["mode", "repeated_n", "n_zero", "no_n", "d1_zero", "t_inf", "hamiltonians_key",
-        "fixture", "count_zero"])
+        "fixture", "count_zero", "frac_n", "bool_n", "str_t", "bool_t", "frac_d1",
+        "no_hamiltonians", "frac_count", "int_channel", "negative_seed"])
 def test_sweep_config_built_in_python_is_validated(change, message):
     with pytest.raises(ValueError, match=message):
         SweepConfig(**{**VALID_SWEEP, **change})
     with pytest.raises(ValueError, match=message):
         replace(SweepConfig(**VALID_SWEEP), **change)
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.from_dict({**VALID_SWEEP, **change})
 
 
 def plain_kicked_evolution(kick, h, t, n):
