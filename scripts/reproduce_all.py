@@ -15,7 +15,7 @@ def main() -> int:
     for fig in FIGURE_IDS:
         t0 = time.perf_counter()
         files = reproduce(fig, out)
-        print(f"{fig}: {len(files)} files in {time.perf_counter() - t0:.1f}s")
+        print(f"{fig}: {len(files)} files in {1e3 * (time.perf_counter() - t0):.1f} ms")
         for f in files:
             print(f"  {f}")
     return 0

@@ -118,6 +118,16 @@ def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecom
     )
 
 
+def _random_hamiltonians(d: int, seeds) -> np.ndarray:
+    """(len(seeds), d, d) stack of ``random_hamiltonian(d, seed)``: each seed's
+    Gaussian drawn on its own, the stack normalised by one stacked SVD."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    g = np.array([np.random.default_rng(seed).standard_normal((d, d)) for seed in seeds])
+    h = (g + g.swapaxes(-1, -2)) / 2
+    return (h / np.linalg.svd(h, compute_uv=False)[:, :1, None]).astype(complex)
+
+
 def random_hamiltonian(d: int, seed: int) -> np.ndarray:
     """Random Hermitian matrix normalized to unit operator norm.
 
@@ -125,9 +135,4 @@ def random_hamiltonian(d: int, seed: int) -> np.ndarray:
     statistics of the decoupling/suppression curves (saturation constants
     0.85, 0.91, 0.55) noticeably better than the complex Gaussian ensemble.
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d))
-    h = (g + g.T) / 2
-    return (h / float(np.linalg.svd(h, compute_uv=False)[0])).astype(complex)
+    return _random_hamiltonians(d, (seed,))[0]

@@ -4,7 +4,9 @@ decoupling/suppression curves.
 Every curve is the kicked evolution (S W)^n = A P_n (B W) of
 ``zeno._kicked_evolutions`` on chunks of the stacked Hamiltonian ensemble: the
 kick is factored once per sweep as S = A B, and each n costs one small power
-P_n = (B W A)^{n-1}. Mode "dd" kicks the bath of a bipartite system with
+P_n = (B W A)^{n-1}. A chunk's n grid runs in blocks, each one stacked step and
+one metric call, sized so that no stacked array passes 64 KiB (``_STACK_BYTES``).
+Mode "dd" kicks the bath of a bipartite system with
 I_1 kron E_2, the lift of E_2's own factors, and records the purity of the
 system legs of the Choi state from the bath-traced A and B W; mode "zeno" kicks
 with E and records the trace-norm distance between the Choi states of
@@ -16,15 +18,15 @@ constant when suppression fails. ``FIGURES`` holds each reference panel as a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import (KrausChannel, Superoperator, _integer, _lift, _real, choi, load_channel,
                       to_superoperator)
-from .hamiltonian import random_hamiltonian
-from .linalg import kron, trace_norm
+from .hamiltonian import _random_hamiltonians
+from .linalg import assert_hermitian, kron
 from .spectral import analyze_peripheral, peripheral_power
 from .zeno import _factor_kick, _kicked_evolutions
 from .zoo import builtin, pauli
@@ -65,10 +67,11 @@ def reduced_choi_purity(s: Superoperator, d1: int, d2: int) -> float | np.ndarra
 
 
 def choi_distance(s_a: Superoperator, s_b: Superoperator) -> float | np.ndarray:
-    """Trace-norm distance between the Choi states of two maps (per map of a stack)."""
+    """Trace-norm distance between the Choi states of two Hermiticity-preserving maps (per
+    map of a stack): sum |lambda| of their Hermitian difference, else ``ValueError``."""
     if s_a.dim != s_b.dim:
         raise ValueError("dimension mismatch")
-    return trace_norm(choi(s_a) - choi(s_b))
+    return np.abs(np.linalg.eigvalsh(assert_hermitian(choi(s_a) - choi(s_b)))).sum(axis=-1)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -112,6 +115,8 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.mode not in ("dd", "zeno"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
+        if not isinstance(self.n_values, (list, tuple)):
+            raise ValueError(f"n_values must be a list or tuple, got {self.n_values!r}")
         n_values = tuple(_integer(n, "every n in n_values") for n in self.n_values)
         t, d1 = _real(self.t, "t"), _integer(self.d1, "d1")
         if min(n_values, default=0) < 1 or d1 < 1:
@@ -142,6 +147,10 @@ class SweepConfig:
         extra = set(data) - {f.name for f in fields(SweepConfig)}
         if extra:
             raise ValueError(f"unknown sweep config keys: {sorted(extra)}")
+        missing = [f.name for f in fields(SweepConfig) if f.name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing sweep config keys: {missing}")
         return SweepConfig(**data)
 
 
@@ -159,14 +168,16 @@ def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
     return load_channel(spec)
 
 
-# A chunk holds at most _STACK Hamiltonians and _STACK_BYTES per complex d^2 x d^2 array it
-# could stack: zeno mode stacks the maps A P_n (B W), dd mode only the smaller (k, r, d^2)
-# B W. Memory is flat in the count, and at 64x64 chunks of 4-8 ran 1.5x faster per H than 32.
-_STACK, _STACK_BYTES = 32, 1 << 18
+# A sweep stacks (n, H) pairs in blocks whose largest array (the N x N maps in zeno mode,
+# the r x N B W in dd mode) holds at most _STACK_BYTES, from chunks of at most _STACK
+# Hamiltonians. glibc serves an allocation above its mmap threshold (128 KiB) from a fresh
+# mapping whose pages fault in on every use, so 64 KiB keeps each temporary in the heap:
+# fig3a's 64 x 64 sweeps take chunks of 4 and one n per block, 4 x 4 ones all n at once.
+_STACK, _STACK_BYTES = 32, 1 << 16
 
 
-def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int):
-    """(labels, series name, (k, d, d) stack) chunks of the sweep's Hamiltonians."""
+def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
+    """(labels, series name, (k, d, d) stack) chunks of at most ``size`` Hamiltonians."""
     src = cfg.hamiltonians
     if "fixture" in src:
         name = src["fixture"]
@@ -176,49 +187,53 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int):
         yield [name], name, h[None]
         return
     seeds = range(src["seed"], src["seed"] + src["random"])
-    size = max(1, min(_STACK, _STACK_BYTES // (16 * total_dim**4)))
     for chunk in (seeds[i:i + size] for i in range(0, len(seeds), size)):
-        yield chunk, "random", np.array([random_hamiltonian(total_dim, s) for s in chunk])
+        yield chunk, "random", _random_hamiltonians(total_dim, chunk)
 
 
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
-    min/max/mean aggregate rows per n (seeds "min", "max", "mean"). The kick
-    channel is factored once as A B, lifted to I_1 kron E_2 by ``_lift`` in mode
-    "dd", and each chunk of Hamiltonians is checked and diagonalised once. Per n,
-    the stacked P_n and B W of ``_kicked_evolutions`` give the purity of the
-    d1^2 x d1^2 (T A) P_n (T (B W)^T)^T / d ("dd") or the Choi distance of
-    A P_n (B W) ("zeno")."""
+    min/max/mean aggregate rows per n (seeds "min", "max", "mean"), ordered by
+    str(seed) and then n. The kick channel is factored once as A B, lifted to
+    I_1 kron E_2 by ``_lift`` in mode "dd", and each chunk of Hamiltonians is
+    checked and diagonalised once. Each block of n of a chunk is one stacked call of
+    ``_kicked_evolutions`` and one score: the purity of the d1^2 x d1^2
+    (T A) P_n (T (B W)^T)^T / d ("dd") or the Choi distance of A P_n (B W) ("zeno")."""
     ch = resolve_channel(cfg.channel, cfg.channel_params)
     s = to_superoperator(ch)
     a, b = _factor_kick(s)
+    ns = sorted(cfg.n_values)
     if cfg.mode == "dd":
         d1, d2, dim, metric = cfg.d1, ch.dim, cfg.d1 * ch.dim, "purity"
         a, b = _lift(a, b, d1)
-        rows = _trace_bath(a, d1, d2)
-        score = lambda p, bw, n: _reduced_purity(
+        rows, stacked = _trace_bath(a, d1, d2), b.size  # the r x N B W
+        score = lambda p, bw, block: _reduced_purity(
             rows @ p, _trace_bath(bw.swapaxes(-1, -2), d1, d2), dim)
     else:
-        dim, metric = ch.dim, "choi_distance"
+        dim, metric, stacked = ch.dim, "choi_distance", a.shape[0] ** 2  # the N x N maps
         dec = analyze_peripheral(s)
-        targets = {n: peripheral_power(dec, n) for n in cfg.n_values}
-        score = lambda p, bw, n: choi_distance(Superoperator(dim, a @ (p @ bw)), targets[n])
+        targets = {n: peripheral_power(dec, n).matrix for n in ns}
 
-    records: list[SweepRecord] = []
-    per_n: dict[int, list[float]] = {n: [] for n in cfg.n_values}
-    for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim):
-        for n, (p, bw) in zip(cfg.n_values, _kicked_evolutions((a, b), hs, cfg.t, cfg.n_values)):
-            values = score(p, bw, n).tolist()
-            per_n[n] += values
-            records += (SweepRecord(n, metric, v, seed, cfg.channel, h_label, cfg.t)
-                        for seed, v in zip(seeds, values))
+        def score(p, bw, block):
+            target = np.repeat([targets[n] for n in block], len(p) // len(block), axis=0)
+            return choi_distance(Superoperator(dim, a @ (p @ bw)), Superoperator(dim, target))
 
-    for n in cfg.n_values:
-        vals = per_n[n]
-        for tag, v in (("min", min(vals)), ("max", max(vals)), ("mean", float(np.mean(vals)))):
-            records.append(SweepRecord(n, metric, v, tag, cfg.channel, "aggregate", cfg.t))
-    records.sort(key=lambda r: (str(r.seed), r.n))
-    return records
+    pairs = max(1, _STACK_BYTES // (16 * stacked))  # (n, H) pairs per block
+    labels, parts = [], []
+    for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim, min(_STACK, pairs)):
+        per = max(1, pairs // len(hs))
+        blocks = [ns[i:i + per] for i in range(0, len(ns), per)]
+        parts.append(np.concatenate([score(p, bw, block).reshape(len(block), -1) for block, (p, bw)
+                                     in zip(blocks, _kicked_evolutions((a, b), hs, cfg.t, blocks))]))
+        labels += seeds
+    values = np.concatenate(parts, axis=1)  # (n, H)
+
+    aggregates = {tag: f(values, axis=1).tolist()
+                  for tag, f in (("min", np.min), ("max", np.max), ("mean", np.mean))}
+    series = {**dict(zip(labels, values.T.tolist())), **aggregates}
+    return [SweepRecord(n, metric, v, label, cfg.channel,
+                        "aggregate" if label in aggregates else h_label, cfg.t)
+            for label in sorted(series, key=str) for n, v in zip(ns, series[label])]
 
 
 def _write_csv(path: Path, header: str, rows) -> None:

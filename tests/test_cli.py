@@ -252,6 +252,8 @@ BAD_FILES = {
     "int_channel": {**SWEEP_BASE, "channel": 5},
     "null_channel": {**SWEEP_BASE, "channel": None},
     "pairs_hamiltonians": {**SWEEP_BASE, "hamiltonians": [["random", 2], ["seed", 0]]},
+    "missing_channel": {k: v for k, v in SWEEP_BASE.items() if k != "channel"},
+    "int_n_values": {**SWEEP_BASE, "n_values": 5},
     "sweep": SWEEP_BASE,
 }
 
@@ -303,6 +305,8 @@ BAD_FILES = {
     ["sweep", "--config", "{int_channel}", "--out", "{out}"],
     ["sweep", "--config", "{null_channel}", "--out", "{out}"],
     ["sweep", "--config", "{pairs_hamiltonians}", "--out", "{out}"],
+    ["sweep", "--config", "{missing_channel}", "--out", "{out}"],
+    ["sweep", "--config", "{int_n_values}", "--out", "{out}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
     ["reproduce", "fig1a", "--out", "{h2}"],

@@ -11,6 +11,7 @@ from bathdd.hamiltonian import random_hamiltonian
 from bathdd.harness import (
     _STACK,
     _STACK_BYTES,
+    _hamiltonian_chunks,
     FIGURES,
     FIXTURE_HAMILTONIANS,
     SweepConfig,
@@ -22,7 +23,9 @@ from bathdd.harness import (
 )
 from bathdd.linalg import kron
 from bathdd.spectral import analyze_peripheral, peripheral_power
+from bathdd.zeno import zeno_evolution
 from bathdd.zoo import builtin, pauli
+from bathdd.zoo import names as builtin_names
 
 
 def sup(name, **params):
@@ -160,6 +163,11 @@ def test_sweep_config_rejects_a_non_object():
         SweepConfig.from_dict([1, 2])
 
 
+def test_sweep_config_from_dict_names_missing_keys():
+    with pytest.raises(ValueError, match=r"missing sweep config keys: \['channel', 'hamiltonians'\]"):
+        SweepConfig.from_dict({"mode": "dd", "n_values": [1]})
+
+
 def test_sweep_config_from_dict_keeps_integral_numbers():
     cfg = SweepConfig.from_dict({"channel": "zoo:E_updown", "mode": "zeno", "n_values": [2.0, 3],
                                  "hamiltonians": {"random": 2.0}, "d1": 2.0})
@@ -192,9 +200,10 @@ VALID_SWEEP = dict(channel="zoo:E_updown", mode="dd", n_values=(1, 2),
     ({"hamiltonians": {"random": 2.5}}, r"hamiltonians\['random'\] must be an integer"),
     ({"channel": 5}, "channel must be a str"),
     ({"hamiltonians": {"seed": -1}}, "the seed >= 0"),
+    ({"n_values": 5}, "n_values must be a list or tuple"),
 ], ids=["mode", "repeated_n", "n_zero", "no_n", "d1_zero", "t_inf", "hamiltonians_key",
         "fixture", "count_zero", "frac_n", "bool_n", "str_t", "bool_t", "frac_d1",
-        "no_hamiltonians", "frac_count", "int_channel", "negative_seed"])
+        "no_hamiltonians", "frac_count", "int_channel", "negative_seed", "int_n_values"])
 def test_sweep_config_built_in_python_is_validated(change, message):
     with pytest.raises(ValueError, match=message):
         SweepConfig(**{**VALID_SWEEP, **change})
@@ -245,8 +254,12 @@ STACKED_CASES = {
     # more Hamiltonians than one chunk holds: 4x4 superoperators (count cap) and
     # 64x64 ones (byte cap)
     "fig1b:chunked": with_hamiltonians(FIGURES["fig1b"].config, random=_STACK + 5, seed=0),
-    "fig3a:chunked": with_hamiltonians(FIGURES["fig3a"].config, random=_STACK_BYTES // 2**16 + 1,
+    "fig3a:chunked": with_hamiltonians(FIGURES["fig3a"].config, random=_STACK_BYTES // 2**14 + 1,
                                        seed=0),
+    # n grids that split into several blocks of several n: 64 KiB holds 4 of fig3a's
+    # (16 x 64) B W, so 2 H take blocks of 2 n; 32 of fig1a's (8 x 16), so 10 H take 3 n
+    "fig3a:blocks": with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=1),
+    "fig1a:blocks": with_hamiltonians(FIGURES["fig1a"].config, random=10, seed=1),
     # dd shapes no figure has: d1 = 3 and d1 = 1, d2 = 3, and P_rho lifted to rank 4 of 16
     **{name: SweepConfig(channel, "dd", (1, 2, 5, 100), {"random": 3, "seed": 11}, d1=d1,
                          channel_params=params)
@@ -267,6 +280,84 @@ def test_stacked_sweep_matches_per_pair_reference(cfg):
     want = per_pair_reference(cfg)
     assert got.keys() == want.keys()
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+
+
+def test_random_hamiltonian_is_its_row_of_a_sweep_chunk():
+    cfg = with_hamiltonians(FIGURES["fig1b"].config, random=40, seed=0)
+    for d in (2, 4, 8):
+        chunks = list(_hamiltonian_chunks(cfg, d, _STACK))
+        assert [len(hs) for _, _, hs in chunks] == [32, 8]
+        for seeds, _, hs in chunks:
+            for seed, h in zip(seeds, hs):
+                assert np.array_equal(random_hamiltonian(d, seed), h)
+
+
+@pytest.mark.parametrize("cfg", [
+    # 40 H (chunks of 32 + 8) whose seeds change digit count, on an unsorted n grid
+    SweepConfig("zoo:E_updown", "zeno", (100, 1, 7, 2), {"random": 40, "seed": 95}),
+    STACKED_CASES["fig3b:ZI"],
+], ids=["random40", "fixture"])
+def test_sweep_records_come_in_seed_string_then_n_order(cfg):
+    records = sweep(cfg)
+    assert records == sorted(records, key=lambda r: (str(r.seed), r.n))
+    plain = [r for r in records if r.hamiltonian != "aggregate"]
+    aggregates = {(r.seed, r.n): r.value for r in records if r.hamiltonian == "aggregate"}
+    assert len(aggregates) == 3 * len(cfg.n_values)
+    for n in cfg.n_values:
+        vals = [v for _, v in sorted((r.seed, r.value) for r in plain if r.n == n)]
+        assert aggregates["min", n] == min(vals) and aggregates["max", n] == max(vals)
+        assert aggregates["mean", n] == float(np.mean(vals))
+
+
+@pytest.mark.parametrize("cfg", [with_hamiltonians(FIGURES[fig_id].config, random=count, seed=0)
+                                 for fig_id, count in (("fig1a", 10), ("fig1a", 100), ("fig1b", 40),
+                                                       ("fig3a", 2), ("fig3a", 5), ("fig3b", 10))],
+                         ids=["fig1a:10", "fig1a:100", "fig1b:40", "fig3a:2", "fig3a:5", "fig3b:10"])
+def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
+    import bathdd.harness
+
+    calls = []
+
+    def record(factors, hs, t, blocks):
+        yielded = list(bathdd.zeno._kicked_evolutions(factors, hs, t, blocks))
+        calls.append((len(hs), blocks, [bw for _, bw in yielded]))
+        return iter(yielded)
+
+    monkeypatch.setattr(bathdd.harness, "_kicked_evolutions", record)
+    sweep(cfg)
+    assert sum(k for k, _, _ in calls) == cfg.hamiltonians["random"]
+    for k, blocks, bws in calls:
+        assert [n for block in blocks for n in block] == sorted(cfg.n_values)
+        # per (n, H) pair: the r x N B W, or in zeno mode the larger N x N map
+        pair = max(bws[0][0].nbytes, 16 * bws[0].shape[-1] ** 2 if cfg.mode == "zeno" else 0)
+        assert all(len(bw) == len(block) * k for block, bw in zip(blocks, bws, strict=True))
+        assert len(blocks[0]) * k * pair <= _STACK_BYTES
+        # as many n per block as fit
+        assert len(blocks) == 1 or (len(blocks[0]) + 1) * k * pair > _STACK_BYTES
+
+
+def kicked_products():
+    """(kicked evolution, E_phi^n) pairs of every zoo kick at three n."""
+    for name in builtin_names():
+        s = sup(name)
+        dec = analyze_peripheral(s)
+        hs = np.array([random_hamiltonian(s.dim, seed) for seed in range(3)])
+        for n in (1, 7, 100):
+            target = peripheral_power(dec, n)
+            yield name, zeno_evolution(s, hs, 1.0, n), Superoperator(s.dim, np.repeat(
+                target.matrix[None], 3, axis=0))
+
+
+def test_choi_distance_is_the_svd_trace_norm():
+    for name, ev, target in kicked_products():
+        want = np.linalg.svd(choi(ev) - choi(target), compute_uv=False).sum(axis=-1)
+        assert np.max(np.abs(choi_distance(ev, target) - want)) <= 1e-14, name
+
+
+def test_choi_distance_refuses_a_map_that_breaks_hermiticity():
+    identity = Superoperator(2, np.eye(4))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        choi_distance(Superoperator(2, 1j * np.eye(4)), identity)
 
 
 def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):

@@ -369,6 +369,29 @@ def test_factored_kicked_evolution_matches_plain_product(name):
             assert np.max(np.abs(m - plain_kicked_evolution(kick, h, 0.7, n).matrix)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", FACTORED_KICKS)
+def test_kicked_evolution_block_stacks_each_n_of_one_n_blocks(name, monkeypatch):
+    # a block of several n is the one-n stacks laid on one flat (n, H) axis, bitwise,
+    # with one matrix_power per n; a single H gives one row per n
+    kick, rank = FACTORED_KICKS[name]
+    factors = _factor_kick(kick)
+    block = (1, 2, 5, 100)
+    powers = []
+    power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda m, n: powers.append(n) or power(m, n))
+    for hs in (np.array([random_hamiltonian(kick.dim, seed) for seed in range(3)]),
+               random_hamiltonian(kick.dim, 7)):
+        k = len(hs) if hs.ndim == 3 else 1
+        p, bw = next(_kicked_evolutions(factors, hs, 0.7, [block]))
+        assert powers == [n - 1 for n in block]
+        assert p.shape == (len(block) * k, rank, rank) and bw.shape == (len(block) * k, rank, kick.dim**2)
+        for i, n in enumerate(block):
+            p_n, bw_n = next(_kicked_evolutions(factors, hs, 0.7, [(n,)]))
+            assert np.array_equal(p[i * k:(i + 1) * k], p_n)
+            assert np.array_equal(bw[i * k:(i + 1) * k], bw_n)
+        powers.clear()
+
+
 def kraus_lift(ch, d1):
     """I_d1 kron E from the Kraus operators I_d1 kron K of E, independent of ``_lift``."""
     return to_superoperator(KrausChannel(d1 * ch.dim, tuple(kron(np.eye(d1), k) for k in ch.kraus)))
@@ -406,9 +429,9 @@ def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
     hs = np.array([random_hamiltonian(d1 * ch.dim, seed) for seed in range(3)])
     # zeno_evolution of the Kraus-built I kron E at each n, from one factorisation
     a, b = _factor_kick(kraus_lift(ch, d1))
-    n_values = (1, 7, 100)
+    blocks = [(1,), (7,), (100,)]
     want = {n: a @ (p @ bw)
-            for n, (p, bw) in zip(n_values, _kicked_evolutions((a, b), hs, 1.0, n_values))}
+            for (n,), (p, bw) in zip(blocks, _kicked_evolutions((a, b), hs, 1.0, blocks))}
 
     def refuse(*args):
         raise AssertionError("dd_evolution formed the lifted kick")
@@ -432,13 +455,13 @@ def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
 def test_factored_kicked_evolution_error_paths():
     kick = extend_with_identity(sup("E_omega"), 2)
     hs = np.array([random_hamiltonian(8, seed) for seed in range(3)])
-    for n_values in ((1, 0), (-2,)):
+    for blocks in ([(1,), (0,)], [(1, 0)], [(-2,)]):
         with pytest.raises(ValueError):
-            list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, n_values))
+            list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, blocks))
     with pytest.raises(ValueError):
         zeno_evolution(kick, hs, 1.0, 0)
     hs[1, 2, 5] += 1e-9j
     with pytest.raises(ValueError):
-        list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, (1, 100)))
+        list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, [(1, 100)]))
     with pytest.raises(ValueError):
         zeno_evolution(kick, hs, 1.0, 100)
