@@ -111,9 +111,11 @@ def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, n
     I_d1 kron M: each column X_b, read as a d x d operator, becomes the d1^2
     operators E_kl kron X_b, and each row likewise, grouped by b. So eigendata
     stay grouped by cluster, and the factors of E = A B become the rank
-    d1^2 r factors of I_d1 kron E."""
+    d1^2 r factors of I_d1 kron E. For d1 = 1 they are the inputs themselves."""
     if d1 < 1:
         raise ChannelError("d1 must be at least 1")
+    if d1 == 1:
+        return columns, rows
     d, k = isqrt(columns.shape[0]), columns.shape[1]
     eye = np.eye(d1)
     lifted_columns = np.einsum("km,ln,ijb->kiljbmn", eye, eye, columns.reshape(d, d, k))

@@ -85,9 +85,9 @@ class PeripheralDecomposition:
         return int(np.sum(self.multiplicities))
 
 
-def _same_cluster(dec: PeripheralDecomposition) -> np.ndarray:
-    """The k x k mask of eigenvector pairs that lie in the same cluster."""
-    labels = np.repeat(np.arange(dec.multiplicities.size), dec.multiplicities)
+def _same_cluster(dec: PeripheralDecomposition, d1: int = 1) -> np.ndarray:
+    """The mask of eigenvector pairs in one cluster, each repeated d1^2 times as ``_lift`` does."""
+    labels = np.repeat(np.arange(dec.multiplicities.size), dec.multiplicities * d1 * d1)
     return labels[:, None] == labels
 
 
@@ -202,8 +202,9 @@ def fixed_point_state(dec: PeripheralDecomposition) -> np.ndarray:
 
 
 def peripheral_power(dec: PeripheralDecomposition, n: int) -> Superoperator:
-    """E_phi^n = sum_l lambda_l^n P_l = right diag(lambda^n) left."""
+    """E_phi^n = right diag(lambda^n) left, a real lambda powered as a real: (-1)^n stays real."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    lam_n = np.repeat(dec.peripheral_values**n, dec.multiplicities)
+    lam_n = np.repeat([v.real**n if v.imag == 0 else v**n for v in dec.peripheral_values.tolist()],
+                      dec.multiplicities)
     return Superoperator(dec.dim, (dec.right * lam_n) @ dec.left)

@@ -1,9 +1,9 @@
 """Kicked evolutions and the decision procedures for bath dynamical
 decoupling and Zeno Hamiltonian suppression.
 
-The Zeno Hamiltonian of a kick channel is the generator surviving infinitely
-frequent kicks: the sum of the interaction generator sandwiched between the
-kick's peripheral spectral projections.
+The Zeno Hamiltonian sum_l P_l [H, .] P_l of a kick, the generator surviving infinitely
+frequent kicks, is read from [H, X_b] on the kick's own peripheral eigenoperators X_b:
+for H on the kick's space (suppression) and on C^d1 kron C^d (bath DD, lifted eigendata).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Superoperator, _lift
-from .hamiltonian import adjoint_rep
 from .linalg import assert_hermitian, dagger, kron
 from .spectral import PeripheralDecomposition, _same_cluster, analyze_peripheral, fixed_point_state
 
@@ -46,12 +45,16 @@ class DdVerdict:
 
 
 def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
-    """sum_l P_l [H, .] P_l = right (S o (left [H, .] right)) left, S the same-cluster mask."""
-    h_adj = adjoint_rep(h)
-    if h_adj.dim != dec.dim:
-        raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match kick dim {dec.dim}")
-    core = _same_cluster(dec) * (dec.left @ h_adj.matrix @ dec.right)
-    return Superoperator(dec.dim, dec.right @ core @ dec.left)
+    """sum_l P_l [H, .] P_l = right (S o (left [H, X])) left, S the same-cluster mask and X_b
+    column b of ``right`` as a d x d matrix; H on C^d1 kron C^d reads E's eigendata lifted."""
+    h = assert_hermitian(h)
+    d1, rest = divmod(len(h), dec.dim)
+    if rest:
+        raise ValueError(f"Hamiltonian dim {len(h)} is no multiple of kick dim {dec.dim}")
+    right, left = _lift(dec.right, dec.left, d1)
+    x = right.T.reshape(-1, *h.shape)
+    core = _same_cluster(dec, d1) * (left @ (h @ x - x @ h).reshape(len(x), -1).T)
+    return Superoperator(len(h), right @ core @ left)
 
 
 def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
@@ -93,29 +96,20 @@ def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks):
         yield np.concatenate([np.linalg.matrix_power(step, n - 1) for step, n in zip(steps, block)]), bw
 
 
-def _evolution(dim: int, factors, h: np.ndarray, t: float, n: int) -> Superoperator:
-    """A P_n (B W) from ``_kicked_evolutions`` for the kick A B on a dim-dimensional space."""
-    p, bw = next(_kicked_evolutions(factors, h, t, [(n,)]))
-    return Superoperator(dim, (factors[0] @ (p @ bw)).reshape(*np.shape(h)[:-2], dim**2, dim**2))
-
-
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:
-    """(E e^{-i (t/n) [H,.]})^n, computed as an exact n-fold product.
-
-    The free step e^{-i (t/n) [H,.]} is the unitary channel of
-    V = U e^{-i (t/n) diag(w)} U^dag, from one ``eigh`` of the d x d Hamiltonian.
-    With the kick factored through its rank r as S = A B, the product is
-    A P_n (B W) from ``_kicked_evolutions``: one r x r power, and B W without W.
-    A (k, d, d) stack of Hamiltonians, each checked for Hermiticity on its own,
-    gives the (k, d^2, d^2) stack of their evolutions.
-    """
-    return _evolution(s_kick.dim, _factor_kick(s_kick), h, t, n)
+    """(E e^{-i (t/n) [H,.]})^n, computed as an exact n-fold product: ``dd_evolution`` at
+    d1 = 1, so A P_n (B W) from ``_kicked_evolutions`` on the rank-r factors S = A B. A
+    (k, d, d) stack of Hamiltonians, each checked for Hermiticity on its own, gives the
+    (k, d^2, d^2) stack of their evolutions."""
+    return dd_evolution(s_kick, h, t, n, 1)
 
 
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:
     """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n, from
     the factors of E alone, lifted by ``_lift`` as in a bath-DD sweep."""
-    return _evolution(d1 * s2.dim, _lift(*_factor_kick(s2), d1), h, t, n)
+    a, b = _lift(*_factor_kick(s2), d1)
+    p, bw = next(_kicked_evolutions((a, b), h, t, [(n,)]))
+    return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 
 
 def _zeno_norm(s: Superoperator, h: np.ndarray) -> float:
@@ -142,8 +136,8 @@ def dd_check(
     Zeno Hamiltonian of H to the decoupled generator on the range of the
     peripheral projection, the only part the Zeno limit constrains.
 
-    Only E_2 is analysed: the peripheral eigendata of I_1 kron E_2 are the
-    lifts of the bath kick's (``_lift``), so its projections are I_1 kron P_l.
+    Only E_2 is analysed: ``zeno_hamiltonian`` reads K on C^d1 kron C^d2 from the
+    bath kick's own decomposition, lifted by ``_lift``.
     """
     d2 = s2.dim
     if h.shape[0] != d1 * d2:
@@ -153,9 +147,7 @@ def dd_check(
     h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), fixed_point_state(dec2))
     h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
     k = h - kron(h_eff, np.eye(d2))
-    lifted = PeripheralDecomposition(d1 * d2, dec2.peripheral_values, dec2.multiplicities * d1 * d1,
-                                     *_lift(dec2.right, dec2.left, d1))
-    residual = float(np.linalg.norm(zeno_hamiltonian(lifted, k).matrix))
+    residual = float(np.linalg.norm(zeno_hamiltonian(dec2, k).matrix))
     ergodic = dec2.dim_fixed == 1
     return DdVerdict(works=residual <= tol, residual=residual,
                      effective_hamiltonian=h_eff if ergodic else None, kick_ergodic=ergodic)

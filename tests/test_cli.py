@@ -254,6 +254,10 @@ BAD_FILES = {
     "pairs_hamiltonians": {**SWEEP_BASE, "hamiltonians": [["random", 2], ["seed", 0]]},
     "missing_channel": {k: v for k, v in SWEEP_BASE.items() if k != "channel"},
     "int_n_values": {**SWEEP_BASE, "n_values": 5},
+    "big_n_zeno": {**SWEEP_BASE, "n_values": [1, 10**6 + 1]},
+    "big_n_dd": {**SWEEP_BASE, "mode": "dd", "n_values": [1, 10**6 + 1]},
+    "huge_n_zeno": {**SWEEP_BASE, "n_values": [1e300]},
+    "huge_n_dd": {**SWEEP_BASE, "mode": "dd", "n_values": [1e300]},
     "sweep": SWEEP_BASE,
 }
 
@@ -307,10 +311,15 @@ BAD_FILES = {
     ["sweep", "--config", "{pairs_hamiltonians}", "--out", "{out}"],
     ["sweep", "--config", "{missing_channel}", "--out", "{out}"],
     ["sweep", "--config", "{int_n_values}", "--out", "{out}"],
+    ["sweep", "--config", "{big_n_zeno}", "--out", "{out}"],
+    ["sweep", "--config", "{big_n_dd}", "--out", "{out}"],
+    ["sweep", "--config", "{huge_n_zeno}", "--out", "{out}"],
+    ["sweep", "--config", "{huge_n_dd}", "--out", "{out}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
     ["reproduce", "fig1a", "--out", "{h2}"],
 ], ids=" ".join)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     paths = {"out": str(tmp_path / "out")}
     for key, data in BAD_FILES.items():

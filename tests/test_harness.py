@@ -14,6 +14,7 @@ from bathdd.harness import (
     _hamiltonian_chunks,
     FIGURES,
     FIXTURE_HAMILTONIANS,
+    MAX_N,
     SweepConfig,
     choi_distance,
     reduced_choi_purity,
@@ -201,9 +202,12 @@ VALID_SWEEP = dict(channel="zoo:E_updown", mode="dd", n_values=(1, 2),
     ({"channel": 5}, "channel must be a str"),
     ({"hamiltonians": {"seed": -1}}, "the seed >= 0"),
     ({"n_values": 5}, "n_values must be a list or tuple"),
+    ({"n_values": (1, MAX_N + 1)}, r"n in \[1, MAX_N = 1000000\]"),
+    ({"n_values": (1e300,)}, r"n in \[1, MAX_N = 1000000\]"),
 ], ids=["mode", "repeated_n", "n_zero", "no_n", "d1_zero", "t_inf", "hamiltonians_key",
         "fixture", "count_zero", "frac_n", "bool_n", "str_t", "bool_t", "frac_d1",
-        "no_hamiltonians", "frac_count", "int_channel", "negative_seed", "int_n_values"])
+        "no_hamiltonians", "frac_count", "int_channel", "negative_seed", "int_n_values",
+        "n_above_max", "huge_n"])
 def test_sweep_config_built_in_python_is_validated(change, message):
     with pytest.raises(ValueError, match=message):
         SweepConfig(**{**VALID_SWEEP, **change})
@@ -211,6 +215,18 @@ def test_sweep_config_built_in_python_is_validated(change, message):
         replace(SweepConfig(**VALID_SWEEP), **change)
     with pytest.raises(ValueError, match=message):
         SweepConfig.from_dict({**VALID_SWEEP, **change})
+
+
+@pytest.mark.parametrize("name", ["E_square", "E_updown", "E_hook", "E_triangle"])
+def test_zeno_sweep_keeps_its_first_order_constant_at_large_n(name):
+    # err(n) ~ c / n: n err(n) at 10^5 and 10^6 stays within 1% of its value at 10^4,
+    # for each Hamiltonian and each aggregate
+    ns = (10**4, 10**5, 10**6)
+    records = sweep(SweepConfig(f"zoo:{name}", "zeno", ns, {"random": 3, "seed": 0}))
+    c = {(r.seed, r.n): r.n * r.value for r in records}
+    for seed in {r.seed for r in records}:
+        for n in ns[1:]:
+            assert c[seed, n] == pytest.approx(c[seed, ns[0]], rel=1e-2)
 
 
 def plain_kicked_evolution(kick, h, t, n):

@@ -128,6 +128,16 @@ def test_peripheral_power_dephasing_is_itself():
         assert np.allclose(peripheral_power(dec, n).matrix, s.matrix, atol=1e-9)
 
 
+@pytest.mark.parametrize("name", names())
+def test_peripheral_power_at_large_n_preserves_hermiticity(name):
+    # a real lambda such as -1 must stay real in lambda^n: (-1 + 0j)^n taken as
+    # e^{n log lambda} leaves an imaginary part of about n eps
+    dec = dec_of(name)
+    d = dec.dim
+    x = peripheral_power(dec, 10**6).matrix.reshape(d, d, d, d)
+    assert np.max(np.abs(x.conj() - x.transpose(1, 0, 3, 2))) <= 1e-14
+
+
 def _hermitian_coordinates(d):
     """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j), built
     from matrix units, and its inverse T^-1 (columns E_ii, E_ij + E_ji and

@@ -187,6 +187,23 @@ def test_dd_check_dephasing_fails():
     assert v.residual == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("name, d1", [(name, d1) for name in names() for d1 in (1, 2, 3)
+                                      if d1 * builtin(name).channel.dim <= 8])
+def test_zeno_hamiltonian_reads_a_lifted_hamiltonian_from_the_bath_kick(name, d1):
+    # sum_l (I kron P_l) ad_H (I kron P_l) with the projections of the bath kick's
+    # clusters formed explicitly and lifted by extend_with_identity
+    s2 = sup(name)
+    d = d1 * s2.dim
+    dec = analyze_peripheral(s2)
+    h = random_hamiltonian(d, seed=d1)
+    h_adj = adjoint_rep(h).matrix
+    lifted = [extend_with_identity(Superoperator(s2.dim, p), d1).matrix for p in projections(dec)]
+    reference = sum(p @ h_adj @ p for p in lifted)
+    assert np.max(np.abs(zeno_hamiltonian(dec, h).matrix - reference)) <= 1e-12
+    with pytest.raises(ValueError, match="no multiple of kick dim"):
+        zeno_hamiltonian(dec, random_hamiltonian(d + 1, seed=0))
+
+
 def test_dd_check_dim_mismatch():
     with pytest.raises(ValueError):
         dd_check(sup("E_updown"), np.eye(6, dtype=complex), 2)
@@ -413,6 +430,8 @@ def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
     if rank is not None:
         assert a2.shape[1] == rank
     a, b = _lift(a2, b2, d1)
+    if d1 == 1:
+        assert a is a2 and b is b2
     n = (d1 * s2.dim) ** 2
     assert a.shape == (n, d1 * d1 * a2.shape[1]) and b.shape == (d1 * d1 * b2.shape[0], n)
     assert np.max(np.abs(a @ b - kraus_lift(ch, d1).matrix)) <= 1e-14
