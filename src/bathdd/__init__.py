@@ -12,21 +12,13 @@ from .channel import (
     KrausChannel,
     Superoperator,
     choi,
-    extend_with_identity,
     load_channel,
     to_superoperator,
     validate_cptp,
 )
 from .classify import Classification, classify
-from .hamiltonian import SchmidtDecomposition, adjoint_rep, random_hamiltonian, schmidt
-from .harness import (
-    SweepConfig,
-    SweepRecord,
-    choi_distance,
-    reduced_choi_purity,
-    reproduce,
-    sweep,
-)
+from .hamiltonian import random_hamiltonian
+from .harness import SweepConfig, SweepRecord, choi_distance, reproduce, sweep
 from .spectral import (
     PeripheralDecomposition,
     SpectralError,
@@ -34,14 +26,7 @@ from .spectral import (
     fixed_point_state,
     peripheral_power,
 )
-from .zeno import (
-    DdVerdict,
-    dd_check,
-    dd_evolution,
-    suppression_check,
-    zeno_evolution,
-    zeno_hamiltonian,
-)
+from .zeno import DdVerdict, dd_check, suppression_check, zeno_hamiltonian
 from .zoo import builtin, names
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ __all__ = [
     "Superoperator",
     "channel_from_dict",
     "choi",
-    "extend_with_identity",
     "load_channel",
     "to_superoperator",
     "validate_cptp",

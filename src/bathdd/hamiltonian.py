@@ -11,12 +11,7 @@ import numpy as np
 from .channel import Superoperator
 from .linalg import assert_hermitian, kron
 
-__all__ = [
-    "SchmidtDecomposition",
-    "adjoint_rep",
-    "random_hamiltonian",
-    "schmidt",
-]
+__all__ = ["random_hamiltonian"]
 
 
 def adjoint_rep(h: np.ndarray) -> Superoperator:

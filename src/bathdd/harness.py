@@ -35,7 +35,6 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "choi_distance",
-    "reduced_choi_purity",
     "reproduce",
     "resolve_channel",
     "sweep",

@@ -92,21 +92,17 @@ def _same_cluster(dec: PeripheralDecomposition, d1: int = 1) -> np.ndarray:
 
 
 def _cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:
-    """Group indices of eigenvalues lying within ``tol`` of each other.
-
-    Greedy transitive clustering; adequate because the channels of interest
-    have O(1) gaps between distinct eigenvalue groups.
+    """Group indices of eigenvalues by single linkage at ``tol``: two share a cluster when a
+    chain of steps of at most ``tol`` joins them, so the partition does not depend on the
+    order of ``values``. Clusters come in the order of their first member by descending |lambda|.
     """
     values = np.asarray(values)
-    clusters: list[list[int]] = []
-    for i in np.argsort(-np.abs(values)):
-        for members in clusters:
-            if any(abs(values[i] - values[j]) <= tol for j in members):
-                members.append(int(i))
-                break
-        else:
-            clusters.append([int(i)])
-    return [np.array(sorted(c)) for c in clusters]
+    order = np.argsort(-np.abs(values))
+    near = (np.abs(values[order, None] - values[order]) <= tol) * 1.0  # float: BLAS squarings
+    for _ in range((len(order) - 1).bit_length()):  # ceil(log2 k) squarings reach k - 1 steps
+        near = np.minimum(near @ near, 1.0)
+    heads = np.flatnonzero(~np.tril(near, -1).any(axis=1))  # no member before them
+    return [np.sort(order[near[h] > 0]) for h in heads]
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,7 +132,7 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
 
     Eigenvalues with |lambda| >= 1 - tol count as peripheral. One ordered
     Schur form (``linalg.eig``) gives them with biorthonormal right and left
-    eigenvectors, which are grouped into clusters of width ``tol``. S must
+    eigenvectors, which are grouped by single linkage at ``tol``. S must
     preserve Hermiticity, as every channel does (``ValueError`` otherwise); it
     goes to ``eig`` as the real matrix T S T^-1 and its eigenvectors are
     mapped back. The peripheral part of a channel is always diagonalizable,

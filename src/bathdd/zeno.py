@@ -19,9 +19,7 @@ from .spectral import PeripheralDecomposition, _same_cluster, analyze_peripheral
 __all__ = [
     "DdVerdict",
     "dd_check",
-    "dd_evolution",
     "suppression_check",
-    "zeno_evolution",
     "zeno_hamiltonian",
 ]
 
@@ -140,9 +138,9 @@ def dd_check(
     bath kick's own decomposition, lifted by ``_lift``.
     """
     d2 = s2.dim
+    h = assert_hermitian(h)
     if h.shape[0] != d1 * d2:
         raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
-    h = assert_hermitian(h)
     dec2 = analyze_peripheral(s2)
     h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), fixed_point_state(dec2))
     h_eff -= np.trace(h_eff) / d1 * np.eye(d1)

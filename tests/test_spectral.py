@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathdd import spectral
-from bathdd.channel import Superoperator, to_superoperator
+from bathdd.channel import KrausChannel, Superoperator, to_superoperator
 from bathdd.classify import COMMUTE_TOL, _is_dfs_free, classify
 from bathdd.hamiltonian import adjoint_rep, random_hamiltonian
 from bathdd.linalg import dagger, eig
@@ -40,6 +42,77 @@ def test_cluster_indices():
     clusters = _cluster_indices(vals, tol=1e-8)
     merged = sorted(tuple(c) for c in clusters)
     assert merged == [(0, 1), (2,), (3,)]
+
+
+def test_clusters_come_in_the_order_of_their_largest_member():
+    # _analyze keeps this order among clusters equally far from 1
+    clusters = _cluster_indices(np.array([0.5, 1.0, -0.9, 1.0 + 1e-10]), tol=1e-8)
+    assert [c.tolist() for c in clusters] == [[1, 3], [2], [0]]
+
+
+def diagonal_unitary_kick(phases):
+    """The kick rho -> U rho U^dag of U = diag(e^{i phase_j})."""
+    u = np.diag(np.exp(1j * np.asarray(phases)))
+    return to_superoperator(KrausChannel(len(phases), (u,)))
+
+
+def test_chain_of_close_eigenvalues_is_one_cluster():
+    # eigenvalues e^{i 0.7 tol (j - k)}: a chain of steps 0.7 tol, 2.8 tol from end to end
+    dec = analyze_peripheral(diagonal_unitary_kick(0.7 * PERIPHERAL_TOL * np.arange(3)))
+    assert list(dec.multiplicities) == [9]
+    assert abs(dec.peripheral_values[0].imag) <= 1e-15  # a greedy grouping left 4.7e-9
+
+
+def test_grouping_is_closed_under_conjugation():
+    # e^{+-i tol} both lie within tol of 1, and only a grouping that takes both is conjugation-closed
+    dec = analyze_peripheral(diagonal_unitary_kick([0.0, PERIPHERAL_TOL]))
+    values, mult = dec.peripheral_values, dec.multiplicities
+    for v, m in zip(values, mult):
+        partner = np.argmin(np.abs(values - np.conj(v)))
+        assert abs(values[partner] - np.conj(v)) <= 1e-15 and mult[partner] == m
+    assert list(mult) == [4]
+
+
+@st.composite
+def conjugate_chains(draw):
+    """A conjugation-symmetric set of unit-modulus values: 1-4 chains of 1-5 values with
+    neighbours 0.5-1.0 tol apart, each chain with its conjugate."""
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.floats(-np.pi, np.pi))
+        steps = draw(st.lists(st.floats(0.5, 1.0), min_size=0, max_size=4))
+        phases += list(start + PERIPHERAL_TOL * np.cumsum([0.0] + steps))
+    values = np.exp(1j * np.array(phases))
+    return np.concatenate([values, values.conj()])
+
+
+def single_linkage_reference(values, tol):
+    """The connected components of the graph |v_i - v_j| <= tol, by a plain search."""
+    unseen, parts = set(range(len(values))), []
+    while unseen:
+        stack, part = [unseen.pop()], []
+        while stack:
+            i = stack.pop()
+            part.append(i)
+            near = {j for j in unseen if abs(values[i] - values[j]) <= tol}
+            unseen -= near
+            stack += near
+        parts.append(tuple(sorted(part)))
+    return sorted(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cluster_partition_does_not_depend_on_input_order(data):
+    values = data.draw(conjugate_chains())
+    perm = np.array(data.draw(st.permutations(range(len(values)))))
+
+    def partition(clusters, index):
+        return sorted(tuple(sorted(index[c])) for c in clusters)
+
+    want = single_linkage_reference(values, PERIPHERAL_TOL)
+    assert partition(_cluster_indices(values), np.arange(len(values))) == want
+    assert partition(_cluster_indices(values[perm]), perm) == want
 
 
 def test_projection_channel_single_peripheral():

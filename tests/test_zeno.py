@@ -157,6 +157,10 @@ def test_dd_check_updown_example():
     assert v.residual <= 1e-8
     # tr_2[(I kron rho_*) H] = tr(Z I/2) X + Z = Z
     assert np.allclose(v.effective_hamiltonian, Z, atol=1e-12)
+    # a nested list is read as the same H
+    w = dd_check(s2, h.tolist(), 2)
+    assert (w.works, w.residual, w.kick_ergodic) == (v.works, v.residual, v.kick_ergodic)
+    assert np.array_equal(w.effective_hamiltonian, v.effective_hamiltonian)
 
 
 def test_dd_check_square_coefficient():
