@@ -7,6 +7,7 @@ A . B is A kron B^T) is rebuilt from them on each ``to_superoperator`` call.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -105,20 +106,41 @@ def choi(s: Superoperator) -> np.ndarray:
     return s.matrix.reshape(*shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(shape) / d
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j) and its exact inverse.
+
+    X is Hermitian exactly when T vec(X) is real, so a Hermiticity-preserving S is the real
+    T S T^-1. Every entry of T and T^-1 is 0, 1, 1/2, +-i/2 or +-i, so both are exact and
+    each entry of T S T^-1 is a sum of at most four entries of S."""
+    n = d * d
+    units = np.eye(n).reshape(n, d, d)
+    i, j = np.triu_indices(d, 1)
+    upper, lower = units[d * i + j], units[d * j + i]
+    basis = np.concatenate([units[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
+    t_inv = basis.reshape(n, n).T
+    # T = D T^-1^dag with D = diag(1 on the X_ii rows, 1/2 on the others)
+    t = t_inv.conj().T / np.where(np.arange(n) < d, 1.0, 2.0)[:, None]
+    t.flags.writeable = t_inv.flags.writeable = False  # shared by every caller
+    return t, t_inv
+
+
 def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
     """The (columns, rows) of a bath map M = columns @ rows lifted to those of
-    I_d1 kron M: each column X_b, read as a d x d operator, becomes the d1^2
-    operators E_kl kron X_b, and each row likewise, grouped by b. So eigendata
-    stay grouped by cluster, and the factors of E = A B become the rank
-    d1^2 r factors of I_d1 kron E. For d1 = 1 they are the inputs themselves."""
+    I_d1 kron M: each column X_b, read as a d x d operator, becomes the d1^2 operators
+    G_m kron X_b, G_m the Hermitian basis of M_d1 (columns of T^-1, ``_hermitian_coordinates``),
+    and each row likewise with the dual rows of T, grouped by b. So eigendata stay grouped
+    by cluster, E = A B lifts to rank d1^2 r, and Hermitian columns, and rows real on
+    Hermitian input, stay so. For d1 = 1 they are the inputs themselves."""
     if d1 < 1:
         raise ChannelError("d1 must be at least 1")
     if d1 == 1:
         return columns, rows
     d, k = isqrt(columns.shape[0]), columns.shape[1]
-    eye = np.eye(d1)
-    lifted_columns = np.einsum("km,ln,ijb->kiljbmn", eye, eye, columns.reshape(d, d, k))
-    lifted_rows = np.einsum("km,ln,bij->bmnkilj", eye, eye, rows.reshape(k, d, d))
+    t, t_inv = _hermitian_coordinates(d1)
+    basis, dual = t_inv.T.reshape(-1, d1, d1), t.reshape(-1, d1, d1)
+    lifted_columns = np.einsum("mkl,ijb->kiljbm", basis, columns.reshape(d, d, k))
+    lifted_rows = np.einsum("mkl,bij->bmkilj", dual, rows.reshape(k, d, d))
     n, k1 = (d1 * d) ** 2, k * d1 * d1
     return lifted_columns.reshape(n, k1), lifted_rows.reshape(k1, n)
 

@@ -3,7 +3,7 @@ decoupling/suppression curves.
 
 Every curve is the kicked evolution (S W)^n = A P_n (B W) of
 ``zeno._kicked_evolutions`` on chunks of the stacked Hamiltonian ensemble: the
-kick is factored once per sweep as S = A B, and each n costs one small power
+kick is factored once per process as S = A B, and each n costs one small real power
 P_n = (B W A)^{n-1}. A chunk's n grid runs in blocks, each one stacked step and
 one metric call, sized so that no stacked array passes 64 KiB (``_STACK_BYTES``).
 Mode "dd" kicks the bath of a bipartite system with
@@ -17,6 +17,7 @@ constant when suppression fails. ``FIGURES`` holds each reference panel as a
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from .channel import (KrausChannel, Superoperator, _integer, _lift, _real, choi,
                       to_superoperator)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
-from .spectral import analyze_peripheral, peripheral_power
+from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
 from .zeno import _factor_kick, _kicked_evolutions
 from .zoo import builtin, pauli
 
@@ -47,9 +48,8 @@ def _trace_bath(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return np.einsum("...axcxk->...ack", m).reshape(*m.shape[:-5], d1 * d1, m.shape[-1])
 
 
-def _reduced_purity(rows: np.ndarray, cols: np.ndarray, d: int) -> float | np.ndarray:
-    """Sum |lambda|^2 of the reduced Choi matrix (T A)(T C^T)^T / d of S = A C."""
-    lam = rows @ cols.swapaxes(-1, -2)
+def _reduced_purity(lam: np.ndarray, d: int) -> float | np.ndarray:
+    """Sum |lambda|^2 of the reduced Choi matrix lam / d, with lam = T S T^T."""
     return np.real(np.sum(lam * lam.conj(), axis=(-2, -1))) / d**2
 
 
@@ -62,7 +62,7 @@ def reduced_choi_purity(s: Superoperator, d1: int, d2: int) -> float | np.ndarra
     if s.dim != d1 * d2:
         raise ValueError(f"superoperator dim {s.dim} does not factor as {d1}*{d2}")
     t = _trace_bath(np.eye(s.dim**2), d1, d2)
-    return _reduced_purity(_trace_bath(s.matrix, d1, d2), t, s.dim)
+    return _reduced_purity(_trace_bath(s.matrix, d1, d2) @ t.T, s.dim)
 
 
 def choi_distance(s_a: Superoperator, s_b: Superoperator) -> float | np.ndarray:
@@ -172,7 +172,7 @@ def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
 
 
 # A sweep stacks (n, H) pairs in blocks whose largest array (the N x N maps in zeno mode,
-# the r x N B W in dd mode) holds at most _STACK_BYTES, from chunks of at most _STACK
+# the r x N B Phi in dd mode) holds at most _STACK_BYTES, from chunks of at most _STACK
 # Hamiltonians. glibc serves an allocation above its mmap threshold (128 KiB) from a fresh
 # mapping whose pages fault in on every use, so 64 KiB keeps each temporary in the heap:
 # fig3a's 64 x 64 sweeps take chunks of 4 and one n per block, 4 x 4 ones all n at once.
@@ -194,26 +194,34 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
         yield chunk, "random", _random_hamiltonians(total_dim, chunk)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _lifted_factors(dim: int, data: bytes, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors A, B of the kick with these matrix bytes, lifted to I_d1 kron E by
+    ``_lift``: memoised per process like ``spectral._analyze``, so shared and read-only."""
+    m = np.frombuffer(data, dtype=complex).reshape(dim * dim, dim * dim)
+    a, b = _lift(*_factor_kick(Superoperator(dim, m)), d1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"), ordered by
-    str(seed) and then n. The kick channel is factored once as A B, lifted to
-    I_1 kron E_2 by ``_lift`` in mode "dd", and each chunk of Hamiltonians is
-    checked and diagonalised once. Each block of n of a chunk is one stacked call of
-    ``_kicked_evolutions`` and one score: the purity of the d1^2 x d1^2
-    (T A) P_n (T (B W)^T)^T / d ("dd") or the Choi distance of A P_n (B W) ("zeno")."""
+    str(seed) and then n. The kick is factored as A B once per process, lifted to
+    I_1 kron E_2 in mode "dd" (``_lifted_factors``); each chunk of Hamiltonians is checked
+    and diagonalised once. Each block of n of a chunk is one stacked call of
+    ``_kicked_evolutions`` and one score: the purity of the d1^2 x d1^2 (T A) P_n (B W T^T)
+    / d, T the bath trace ("dd"), or the Choi distance of A P_n (B W) ("zeno")."""
     ch = resolve_channel(cfg.channel, cfg.channel_params)
     s = to_superoperator(ch)
-    a, b = _factor_kick(s)
+    a, b = _lifted_factors(ch.dim, s.matrix.tobytes(), cfg.d1 if cfg.mode == "dd" else 1)
     ns = sorted(cfg.n_values)
     if cfg.mode == "dd":
         d1, d2, dim, metric = cfg.d1, ch.dim, cfg.d1 * ch.dim, "purity"
-        a, b = _lift(a, b, d1)
-        rows, stacked = _trace_bath(a, d1, d2), b.size  # the r x N B W
-        score = lambda p, bw, block: _reduced_purity(
-            rows @ p, _trace_bath(bw.swapaxes(-1, -2), d1, d2), dim)
+        rows, rt, stacked = _trace_bath(a, d1, d2), _trace_bath(np.eye(len(a)), d1, d2).T, b.size
+        score = lambda p, y, block: _reduced_purity(rows @ p @ y, dim)
     else:
-        dim, metric, stacked = ch.dim, "choi_distance", a.shape[0] ** 2  # the N x N maps
+        dim, metric, rt, stacked = ch.dim, "choi_distance", None, a.shape[0] ** 2  # N x N maps
         dec = analyze_peripheral(s)
         targets = {n: peripheral_power(dec, n).matrix for n in ns}
 
@@ -226,8 +234,9 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim, min(_STACK, pairs)):
         per = max(1, pairs // len(hs))
         blocks = [ns[i:i + per] for i in range(0, len(ns), per)]
-        parts.append(np.concatenate([score(p, bw, block).reshape(len(block), -1) for block, (p, bw)
-                                     in zip(blocks, _kicked_evolutions((a, b), hs, cfg.t, blocks))]))
+        steps = _kicked_evolutions((a, b), hs, cfg.t, blocks, rt)
+        parts.append(np.concatenate([score(p, y, block).reshape(len(block), -1)
+                                     for block, (p, y) in zip(blocks, steps)]))
         labels += seeds
     values = np.concatenate(parts, axis=1)  # (n, H)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Superoperator
+from .channel import Superoperator, _hermitian_coordinates
 from .linalg import LinalgError, dagger, eig, unvec, vec
 
 __all__ = [
@@ -103,28 +103,6 @@ def _cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np
         near = np.minimum(near @ near, 1.0)
     heads = np.flatnonzero(~np.tril(near, -1).any(axis=1))  # no member before them
     return [np.sort(order[near[h] > 0]) for h in heads]
-
-
-@functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j) and its
-    exact inverse.
-
-    X is Hermitian exactly when T vec(X) is real, so an HP superoperator S
-    is the real matrix T S T^-1 in these coordinates. Every entry of T and
-    T^-1 is 0, 1, 1/2, +-i/2 or +-i, so both are exact in floating point and
-    each entry of T S T^-1 is a sum of at most four entries of S.
-    """
-    n = d * d
-    units = np.eye(n).reshape(n, d, d)
-    i, j = np.triu_indices(d, 1)
-    upper, lower = units[d * i + j], units[d * j + i]
-    basis = np.concatenate([units[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
-    t_inv = basis.reshape(n, n).T
-    # T = D T^-1^dag with D = diag(1 on the X_ii rows, 1/2 on the others)
-    t = t_inv.conj().T / np.where(np.arange(n) < d, 1.0, 2.0)[:, None]
-    t.flags.writeable = t_inv.flags.writeable = False  # shared by every caller
-    return t, t_inv
 
 
 def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> PeripheralDecomposition:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Superoperator, _lift
+from .channel import Superoperator, _hermitian_coordinates, _lift
 from .linalg import assert_hermitian, dagger, kron
 from .spectral import PeripheralDecomposition, _same_cluster, analyze_peripheral, fixed_point_state
 
@@ -56,42 +56,53 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
 
 
 def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
-    """S = A B with A of size N x r and B of size r x N, from one SVD of the kick.
-
-    r is the rank by numpy's ``matrix_rank`` rule (sigma > sigma_max N eps), so
-    only round-off is cut. A bath-DD sweep factors the bath kick E alone and
-    lifts its factors with ``_lift``: I kron E has rank d1^2 rank(E).
-    """
-    u, sigma, vh = np.linalg.svd(s_kick.matrix)
+    """S = A B (N x r, r x N) = (T^-1 A_R)(B_R T), from one real SVD A_R B_R of the
+    Hermiticity-preserving S in the coordinates T of ``_hermitian_coordinates``: each column
+    of A is a Hermitian operator, each row of B real on Hermitian input. r is the rank by
+    numpy's ``matrix_rank`` rule (sigma > sigma_max N eps), so only round-off is cut. A dd
+    sweep lifts the bath kick's factors with ``_lift``: I kron E has rank d1^2 rank(E)."""
+    t, t_inv = _hermitian_coordinates(s_kick.dim)
+    u, sigma, vh = np.linalg.svd((t @ s_kick.matrix @ t_inv).real)
     r = int(np.count_nonzero(sigma > sigma[0] * len(sigma) * np.finfo(sigma.dtype).eps))
-    return u[:, :r] * sigma[:r], vh[:r]
+    return t_inv @ (u[:, :r] * sigma[:r]), vh[:r] @ t
 
 
-def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks):
-    """(P, B W) per block of n, on one flat (n, H) axis: row i k + j holds n = block[i]
-    and H_j of the k Hamiltonians, with P = (B W A)^{n-1}, so (S W)^n = A P (B W).
+def _sandwich(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(k, c, d d): vec(left_j X_i right_j) for the c rows X_i of ``ops`` read as d x d
+    operators, laid side by side once so that each side is one stacked product."""
+    k, d = len(left), left.shape[-1]
+    side = ops.reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1)
+    y = (left @ side).reshape(k, d, -1, d).swapaxes(1, 2).reshape(k, -1, d)
+    return (y @ right).reshape(k, -1, d * d)
 
-    S = A B comes from ``_factor_kick``. The free step W = V kron conj(V) is never
-    formed: row b of B, read as a d x d matrix X_b, maps to b W = vec(V^T X_b conj(V)),
-    so with the rows laid side by side once, B W is V^T [X_1 ... X_r] and then the
-    stacked (r d x d) times conj(V). H, one matrix or a (k, d, d) stack, is checked and
-    diagonalised once. Each P is one ``matrix_power`` per n, and a block of one n is the
-    plain (k, r, r) and (k, r, N) stack. A block stacks every array over all its pairs,
-    so ``harness.sweep`` sizes it below glibc's mmap threshold (``_STACK_BYTES``).
+
+def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks, rt: np.ndarray | None = None):
+    """(P, B W R^T) per block of n, on one flat (n, H) axis: row i k + j holds n = block[i]
+    and H_j of the k Hamiltonians, with the real P = (B W A)^{n-1}, so (S W)^n = A P (B W).
+
+    With S = A B from ``_factor_kick``, B W A is real in exact arithmetic. H, one matrix or
+    a (k, d, d) stack, is checked and diagonalised once, H = U E U^dag, so W is
+    (U kron conj(U)) Phi (U kron conj(U))^dag with Phi = diag exp(-i (t/n) (E_i - E_j)).
+    Rows X of B go to U^T X conj(U) and columns Y of [A | R^T] to U^dag Y U once; a block is
+    one phase product and one stacked product: r columns of step B W A, whose real part is
+    powered once per n, then B W R^T (R the bath trace in a dd sweep, by default I). A
+    block stacks the r x N B Phi of its pairs; ``harness.sweep`` sizes it (``_STACK_BYTES``).
     """
     a, b = factors
     energies, u = np.linalg.eigh(assert_hermitian(h).reshape(-1, *np.shape(h)[-2:]))
-    d, r, u_h = u.shape[-1], b.shape[0], dagger(u)
-    x_side = b.reshape(r, d, d).swapaxes(0, 1).reshape(d, r * d)
+    k, r = len(u), len(b)
+    b_u = _sandwich(b, u.swapaxes(-1, -2), u.conj())
+    cols = np.hstack([a, np.eye(len(a)) if rt is None else rt])
+    c_u = _sandwich(cols.T, dagger(u), u).swapaxes(-1, -2)
+    gaps = (energies[:, :, None] - energies[:, None, :]).reshape(k, 1, -1)
     for block in blocks:
         if min(block) < 1:
             raise ValueError("n must be at least 1")
-        phases = np.exp(np.array([-1j * (t / n) for n in block])[:, None, None] * energies)
-        v = ((u * phases[..., None, :]) @ u_h).reshape(-1, d, d)
-        vx = (v.swapaxes(-1, -2) @ x_side).reshape(-1, d, r, d).swapaxes(-3, -2)
-        bw = (vx.reshape(-1, r * d, d) @ v.conj()).reshape(-1, r, d * d)
-        steps = (bw @ a).reshape(len(block), -1, r, r)
-        yield np.concatenate([np.linalg.matrix_power(step, n - 1) for step, n in zip(steps, block)]), bw
+        phases = np.exp(np.array([-1j * (t / n) for n in block])[:, None, None, None] * gaps)
+        out = ((b_u * phases) @ c_u).reshape(-1, r, c_u.shape[-1])
+        steps = out[:, :, :r].real.reshape(len(block), k, r, r)
+        powers = [np.linalg.matrix_power(step, n - 1) for step, n in zip(steps, block)]
+        yield np.concatenate(powers), out[:, :, r:]
 
 
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:

@@ -229,6 +229,18 @@ def test_zeno_sweep_keeps_its_first_order_constant_at_large_n(name):
             assert c[seed, n] == pytest.approx(c[seed, ns[0]], rel=1e-2)
 
 
+def test_zeno_sweep_of_a_kick_with_a_dfs_saturates_at_large_n():
+    # E_df has a DFS, so err(n) tends to a nonzero constant: at 10^5 and 10^6 it stays
+    # within 1% of its value at 10^4, for each Hamiltonian and each aggregate
+    ns = (10**4, 10**5, 10**6)
+    records = sweep(SweepConfig("zoo:E_df", "zeno", ns, {"random": 3, "seed": 0}))
+    err = {(r.seed, r.n): r.value for r in records}
+    for seed in {r.seed for r in records}:
+        assert err[seed, ns[0]] > 1e-2
+        for n in ns[1:]:
+            assert err[seed, n] == pytest.approx(err[seed, ns[0]], rel=1e-2)
+
+
 def plain_kicked_evolution(kick, h, t, n):
     """(S W)^n with W = V kron conj(V) and V = expm(-i (t/n) H): the unfactored
     n-fold product, built without bathdd's kicked-evolution code."""
@@ -334,19 +346,19 @@ def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
 
     calls = []
 
-    def record(factors, hs, t, blocks):
-        yielded = list(bathdd.zeno._kicked_evolutions(factors, hs, t, blocks))
-        calls.append((len(hs), blocks, [bw for _, bw in yielded]))
+    def record(factors, hs, t, blocks, rt):
+        yielded = list(bathdd.zeno._kicked_evolutions(factors, hs, t, blocks, rt))
+        calls.append((len(hs), blocks, factors[1].shape, [y for _, y in yielded]))
         return iter(yielded)
 
     monkeypatch.setattr(bathdd.harness, "_kicked_evolutions", record)
     sweep(cfg)
-    assert sum(k for k, _, _ in calls) == cfg.hamiltonians["random"]
-    for k, blocks, bws in calls:
+    assert sum(k for k, _, _, _ in calls) == cfg.hamiltonians["random"]
+    for k, blocks, (r, big_n), ys in calls:
         assert [n for block in blocks for n in block] == sorted(cfg.n_values)
-        # per (n, H) pair: the r x N B W, or in zeno mode the larger N x N map
-        pair = max(bws[0][0].nbytes, 16 * bws[0].shape[-1] ** 2 if cfg.mode == "zeno" else 0)
-        assert all(len(bw) == len(block) * k for block, bw in zip(blocks, bws, strict=True))
+        # per (n, H) pair: the r x N B Phi, or in zeno mode the larger N x N map
+        pair = max(16 * r * big_n, 16 * big_n**2 if cfg.mode == "zeno" else 0)
+        assert all(len(y) == len(block) * k for block, y in zip(blocks, ys, strict=True))
         assert len(blocks[0]) * k * pair <= _STACK_BYTES
         # as many n per block as fit
         assert len(blocks) == 1 or (len(blocks[0]) + 1) * k * pair > _STACK_BYTES
@@ -394,10 +406,36 @@ def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
     monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse, raising=False)
     monkeypatch.setattr(bathdd.harness, "extend_with_identity", refuse, raising=False)
     monkeypatch.setattr(bathdd.harness, "_factor_kick", record)
+    bathdd.harness._lifted_factors.cache_clear()  # factors memoised by earlier sweeps
     for cfg, d2 in ((FIGURES["fig3a"].config, 4), (STACKED_CASES["updown:d1=3"], 2)):
         records = sweep(with_hamiltonians(cfg, random=2, seed=0))
         assert len(records) == 5 * len(cfg.n_values)
         assert factored.pop() == (d2 * d2, d2 * d2) and not factored
+
+
+def test_second_sweep_of_a_kick_factors_nothing(monkeypatch):
+    import bathdd.harness
+
+    factored = []
+
+    def record(s_kick):
+        factored.append(s_kick.matrix.shape)
+        return bathdd.zeno._factor_kick(s_kick)
+
+    monkeypatch.setattr(bathdd.harness, "_factor_kick", record)
+    bathdd.harness._lifted_factors.cache_clear()
+    cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
+    first = sweep(cfg)
+    assert factored == [(16, 16)]
+    # the same kick with other Hamiltonians, and the same sweep again, factor nothing
+    sweep(with_hamiltonians(cfg, random=2, seed=5))
+    assert sweep(cfg) == first and factored == [(16, 16)]
+    s = to_superoperator(builtin("E_omega").channel)
+    for f in bathdd.harness._lifted_factors(4, s.matrix.tobytes(), 2):
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0] = 0
+    assert factored == [(16, 16)]
 
 
 def test_sweep_deterministic_replay(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -439,6 +440,40 @@ def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
     n = (d1 * s2.dim) ** 2
     assert a.shape == (n, d1 * d1 * a2.shape[1]) and b.shape == (d1 * d1 * b2.shape[0], n)
     assert np.max(np.abs(a @ b - kraus_lift(ch, d1).matrix)) <= 1e-14
+
+
+def test_factor_kick_keeps_the_zoo_ranks():
+    # the real SVD in Hermitian coordinates cuts only round-off, as the complex one did
+    ranks = [_factor_kick(sup(name))[0].shape[1] for name in names()]
+    assert ranks == [2, 2, 3, 2, 2, 1, 4, 8]
+
+
+@pytest.mark.parametrize("name", names())
+def test_kicked_step_is_real(name):
+    # B W A of factors from the real SVD is real: its imaginary part, formed here from an
+    # expm free step, is round-off, and P is the real power of that step
+    s2 = sup(name)
+    for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
+        a, b = _lift(*_factor_kick(s2), d1)
+        hs = np.array([random_hamiltonian(d1 * s2.dim, seed) for seed in range(3)])
+        for n in (1, 2, 7, 100):
+            p, _ = next(_kicked_evolutions((a, b), hs, 0.7, [(n,)]))
+            assert p.dtype == np.float64
+            for h, p_h in zip(hs, p):
+                v = scipy.linalg.expm(-0.7j / n * h)
+                step = b @ kron(v, v.conj()) @ a
+                assert np.max(np.abs(step.imag)) <= 1e-15
+                assert np.max(np.abs(p_h - np.linalg.matrix_power(step, n - 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", names())
+def test_zeno_evolution_at_large_n_preserves_hermiticity(name):
+    # the real power cannot drift off Hermiticity-preservation, however large n is
+    s = sup(name)
+    d = s.dim
+    hs = np.array([random_hamiltonian(d, seed) for seed in range(3)])
+    x = zeno_evolution(s, hs, 1.0, 10**6).matrix.reshape(3, d, d, d, d)
+    assert np.max(np.abs(x.conj() - x.transpose(0, 2, 1, 4, 3))) <= 1e-14
 
 
 @pytest.mark.parametrize("d1", [1, 2, 3])
