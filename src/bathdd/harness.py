@@ -1,34 +1,33 @@
 """Metrics, parameter sweeps, and desk-scale reproduction of the reference
 decoupling/suppression curves.
 
-Every curve is the kicked evolution (S W)^n = A P_n (B W) of
-``zeno._kicked_evolutions`` on chunks of the stacked Hamiltonian ensemble: the
-kick is factored once per process as S = A B, and each n costs one small real power
-P_n = (B W A)^{n-1}. A chunk's n grid runs in blocks, each one stacked step and
-one metric call, sized so that no stacked array passes 64 KiB (``_STACK_BYTES``).
-Mode "dd" kicks the bath of a bipartite system with
-I_1 kron E_2, the lift of E_2's own factors, and records the purity of the
-system legs of the Choi state from the bath-traced A and B W; mode "zeno" kicks
-with E and records the trace-norm distance between the Choi states of
-A P_n (B W) and of E_phi^n (full suppression), which saturates at a nonzero
-constant when suppression fails. ``FIGURES`` holds each reference panel as a
-``SweepConfig`` row, which ``reproduce`` runs through ``sweep``.
+Every curve is the kicked evolution (S W)^n = A P_n (B W) of ``zeno._kicked_evolutions``
+on chunks of the stacked Hamiltonian ensemble: the kick's factors S = A B come from
+``zeno._factor_kick``, the one per-process memo that also serves ``zeno_evolution`` and
+``dd_evolution``, and each n costs one small real power P_n = (B W A)^{n-1}. Chunks and
+their blocks of n, each block one stacked step and one metric call, are sized so that no
+stacked array passes 64 KiB (``_STACK_BYTES``). Mode "dd" kicks the bath of a bipartite
+system with I_1 kron E_2, the lift of E_2's own factors, and records the purity of the
+system legs of the Choi state from the bath-traced A and B W; mode "zeno" kicks with E
+and records the trace-norm distance between the Choi states of A P_n (B W) and of
+E_phi^n (full suppression), which saturates at a nonzero constant when suppression
+fails. ``FIGURES`` holds each reference panel as a ``SweepConfig`` row, which
+``reproduce`` runs through ``sweep``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, _integer, _lift, _real, choi, load_channel,
+from .channel import (KrausChannel, Superoperator, _integer, _real, choi, load_channel,
                       to_superoperator)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
-from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
+from .spectral import analyze_peripheral, peripheral_power
 from .zeno import _factor_kick, _kicked_evolutions
 from .zoo import builtin, pauli
 
@@ -171,12 +170,11 @@ def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
     return load_channel(spec)
 
 
-# A sweep stacks (n, H) pairs in blocks whose largest array (the N x N maps in zeno mode,
-# the r x N B Phi in dd mode) holds at most _STACK_BYTES, from chunks of at most _STACK
-# Hamiltonians. glibc serves an allocation above its mmap threshold (128 KiB) from a fresh
-# mapping whose pages fault in on every use, so 64 KiB keeps each temporary in the heap:
-# fig3a's 64 x 64 sweeps take chunks of 4 and one n per block, 4 x 4 ones all n at once.
-_STACK, _STACK_BYTES = 32, 1 << 16
+# A sweep's chunks of Hamiltonians and blocks of n keep their largest array (the N x N maps
+# in zeno mode, the r x N B Phi in dd mode) within _STACK_BYTES. glibc serves an allocation
+# above its mmap threshold (128 KiB) from a fresh mapping whose pages fault in on every use,
+# so 64 KiB keeps each temporary in the heap: fig3a's 64 x 64 sweeps take chunks of 4 H.
+_STACK_BYTES = 1 << 16
 
 
 def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
@@ -194,34 +192,23 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
         yield chunk, "random", _random_hamiltonians(total_dim, chunk)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _lifted_factors(dim: int, data: bytes, d1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The factors A, B of the kick with these matrix bytes, lifted to I_d1 kron E by
-    ``_lift``: memoised per process like ``spectral._analyze``, so shared and read-only."""
-    m = np.frombuffer(data, dtype=complex).reshape(dim * dim, dim * dim)
-    a, b = _lift(*_factor_kick(Superoperator(dim, m)), d1)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
-
-
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"), ordered by
     str(seed) and then n. The kick is factored as A B once per process, lifted to
-    I_1 kron E_2 in mode "dd" (``_lifted_factors``); each chunk of Hamiltonians is checked
+    I_1 kron E_2 in mode "dd" (``zeno._factor_kick``); each chunk of Hamiltonians is checked
     and diagonalised once. Each block of n of a chunk is one stacked call of
     ``_kicked_evolutions`` and one score: the purity of the d1^2 x d1^2 (T A) P_n (B W T^T)
     / d, T the bath trace ("dd"), or the Choi distance of A P_n (B W) ("zeno")."""
-    ch = resolve_channel(cfg.channel, cfg.channel_params)
-    s = to_superoperator(ch)
-    a, b = _lifted_factors(ch.dim, s.matrix.tobytes(), cfg.d1 if cfg.mode == "dd" else 1)
+    s = to_superoperator(resolve_channel(cfg.channel, cfg.channel_params))
+    a, b = _factor_kick(s.dim, s.matrix.tobytes(), cfg.d1 if cfg.mode == "dd" else 1)
     ns = sorted(cfg.n_values)
     if cfg.mode == "dd":
-        d1, d2, dim, metric = cfg.d1, ch.dim, cfg.d1 * ch.dim, "purity"
+        d1, d2, dim, metric = cfg.d1, s.dim, cfg.d1 * s.dim, "purity"
         rows, rt, stacked = _trace_bath(a, d1, d2), _trace_bath(np.eye(len(a)), d1, d2).T, b.size
         score = lambda p, y, block: _reduced_purity(rows @ p @ y, dim)
     else:
-        dim, metric, rt, stacked = ch.dim, "choi_distance", None, a.shape[0] ** 2  # N x N maps
+        dim, metric, rt, stacked = s.dim, "choi_distance", None, a.shape[0] ** 2  # N x N maps
         dec = analyze_peripheral(s)
         targets = {n: peripheral_power(dec, n).matrix for n in ns}
 
@@ -231,7 +218,7 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     pairs = max(1, _STACK_BYTES // (16 * stacked))  # (n, H) pairs per block
     labels, parts = [], []
-    for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim, min(_STACK, pairs)):
+    for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim, pairs):
         per = max(1, pairs // len(hs))
         blocks = [ns[i:i + per] for i in range(0, len(ns), per)]
         steps = _kicked_evolutions((a, b), hs, cfg.t, blocks, rt)

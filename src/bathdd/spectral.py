@@ -50,8 +50,18 @@ DEFECT_COND = 1e8
 # extensions. Dropping an anti-HP part of 100 eps moves nothing above rounding.
 HP_RTOL = 100 * np.finfo(float).eps
 
-# Distinct (kick, tol) analyses kept per process; at d = 8 a key holds a
-# 64 x 64 complex matrix, so 64 entries keep at most 4 MB of keys.
+
+def _real_form(d: int, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T, T^-1 and the real T S T^-1 of the S with these bytes; ValueError unless S is HP."""
+    x = np.frombuffer(data, dtype=complex).reshape(d, d, d, d)  # F S F swaps axes 0, 1 and 2, 3
+    if np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2)) > HP_RTOL * np.linalg.norm(x):
+        raise ValueError("superoperator is not Hermiticity-preserving: not a channel")
+    t, t_inv = _hermitian_coordinates(d)
+    return t, t_inv, (t @ x.reshape(d * d, d * d) @ t_inv).real
+
+
+# Distinct (kick, tol) analyses kept per process, and (kick, d1) factors in ``zeno``; at
+# d = 8 a key holds a 64 x 64 complex matrix, so 64 entries keep at most 4 MB of keys.
 _CACHE_SIZE = 64
 
 
@@ -131,13 +141,9 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _analyze(d: int, data: bytes, tol: float) -> PeripheralDecomposition:
     """The body of ``analyze_peripheral`` on the bytes of S."""
-    m = np.frombuffer(data, dtype=complex).reshape(d * d, d * d)
-    t, t_inv = _hermitian_coordinates(d)
-    x = m.reshape(d, d, d, d)  # F S F is x.transpose(1, 0, 3, 2)
-    if np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2)) > HP_RTOL * np.linalg.norm(m):
-        raise ValueError("superoperator is not Hermiticity-preserving: not a channel")
+    t, t_inv, m = _real_form(d, data)
     try:
-        w, r, lh = eig((t @ m @ t_inv).real, 1 - tol)
+        w, r, lh = eig(m, 1 - tol)
     except LinalgError as exc:
         raise SpectralError(f"no peripheral decomposition at tol={tol:g}: {exc}") from exc
     if not w.size:

@@ -8,13 +8,15 @@ for H on the kick's space (suppression) and on C^d1 kron C^d (bath DD, lifted ei
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Superoperator, _hermitian_coordinates, _lift
+from .channel import Superoperator, _lift
 from .linalg import assert_hermitian, dagger, kron
-from .spectral import PeripheralDecomposition, _same_cluster, analyze_peripheral, fixed_point_state
+from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, _same_cluster,
+                       analyze_peripheral, fixed_point_state)
 
 __all__ = [
     "DdVerdict",
@@ -55,16 +57,21 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
     return Superoperator(len(h), right @ core @ left)
 
 
-def _factor_kick(s_kick: Superoperator) -> tuple[np.ndarray, np.ndarray]:
-    """S = A B (N x r, r x N) = (T^-1 A_R)(B_R T), from one real SVD A_R B_R of the
-    Hermiticity-preserving S in the coordinates T of ``_hermitian_coordinates``: each column
-    of A is a Hermitian operator, each row of B real on Hermitian input. r is the rank by
-    numpy's ``matrix_rank`` rule (sigma > sigma_max N eps), so only round-off is cut. A dd
-    sweep lifts the bath kick's factors with ``_lift``: I kron E has rank d1^2 rank(E)."""
-    t, t_inv = _hermitian_coordinates(s_kick.dim)
-    u, sigma, vh = np.linalg.svd((t @ s_kick.matrix @ t_inv).real)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _factor_kick(dim: int, data: bytes, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only factors, memoised per process, of I_d1 kron S for the kick S with these
+    bytes: S = A B = (T^-1 A_R)(B_R T) from one real SVD of ``spectral._real_form``'s
+    T S T^-1, which refuses a non-HP S; ``_lift`` lifts them to rank d1^2 r. Columns of A
+    are Hermitian, rows of B real on Hermitian input; r keeps sigma > sigma_max N eps
+    (numpy's ``matrix_rank`` rule), so only round-off is cut, and the zero map is refused."""
+    t, t_inv, m = _real_form(dim, data)
+    u, sigma, vh = np.linalg.svd(m)
     r = int(np.count_nonzero(sigma > sigma[0] * len(sigma) * np.finfo(sigma.dtype).eps))
-    return t_inv @ (u[:, :r] * sigma[:r]), vh[:r] @ t
+    if not r:
+        raise ValueError("the kick is the zero map: it has no kicked evolution")
+    a, b = _lift(t_inv @ (u[:, :r] * sigma[:r]), vh[:r] @ t, d1)
+    a.flags.writeable = b.flags.writeable = False  # shared by every caller of this kick
+    return a, b
 
 
 def _sandwich(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -80,9 +87,9 @@ def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks, rt: np.ndarray 
     """(P, B W R^T) per block of n, on one flat (n, H) axis: row i k + j holds n = block[i]
     and H_j of the k Hamiltonians, with the real P = (B W A)^{n-1}, so (S W)^n = A P (B W).
 
-    With S = A B from ``_factor_kick``, B W A is real in exact arithmetic. H, one matrix or
-    a (k, d, d) stack, is checked and diagonalised once, H = U E U^dag, so W is
-    (U kron conj(U)) Phi (U kron conj(U))^dag with Phi = diag exp(-i (t/n) (E_i - E_j)).
+    With S = A B from the read-only memo ``_factor_kick``, B W A is real in exact arithmetic.
+    H, one matrix or a (k, d, d) stack, is checked and diagonalised once, H = U E U^dag, so W
+    is (U kron conj(U)) Phi (U kron conj(U))^dag with Phi = diag exp(-i (t/n) (E_i - E_j)).
     Rows X of B go to U^T X conj(U) and columns Y of [A | R^T] to U^dag Y U once; a block is
     one phase product and one stacked product: r columns of step B W A, whose real part is
     powered once per n, then B W R^T (R the bath trace in a dd sweep, by default I). A
@@ -115,8 +122,8 @@ def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Su
 
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:
     """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n, from
-    the factors of E alone, lifted by ``_lift`` as in a bath-DD sweep."""
-    a, b = _lift(*_factor_kick(s2), d1)
+    the factors of E alone, lifted and memoised by ``_factor_kick`` as in a bath-DD sweep."""
+    a, b = _factor_kick(s2.dim, s2.matrix.tobytes(), d1)
     p, bw = next(_kicked_evolutions((a, b), h, t, [(n,)]))
     return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 

@@ -9,6 +9,7 @@ from bathdd.channel import (
     ChannelError,
     KrausChannel,
     Superoperator,
+    _lift,
     _matrix_to_pairs,
     channel_from_dict,
     choi,
@@ -169,6 +170,18 @@ def test_choi_trace_one():
 
 
 # --- tensoring / composition -------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 9), (16,), (1, 1, 4, 4)])
+def test_superoperator_refuses_a_matrix_of_the_wrong_shape(shape):
+    with pytest.raises(ChannelError, match="does not match dim 2"):
+        Superoperator(2, np.zeros(shape))
+
+
+@pytest.mark.parametrize("d1", [0, -1])
+def test_lift_refuses_d1_below_one(d1):
+    with pytest.raises(ChannelError, match="d1 must be at least 1"):
+        _lift(np.eye(4), np.eye(4), d1)
 
 
 def test_extend_with_identity_trivial():

@@ -217,6 +217,7 @@ SWEEP_BASE = {"channel": "zoo:E_updown", "mode": "zeno", "n_values": [1, 2],
 BAD_FILES = {
     "h2": {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
     "h4": {"matrix": [[[float(i == 0 and j == 1), 0.0] for j in range(4)] for i in range(4)]},
+    "h3": {"matrix": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]},
     "bad_mode": {**SWEEP_BASE, "mode": "dephase"},
     "bad_fixture": {**SWEEP_BASE, "hamiltonians": {"fixture": "XX"}},
     "zero_n": {**SWEEP_BASE, "n_values": [0, 2]},
@@ -265,6 +266,8 @@ BAD_FILES = {
 @pytest.mark.parametrize("argv", [
     ["zeno-check", "zoo:E_updown", "--hamiltonian", "{h2}"],
     ["dd-check", "zoo:E_updown", "--hamiltonian", "{h4}"],
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "{h3}"],
+    ["dd-check", "zoo:E_updown", "--hamiltonian", "{h3}"],
     ["zeno-check", "zoo:E_updown", "--hamiltonian", "random:-1"],
     ["dd-check", "zoo:E_updown", "--hamiltonian", "random:1", "--d1", "0"],
     ["dd-check", "zoo:E_updown", "--hamiltonian", "random:1", "--d1", "-1"],

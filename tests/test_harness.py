@@ -9,7 +9,6 @@ from bathdd.channel import (KrausChannel, Superoperator, choi, extend_with_ident
                             to_superoperator)
 from bathdd.hamiltonian import random_hamiltonian
 from bathdd.harness import (
-    _STACK,
     _STACK_BYTES,
     _hamiltonian_chunks,
     FIGURES,
@@ -24,7 +23,7 @@ from bathdd.harness import (
 )
 from bathdd.linalg import kron
 from bathdd.spectral import analyze_peripheral, peripheral_power
-from bathdd.zeno import zeno_evolution
+from bathdd.zeno import _factor_kick, dd_evolution, zeno_evolution
 from bathdd.zoo import builtin, pauli
 from bathdd.zoo import names as builtin_names
 
@@ -98,7 +97,7 @@ def test_choi_distance_basics():
 
 def test_choi_distance_reset_fixture():
     from bathdd.spectral import analyze_peripheral, peripheral_power
-    from bathdd.zeno import zeno_evolution
+    from bathdd.zeno import _factor_kick, dd_evolution, zeno_evolution
 
     # the target of full suppression, H_Z = 0, is E_phi^n
     s = sup("E_omega")
@@ -279,9 +278,9 @@ STACKED_CASES = {
        for fig_id, fig in FIGURES.items()},
     **{f"{fig_id}:{fig.fixture}": with_hamiltonians(fig.config, fixture=fig.fixture)
        for fig_id, fig in FIGURES.items() if fig.fixture is not None},
-    # more Hamiltonians than one chunk holds: 4x4 superoperators (count cap) and
-    # 64x64 ones (byte cap)
-    "fig1b:chunked": with_hamiltonians(FIGURES["fig1b"].config, random=_STACK + 5, seed=0),
+    # more Hamiltonians than one chunk of 64 KiB holds: 16x16 superoperators, where r = 8
+    # and N = 16 give 32 pairs per chunk, and 64x64 ones, 4 pairs per chunk
+    "fig1a:chunked": with_hamiltonians(FIGURES["fig1a"].config, random=37, seed=0),
     "fig3a:chunked": with_hamiltonians(FIGURES["fig3a"].config, random=_STACK_BYTES // 2**14 + 1,
                                        seed=0),
     # n grids that split into several blocks of several n: 64 KiB holds 4 of fig3a's
@@ -313,7 +312,7 @@ def test_stacked_sweep_matches_per_pair_reference(cfg):
 def test_random_hamiltonian_is_its_row_of_a_sweep_chunk():
     cfg = with_hamiltonians(FIGURES["fig1b"].config, random=40, seed=0)
     for d in (2, 4, 8):
-        chunks = list(_hamiltonian_chunks(cfg, d, _STACK))
+        chunks = list(_hamiltonian_chunks(cfg, d, 32))
         assert [len(hs) for _, _, hs in chunks] == [32, 8]
         for seeds, _, hs in chunks:
             for seed, h in zip(seeds, hs):
@@ -388,6 +387,11 @@ def test_choi_distance_refuses_a_map_that_breaks_hermiticity():
         choi_distance(Superoperator(2, 1j * np.eye(4)), identity)
 
 
+def test_choi_distance_refuses_maps_of_different_dimensions():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        choi_distance(Superoperator(2, np.eye(4)), Superoperator(3, np.eye(9)))
+
+
 def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
     import bathdd.channel
     import bathdd.harness
@@ -396,46 +400,46 @@ def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
     def refuse(*args):
         raise AssertionError("a dd sweep formed the lifted kick")
 
-    factored = []
-
-    def record(s_kick):
-        factored.append(s_kick.matrix.shape)
-        return bathdd.zeno._factor_kick(s_kick)
-
     monkeypatch.setattr(bathdd.channel, "extend_with_identity", refuse)
     monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse, raising=False)
     monkeypatch.setattr(bathdd.harness, "extend_with_identity", refuse, raising=False)
-    monkeypatch.setattr(bathdd.harness, "_factor_kick", record)
-    bathdd.harness._lifted_factors.cache_clear()  # factors memoised by earlier sweeps
-    for cfg, d2 in ((FIGURES["fig3a"].config, 4), (STACKED_CASES["updown:d1=3"], 2)):
+    for cfg, kick in ((FIGURES["fig3a"].config, sup("E_omega")),
+                      (STACKED_CASES["updown:d1=3"], sup("E_updown"))):
+        _factor_kick.cache_clear()  # factors memoised by earlier sweeps
         records = sweep(with_hamiltonians(cfg, random=2, seed=0))
         assert len(records) == 5 * len(cfg.n_values)
-        assert factored.pop() == (d2 * d2, d2 * d2) and not factored
+        assert _factor_kick.cache_info().misses == 1
+        # the one entry is the bath kick's factors at the sweep's d1
+        _factor_kick(kick.dim, kick.matrix.tobytes(), cfg.d1)
+        assert _factor_kick.cache_info()[:2] == (1, 1)
 
 
-def test_second_sweep_of_a_kick_factors_nothing(monkeypatch):
-    import bathdd.harness
-
-    factored = []
-
-    def record(s_kick):
-        factored.append(s_kick.matrix.shape)
-        return bathdd.zeno._factor_kick(s_kick)
-
-    monkeypatch.setattr(bathdd.harness, "_factor_kick", record)
-    bathdd.harness._lifted_factors.cache_clear()
+def test_second_sweep_of_a_kick_factors_nothing():
+    _factor_kick.cache_clear()
     cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
     first = sweep(cfg)
-    assert factored == [(16, 16)]
+    assert _factor_kick.cache_info().misses == 1
     # the same kick with other Hamiltonians, and the same sweep again, factor nothing
     sweep(with_hamiltonians(cfg, random=2, seed=5))
-    assert sweep(cfg) == first and factored == [(16, 16)]
-    s = to_superoperator(builtin("E_omega").channel)
-    for f in bathdd.harness._lifted_factors(4, s.matrix.tobytes(), 2):
+    assert sweep(cfg) == first and _factor_kick.cache_info().misses == 1
+    s = sup("E_omega")
+    for f in _factor_kick(4, s.matrix.tobytes(), 2):
         assert not f.flags.writeable
         with pytest.raises(ValueError):
             f[0, 0] = 0
-    assert factored == [(16, 16)]
+    assert _factor_kick.cache_info().misses == 1
+
+
+def test_sweep_then_dd_evolution_of_its_kick_factors_nothing_more():
+    _factor_kick.cache_clear()
+    cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
+    sweep(cfg)
+    hs = np.array([random_hamiltonian(8, seed) for seed in range(2)])
+    got = dd_evolution(sup("E_omega"), hs, cfg.t, 5, cfg.d1)
+    assert _factor_kick.cache_info().misses == 1
+    for h, m in zip(hs, got.matrix):
+        want = plain_kicked_evolution(extend_with_identity(sup("E_omega"), 2), h, cfg.t, 5)
+        assert np.max(np.abs(m - want.matrix)) <= 1e-12
 
 
 def test_sweep_deterministic_replay(tmp_path):

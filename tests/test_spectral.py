@@ -194,6 +194,11 @@ def test_peripheral_power():
                        np.linalg.matrix_power(peripheral_power(dec, 1).matrix, 2), atol=1e-9)
 
 
+def test_peripheral_power_refuses_a_negative_n():
+    with pytest.raises(ValueError, match="non-negative"):
+        peripheral_power(dec_of("E_updown"), -1)
+
+
 def test_peripheral_power_dephasing_is_itself():
     s = to_superoperator(builtin("E_dephase", d=2).channel)
     dec = analyze_peripheral(s)

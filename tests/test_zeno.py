@@ -39,6 +39,10 @@ def sup(name, **params):
     return to_superoperator(builtin(name, **params).channel)
 
 
+def factor_kick(s):
+    return _factor_kick(s.dim, s.matrix.tobytes(), 1)
+
+
 def random_bloch(seed):
     rng = np.random.default_rng(seed)
     n = rng.standard_normal(3)
@@ -382,7 +386,7 @@ FACTORED_KICKS = {
 @pytest.mark.parametrize("name", FACTORED_KICKS)
 def test_factored_kicked_evolution_matches_plain_product(name):
     kick, rank = FACTORED_KICKS[name]
-    a, b = _factor_kick(kick)
+    a, b = factor_kick(kick)
     assert a.shape == (kick.dim**2, rank) and b.shape == (rank, kick.dim**2)
     hs = np.array([random_hamiltonian(kick.dim, seed) for seed in range(3)])
     for n in (1, 100):
@@ -396,7 +400,7 @@ def test_kicked_evolution_block_stacks_each_n_of_one_n_blocks(name, monkeypatch)
     # a block of several n is the one-n stacks laid on one flat (n, H) axis, bitwise,
     # with one matrix_power per n; a single H gives one row per n
     kick, rank = FACTORED_KICKS[name]
-    factors = _factor_kick(kick)
+    factors = factor_kick(kick)
     block = (1, 2, 5, 100)
     powers = []
     power = np.linalg.matrix_power
@@ -431,7 +435,7 @@ BATH_KICKS = {**{name: (builtin(name).channel, None) for name in names()},
 def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
     ch, rank = BATH_KICKS[name]
     s2 = to_superoperator(ch)
-    a2, b2 = _factor_kick(s2)
+    a2, b2 = factor_kick(s2)
     if rank is not None:
         assert a2.shape[1] == rank
     a, b = _lift(a2, b2, d1)
@@ -444,7 +448,7 @@ def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
 
 def test_factor_kick_keeps_the_zoo_ranks():
     # the real SVD in Hermitian coordinates cuts only round-off, as the complex one did
-    ranks = [_factor_kick(sup(name))[0].shape[1] for name in names()]
+    ranks = [factor_kick(sup(name))[0].shape[1] for name in names()]
     assert ranks == [2, 2, 3, 2, 2, 1, 4, 8]
 
 
@@ -454,7 +458,7 @@ def test_kicked_step_is_real(name):
     # expm free step, is round-off, and P is the real power of that step
     s2 = sup(name)
     for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
-        a, b = _lift(*_factor_kick(s2), d1)
+        a, b = _lift(*factor_kick(s2), d1)
         hs = np.array([random_hamiltonian(d1 * s2.dim, seed) for seed in range(3)])
         for n in (1, 2, 7, 100):
             p, _ = next(_kicked_evolutions((a, b), hs, 0.7, [(n,)]))
@@ -486,7 +490,7 @@ def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
     s2 = to_superoperator(ch)
     hs = np.array([random_hamiltonian(d1 * ch.dim, seed) for seed in range(3)])
     # zeno_evolution of the Kraus-built I kron E at each n, from one factorisation
-    a, b = _factor_kick(kraus_lift(ch, d1))
+    a, b = factor_kick(kraus_lift(ch, d1))
     blocks = [(1,), (7,), (100,)]
     want = {n: a @ (p @ bw)
             for (n,), (p, bw) in zip(blocks, _kicked_evolutions((a, b), hs, 1.0, blocks))}
@@ -494,20 +498,42 @@ def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
     def refuse(*args):
         raise AssertionError("dd_evolution formed the lifted kick")
 
-    factored = []
-
-    def record(s_kick):
-        factored.append(s_kick.matrix.shape)
-        return _factor_kick(s_kick)
-
     monkeypatch.setattr(bathdd.channel, "extend_with_identity", refuse)
     monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse, raising=False)
-    monkeypatch.setattr(bathdd.zeno, "_factor_kick", record)
+    _factor_kick.cache_clear()
     for n, m in want.items():
         got = dd_evolution(s2, hs, 1.0, n, d1)
         assert got.dim == d1 * ch.dim
         assert np.max(np.abs(got.matrix - m)) <= 1e-12
-        assert factored.pop() == (ch.dim**2, ch.dim**2) and not factored
+        # one factoring in all: a second n factors nothing
+        assert _factor_kick.cache_info().misses == 1
+    # and its one entry is the bath kick's factors lifted to d1
+    _factor_kick(s2.dim, s2.matrix.tobytes(), d1)
+    assert _factor_kick.cache_info()[:2] == (len(want), 1)
+
+
+def non_hp_kick():
+    """A seeded random 4 x 4 map: it does not preserve Hermiticity, so it is no channel."""
+    rng = np.random.default_rng(3)
+    return Superoperator(2, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+
+
+def test_kicked_evolutions_refuse_a_map_that_is_not_hermiticity_preserving():
+    # the real T S T^-1 would drop the anti-HP part of S and return a wrong map
+    s = non_hp_kick()
+    with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+        zeno_evolution(s, random_hamiltonian(2, 0), 1.0, 3)
+    with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+        dd_evolution(s, random_hamiltonian(4, 0), 1.0, 3, 2)
+
+
+def test_kicked_evolutions_refuse_the_zero_kick_in_one_line():
+    zero = Superoperator(2, np.zeros((4, 4)))
+    for run in (lambda: zeno_evolution(zero, random_hamiltonian(2, 0), 1.0, 3),
+                lambda: dd_evolution(zero, random_hamiltonian(4, 0), 1.0, 3, 2)):
+        with pytest.raises(ValueError, match="zero map") as info:
+            run()
+        assert len(str(info.value).splitlines()) == 1
 
 
 def test_factored_kicked_evolution_error_paths():
@@ -515,11 +541,11 @@ def test_factored_kicked_evolution_error_paths():
     hs = np.array([random_hamiltonian(8, seed) for seed in range(3)])
     for blocks in ([(1,), (0,)], [(1, 0)], [(-2,)]):
         with pytest.raises(ValueError):
-            list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, blocks))
+            list(_kicked_evolutions(factor_kick(kick), hs, 1.0, blocks))
     with pytest.raises(ValueError):
         zeno_evolution(kick, hs, 1.0, 0)
     hs[1, 2, 5] += 1e-9j
     with pytest.raises(ValueError):
-        list(_kicked_evolutions(_factor_kick(kick), hs, 1.0, [(1, 100)]))
+        list(_kicked_evolutions(factor_kick(kick), hs, 1.0, [(1, 100)]))
     with pytest.raises(ValueError):
         zeno_evolution(kick, hs, 1.0, 100)
