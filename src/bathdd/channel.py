@@ -77,19 +77,15 @@ class Superoperator:
 @dataclass(frozen=True)
 class CptpReport:
     trace_residual: float
-    positivity_residual: float  # max(0, -min eigenvalue of the Choi matrix)
     passed: bool
 
 
 def validate_cptp(ch: KrausChannel) -> CptpReport:
-    """Check trace preservation and complete positivity of a Kraus channel within CPTP_TOL."""
-    acc = sum(dagger(k) @ k for k in ch.kraus)
-    trace_residual = float(np.linalg.norm(acc - np.eye(ch.dim)))
-    lam = choi(to_superoperator(ch))
-    min_eig = float(np.min(np.linalg.eigvalsh((lam + dagger(lam)) / 2)))
-    positivity_residual = max(0.0, -min_eig)
-    passed = trace_residual <= CPTP_TOL and positivity_residual <= CPTP_TOL
-    return CptpReport(trace_residual, positivity_residual, passed)
+    """Check sum_k E_k^dag E_k = I within CPTP_TOL: a Kraus list is CP by construction."""
+    if np.max(np.abs(ch.kraus)) > 1 + CPTP_TOL:  # no TP channel has one; refused before a product
+        return CptpReport(float("inf"), False)
+    residual = float(np.linalg.norm(sum(dagger(k) @ k for k in ch.kraus) - np.eye(ch.dim)))
+    return CptpReport(residual, residual <= CPTP_TOL)
 
 
 def to_superoperator(ch: KrausChannel) -> Superoperator:

@@ -38,12 +38,25 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _unit(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M / c, c): per matrix, the power of two c putting M / c's largest |Re| or |Im| in [1, 2)."""
+    m = np.ascontiguousarray(m, dtype=complex).view(float)
+    c = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1)))[1] - 1)
+    return (m / c[..., None, None]).view(complex), c  # as reals: exact, and c may be subnormal
+
+
 def is_hermitian(m: np.ndarray) -> bool:
-    """True when the matrix, or every matrix of a (k, d, d) stack, is Hermitian
+    """True when the matrix, or every matrix of a (k, d, d) stack, is finite and Hermitian
     entrywise within 1e-12 times max(1, its own Frobenius norm)."""
     m = np.asarray(m, dtype=complex)
-    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-    return bool(np.all(np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= 1e-12 * scale))
+    with np.errstate(all="ignore"):  # a norm that overflows, or is not finite, is redone below
+        norm = np.linalg.norm(m, axis=(-2, -1))
+    if not (norm < 2.0**500).all():  # the same rule on M / c (``_unit``): max(1/c, ||M / c||_F)
+        if not np.isfinite(m).all():
+            return False
+        m, c = _unit(m)
+        norm = np.maximum(1 / np.maximum(c, 2.0**-1000), np.linalg.norm(m, axis=(-2, -1)))
+    return bool((np.abs(m - dagger(m)).max(axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, norm)).all())
 
 
 def assert_hermitian(m: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Superoperator, _lift
-from .linalg import assert_hermitian, dagger, kron
+from .linalg import _unit, assert_hermitian, dagger, kron
 from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, _same_cluster,
                        analyze_peripheral, fixed_point_state)
 
@@ -47,7 +47,11 @@ class DdVerdict:
 def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
     """sum_l P_l [H, .] P_l = right (S o (left [H, X])) left, S the same-cluster mask and X_b
     column b of ``right`` as a d x d matrix; H on C^d1 kron C^d reads E's eigendata lifted."""
-    h = assert_hermitian(h)
+    return _zeno_generator(dec, assert_hermitian(h))
+
+
+def _zeno_generator(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
+    """``zeno_hamiltonian`` of an H already checked, as ``_zeno_residual`` checks its H once."""
     d1, rest = divmod(len(h), dec.dim)
     if rest:
         raise ValueError(f"Hamiltonian dim {len(h)} is no multiple of kick dim {dec.dim}")
@@ -128,14 +132,24 @@ def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) ->
     return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 
 
-def _zeno_norm(s: Superoperator, h: np.ndarray) -> float:
-    """Norm of the Zeno Hamiltonian of H; H is suppressed when it is at most the tolerance."""
-    return float(np.linalg.norm(zeno_hamiltonian(analyze_peripheral(s), h).matrix))
+def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int):
+    """(||H_Z(K)||_F / ||H0||_F, H_eff): H, then H0, its traceless part on C^d1 kron C^d, scaled
+    exactly by ``_unit`` first; K = H0 - H_eff kron I (H0 at d1 = 1); 0 when H0 = 0."""
+    h, c = _unit(assert_hermitian(h))
+    if len(h) != d1 * dec.dim:
+        raise ValueError(f"dim(H)={len(h)} does not factor as {d1}*{dec.dim}")
+    h0, c0 = _unit(h - np.trace(h) / len(h) * np.eye(len(h)))
+    h_eff = np.zeros((1, 1))  # at d1 = 1 the traceless 1 x 1 H_eff is 0, and K = H0
+    if d1 > 1:
+        h_eff = np.einsum("axby,yx->ab", h0.reshape((d1, dec.dim) * 2), fixed_point_state(dec))
+        h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
+    h_z = _zeno_generator(dec, h0 - kron(h_eff, np.eye(dec.dim)) if d1 > 1 else h0).matrix
+    return float(np.linalg.norm(h_z) / max(np.linalg.norm(h0), 1.0)), h_eff * c0 * c
 
 
 def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_TOL) -> bool:
-    """True when the kick nullifies the Zeno Hamiltonian of H."""
-    return _zeno_norm(s, h) <= tol
+    """True when the kick nullifies the Zeno Hamiltonian of H, within tol ||H0||_F."""
+    return _zeno_residual(analyze_peripheral(s), h, 1)[0] <= tol
 
 
 def dd_check(
@@ -145,25 +159,14 @@ def dd_check(
 
     The predicted decoupled generator is [H_eff kron I_2, .], with
     H_eff = tr_2[(I_1 kron rho_*) H] one partial trace against the kick's
-    invariant state. The residual is the Zeno Hamiltonian of the extended kick
-    I_1 kron E_2 for K = H - H_eff kron I_2: the norm of
-    sum_l (I_1 kron P_l) [K, .] (I_1 kron P_l). Since [H_eff kron I_2, .]
-    commutes with every lifted projection, this is the distance from the
-    Zeno Hamiltonian of H to the decoupled generator on the range of the
-    peripheral projection, the only part the Zeno limit constrains.
-
-    Only E_2 is analysed: ``zeno_hamiltonian`` reads K on C^d1 kron C^d2 from the
-    bath kick's own decomposition, lifted by ``_lift``.
+    invariant state. The residual (``_zeno_residual``) is ||sum_l (I_1 kron P_l) [K, .] (I_1 kron
+    P_l)||_F / ||H0||_F for K = H0 - H_eff kron I_2, H0 the traceless part of H: the verdict on
+    c H + a I is that on H. Since [H_eff kron I_2, .] commutes with every lifted projection,
+    this is the distance from the Zeno Hamiltonian of H to the decoupled generator on the
+    range of the peripheral projection, the only part the Zeno limit constrains.
     """
-    d2 = s2.dim
-    h = assert_hermitian(h)
-    if h.shape[0] != d1 * d2:
-        raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
     dec2 = analyze_peripheral(s2)
-    h_eff = np.einsum("axby,yx->ab", h.reshape(d1, d2, d1, d2), fixed_point_state(dec2))
-    h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
-    k = h - kron(h_eff, np.eye(d2))
-    residual = float(np.linalg.norm(zeno_hamiltonian(dec2, k).matrix))
+    residual, h_eff = _zeno_residual(dec2, h, d1)
     ergodic = dec2.dim_fixed == 1
     return DdVerdict(works=residual <= tol, residual=residual,
                      effective_hamiltonian=h_eff if ergodic else None, kick_ergodic=ergodic)

@@ -58,8 +58,8 @@ def _reset_kraus(rho, what: str, d: int | None = None) -> tuple[np.ndarray, list
     if not is_hermitian(rho):
         raise ValueError(f"{what} must be a density matrix: it is not Hermitian")
     vals, vecs = np.linalg.eigh(rho)
-    if np.min(vals) < -1e-12 or abs(np.sum(vals) - 1) > 1e-10:
-        raise ValueError(f"{what} must be a density matrix: eigenvalues {vals.round(12)}")
+    if np.min(vals) < -1e-12 or np.max(vals) > 1 + 1e-10 or abs(np.sum(vals) - 1) > 1e-10:
+        raise ValueError(f"{what} must be a density matrix: eigenvalues {vals}")
     eye = np.eye(len(rho))
     return vals, [np.sqrt(lam) * np.outer(vecs[:, a], eye[b])
                   for a, lam in enumerate(vals) if lam > 1e-14 for b in range(len(rho))]

@@ -63,15 +63,20 @@ def test_validate_identity():
     rep = validate_cptp(KrausChannel(2, (np.eye(2),)))
     assert rep.passed
     assert rep.trace_residual == pytest.approx(0.0, abs=1e-14)
-    assert rep.positivity_residual == pytest.approx(0.0, abs=1e-14)
 
 
 def test_validate_updown():
     assert validate_cptp(builtin("E_updown").channel).passed
 
 
-def test_validate_subnormalized_fails():
-    rep = validate_cptp(KrausChannel(2, (np.eye(2) / 2,)))
+@pytest.mark.parametrize("kraus", [
+    pytest.param((np.eye(2) / 2,), id="subnormalized"),
+    # an entry above 1 + CPTP_TOL is refused before Sum E^dag E is formed
+    pytest.param((np.diag([1 + 1e-6, 0]), np.diag([0, 1])), id="entry_above_one"),
+])
+@pytest.mark.filterwarnings("error")
+def test_validate_not_cptp_fails(kraus):
+    rep = validate_cptp(KrausChannel(2, kraus))
     assert not rep.passed
     assert rep.trace_residual > 0.1
 

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathdd.channel import KrausChannel, Superoperator, to_superoperator
 from bathdd.classify import _cycle_lengths, classify
 from bathdd.spectral import SpectralError, analyze_peripheral
 from bathdd.zeno import suppression_check
 from bathdd.zoo import DF_RHO0, DF_RHO1, builtin, names
-from test_zeno import random_stinespring
+from test_zeno import STINESPRING_KRAUS, random_stinespring
 
 IDENTITY_2 = Superoperator(2, np.eye(4))
 
@@ -213,3 +215,27 @@ def test_cycle_lengths_reject_a_spectrum_that_is_no_union_of_root_groups():
     third = np.exp(2j * np.pi / 3)
     with pytest.raises(SpectralError, match="root-of-unity"):
         _cycle_lengths(dataclasses.replace(dec, peripheral_values=np.array([1, third, third])))
+
+
+def svd_nullity(kraus):
+    """The fixed-space dimension with no bathdd call: the singular values of S - I below 1e-7,
+    S = sum_k K kron conj(K) built here."""
+    s = sum(np.kron(k, k.conj()) for k in kraus)
+    return int(np.sum(np.linalg.svd(s - np.eye(len(s)), compute_uv=False) < 1e-7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(STINESPRING_KRAUS)
+def test_dim_fixed_is_the_svd_nullity_of_s_minus_i(kraus):
+    s = to_superoperator(KrausChannel(len(kraus[0]), kraus))
+    assert classify(s).dim_fixed == svd_nullity(kraus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(STINESPRING_KRAUS, st.integers(0, 2**32 - 1))
+def test_every_verdict_is_invariant_under_unitary_conjugation(kraus, seed):
+    d = len(kraus[0])
+    v = random_unitary(d, seed)
+    conjugated = tuple(v @ k @ v.conj().T for k in kraus)
+    a, b = (classify(to_superoperator(KrausChannel(d, ks))) for ks in (kraus, conjugated))
+    assert a.to_record() == b.to_record()

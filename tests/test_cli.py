@@ -1,13 +1,21 @@
+import contextlib
+import io
+import itertools
 import json
+import random
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bathdd.channel import KrausChannel
+from bathdd.channel import KrausChannel, _matrix_to_pairs
 from bathdd.cli import build_parser, main
 from bathdd.spectral import PERIPHERAL_TOL
-from bathdd.zoo import builtin
-from test_channel import save_channel
+from bathdd.zoo import builtin, names
+from test_channel import channel_dict, save_channel
+from test_zeno import random_hermitian, stinespring_kraus
 
 
 def run(capsys, *argv):
@@ -84,13 +92,22 @@ def test_spectrum(capsys):
     assert np.allclose(phases, [-2 * np.pi / 3, 0.0, 2 * np.pi / 3], atol=1e-8)
 
 
-def test_not_cptp_exit_code(tmp_path, capsys):
-    bad = {"dim": 2, "kraus": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}
+@pytest.mark.parametrize("bad", [
+    pytest.param({"dim": 2, "kraus": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]},
+                 id="half_identity"),
+    # entries that overflow any product: refused before one is formed
+    pytest.param({"dim": 2, "kraus": [[[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]]},
+                 id="huge_identity"),
+    pytest.param({"dim": 1, "kraus": [[[[1e308, 1e308]]]]}, id="huge_complex_dim1"),
+])
+def test_not_cptp_exit_code(bad, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     with pytest.raises(SystemExit) as exc:
         main(["classify", str(p)])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
 
 
 def test_usage_error_missing_file(capsys):
@@ -260,6 +277,10 @@ BAD_FILES = {
     "huge_n_zeno": {**SWEEP_BASE, "n_values": [1e300]},
     "huge_n_dd": {**SWEEP_BASE, "mode": "dd", "n_values": [1e300]},
     "sweep": SWEEP_BASE,
+    "huge_rho": {**SWEEP_BASE, "channel": "zoo:P_rho",
+                 "channel_params": {"rho": [[1e308, 0], [0, 1e308]]}},
+    "inf_rho": {**SWEEP_BASE, "channel": "zoo:P_rho",
+                "channel_params": {"rho": [[float("inf"), 0], [0, 0]]}},
 }
 
 
@@ -321,6 +342,8 @@ BAD_FILES = {
     ["sweep", "--config", "{sweep}", "--out", "{h2}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
     ["reproduce", "fig1a", "--out", "{h2}"],
+    ["sweep", "--config", "{huge_rho}", "--out", "{out}"],
+    ["sweep", "--config", "{inf_rho}", "--out", "{out}"],
 ], ids=" ".join)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
@@ -335,3 +358,163 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1, err
+
+
+# --- fuzz: every input ends in a documented exit code and at most one stderr line --------
+
+FUZZ_ZOO = [f"zoo:{name}" for name in names() if builtin(name).channel.dim <= 4]
+# keys whose value sizes an allocation: a dimension, a Hamiltonian count
+SIZE_KEYS = {"dim": 4, "d": 4, "d1": 3, "random": 3}
+ODD_LEAVES = [float("nan"), float("inf"), -float("inf"), 0, -0.0, 1.5, True, None, "1", "",
+              [], {}]
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _scaled(value, factor):
+    """Every number in ``value`` times ``factor`` (inf past the float range)."""
+    if _is_number(value):
+        return value * factor
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    if isinstance(value, dict):
+        return {k: _scaled(v, factor) for k, v in value.items()}
+    return value
+
+
+def _place(rng, value):
+    """The path of keys and indices to a random node of ``value``: a walk down from the root
+    that stops at each inner node with probability 1/4."""
+    path = []
+    while isinstance(value, (dict, list)) and value and rng.random() < 0.75:
+        key = rng.choice(list(value) if isinstance(value, dict) else range(len(value)))
+        path.append(key)
+        value = value[key]
+    return path
+
+
+def _edit(rng, value, path):
+    """``value`` with one edit at ``path``: a number scaled by 10^k (k in [-300, 308]), a
+    subtree scaled as a whole, replaced by an odd value or wrapped in a list, a key or entry
+    dropped or repeated, or an extra key."""
+    if path:
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[path[0]] = _edit(rng, value[path[0]], path[1:])
+        return copy
+    kind = rng.choice(["scale", "scale_all", "odd", "drop", "repeat", "extra", "wrap"])
+    if kind in ("scale", "scale_all"):
+        factor = rng.choice([1.0, -1.0, 0.7]) * 10.0 ** rng.randint(-300, 308)
+        return _scaled(value, factor) if kind == "scale_all" or _is_number(value) else value
+    if kind in ("odd", "wrap") or not value or not isinstance(value, (dict, list)):
+        return rng.choice(ODD_LEAVES) if kind == "odd" else [value] if kind == "wrap" else value
+    key = rng.choice(list(value) if isinstance(value, dict) else range(len(value)))
+    if isinstance(value, dict):
+        return {k: v for k, v in value.items() if k != key} if kind == "drop" \
+            else {**value, "extra": rng.choice(ODD_LEAVES)}
+    return value[:key] + value[key + 1:] if kind == "drop" else value + [value[key]]
+
+
+def _bounded(value):
+    """``value`` with every size key (``SIZE_KEYS``) capped, so no example allocates more
+    than a few MB; a count of random Hamiltonians left out (100 by default) is set to 2."""
+    if isinstance(value, list):
+        return [_bounded(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    out = {k: min(v, SIZE_KEYS[k]) if k in SIZE_KEYS and _is_number(v) and v == v else _bounded(v)
+           for k, v in value.items()}
+    if "seed" in out and "random" not in out and "fixture" not in out:
+        out["random"] = 2
+    return out
+
+
+def _mutated(rng, value):
+    """``value`` after up to three ``_edit``s at random places, with sizes bounded."""
+    for _ in range(rng.randint(0, 3)):
+        value = _edit(rng, value, _place(rng, value))
+    return _bounded(value)
+
+
+CONFIG_SKELETONS = [
+    {"channel": channel, "mode": mode, "n_values": n_values, "hamiltonians": hamiltonians,
+     **[{}, {"t": 0.5}, {"d1": 1}, {"d1": 2, "t": 2.0}][i % 4],
+     **({"channel_params": {"E_square": {"p": 0.3}, "E_dephase": {"d": 3},
+                            "P_rho": {"rho": [[0.5, 0], [0, 0.5]]},
+                            "E_omega": {"omega": [[0.3, 0], [0, 0.7]]}}[channel[4:]]}
+        if channel[4:] in ("E_square", "E_dephase", "P_rho", "E_omega") and i % 3 else {})}
+    for i, (channel, mode, n_values, hamiltonians) in enumerate(itertools.product(
+        [*FUZZ_ZOO, "{channel}"], ["zeno", "dd"], [[1, 2], [3], [1, 10, 100]],
+        [{"random": 2, "seed": 0}, {"random": 1, "seed": 7}, {"fixture": "ZZ"},
+         {"fixture": "ZZI"}]))]
+SKELETONS = {  # valid files: every zoo kick with d <= 4, and random channels of rank 1 to 3
+    "channel": [channel_dict(builtin(spec[4:]).channel) for spec in FUZZ_ZOO]
+    + [channel_dict(KrausChannel(d, tuple(stinespring_kraus(d, r, np.random.default_rng(d)))))
+       for d in (2, 3, 4) for r in (1, 2, 3)],
+    "hamiltonian": [{"matrix": _matrix_to_pairs(random_hermitian(n, np.random.default_rng(seed)))}
+                    for n in (2, 3, 4, 6, 8, 1, 5, 12) for seed in range(3)],
+    "config": CONFIG_SKELETONS,
+    "file": [{}],
+}
+CHANNELS = [*FUZZ_ZOO, "{channel}", "{channel}", "{channel}", "zoo:nope", "{out}/none.json"]
+HAMILTONIANS = ["{hamiltonian}", "{hamiltonian}", "{hamiltonian}", "random:0", "random:12",
+                "random:-1", "random:x", f"random:{10**30}"]
+TOLS = ["1e-8", "1e-6", "1e-5", "1e-300", "0", "-1", "nan", "inf", "x"]
+D1S = ["2", "1", "3", "0", "-1", "1.5", "x"]
+
+
+def _argv(rng):
+    """argv of one of the six subcommands, with {channel}, {hamiltonian}, {config}, {file}
+    and {out} standing for paths that the test fills in; one in ten is cut or extended."""
+    command = rng.choice(["classify", "spectrum", "dd-check", "zeno-check", "sweep", "reproduce"])
+    if command == "sweep":
+        argv = [command, "--config", "{config}", "--out", rng.choice(["{out}", "{out}", "{file}"])]
+    elif command == "reproduce":  # to a file path: refused before any figure is computed
+        argv = [command, rng.choice(["fig1a", "fig3b", "fig9"]), "--out", "{file}"]
+    else:
+        argv = [command, rng.choice(CHANNELS)]
+        if command in ("dd-check", "zeno-check"):
+            argv += ["--hamiltonian", rng.choice(HAMILTONIANS)]
+        if command == "dd-check" and rng.random() < 0.3:
+            argv += ["--d1", rng.choice(D1S)]
+        if rng.random() < 0.3:
+            argv += ["--tol", rng.choice(TOLS)]
+    if rng.random() < 0.1:
+        argv = rng.choice([argv[:-1], [*argv, "--bogus"], argv[1:]])
+    return argv
+
+
+def _case(seed):
+    """(argv, files): ``_argv``, and the files that argv names (a config's channel file too),
+    each a valid skeleton mutated by ``_mutated``, all chosen by one random seed."""
+    rng = random.Random(seed)
+    argv = _argv(rng)
+    named = {key for key in SKELETONS if any(f"{{{key}}}" in arg for arg in argv)}
+    if "config" in named:
+        named.add("channel")
+    return argv, {key: _mutated(rng, rng.choice(SKELETONS[key])) for key in sorted(named)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**64 - 1).map(_case))
+@example(case=(["classify", "{channel}"],
+               {"channel": {"dim": 2, "kraus": [[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]]}}))
+@example(case=(["classify", "{channel}"], {"channel": {"dim": 1, "kraus": [[[[1e308, 1e308]]]]}}))
+def test_fuzzed_input_exits_with_a_documented_code_and_one_line(case):
+    argv, files = case
+    out, err = io.StringIO(), io.StringIO()
+    named = files or any("{out}" in arg for arg in argv)  # no directory when argv names no path
+    with tempfile.TemporaryDirectory() if named else contextlib.nullcontext("") as tmp:
+        paths = {key: f"{tmp}/{key}.json" for key in SKELETONS} | {"out": f"{tmp}/out"}
+        for key, data in files.items():
+            with open(paths[key], "w") as f:
+                f.write(json.dumps(data).replace("{channel}", paths["channel"]))
+        argv = [arg.format(**paths) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3), (code, argv, err.getvalue())
+    assert len(err.getvalue().strip().splitlines()) == (code != 0), (code, argv, err.getvalue())

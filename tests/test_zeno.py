@@ -193,7 +193,8 @@ def test_dd_check_dephasing_fails():
     p_ext = extend_with_identity(Superoperator(s2.dim, dec2.right @ dec2.left), 2)
     expected = np.linalg.norm(adjoint_rep(h).matrix @ p_ext.matrix)
     assert expected > 0.1
-    assert v.residual == pytest.approx(expected, abs=1e-8)
+    # relative to ||H0||_F, H = Z kron Z being traceless
+    assert v.residual == pytest.approx(expected / np.linalg.norm(h), abs=1e-8)
 
 
 @pytest.mark.parametrize("name, d1", [(name, d1) for name in names() for d1 in (1, 2, 3)
@@ -230,6 +231,13 @@ def random_stinespring(d, rank, seed):
     return to_superoperator(KrausChannel(d, tuple(kraus)))
 
 
+# Kraus lists of random channels with d <= 4 and Kraus rank 1 to 3, shared by the property
+# tests; rank 1 is a unitary channel, which has a DFS.
+STINESPRING_KRAUS = st.builds(
+    lambda d, rank, seed: tuple(stinespring_kraus(d, rank, np.random.default_rng(seed))),
+    st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+
+
 def random_hermitian(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
@@ -263,8 +271,9 @@ def assert_matches_reference(s2, seed):
             h = random_hermitian(d, rng)
             v = dd_check(s2, h, d1)
             residual, h_eff, ergodic = reference_dd_check(s2, h, d1)
-            assert v.residual == pytest.approx(residual, abs=1e-12)
-            assert v.works == (residual <= DD_TOL)
+            norm = np.linalg.norm(h - np.trace(h) / d * np.eye(d))  # ||H0||_F
+            assert v.residual * norm == pytest.approx(residual, abs=1e-12)
+            assert v.works == (residual <= DD_TOL * norm)
             assert v.kick_ergodic == ergodic
             if ergodic:
                 assert np.max(np.abs(v.effective_hamiltonian - h_eff)) <= 1e-12
@@ -549,3 +558,38 @@ def test_factored_kicked_evolution_error_paths():
         list(_kicked_evolutions(factor_kick(kick), hs, 1.0, [(1, 100)]))
     with pytest.raises(ValueError):
         zeno_evolution(kick, hs, 1.0, 100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kraus=st.one_of(st.sampled_from(names()).map(lambda name: builtin(name).channel.kraus),
+                       STINESPRING_KRAUS),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(-12, 9), sign=st.sampled_from([1.0, -1.0]),
+       shift=st.floats(-1.0, 1.0))
+def test_verdicts_on_c_h_plus_a_i_are_those_on_h(kraus, seed, k, sign, shift):
+    # both questions are linear in H and blind to its trace: c H + a I, c = +-10^k and
+    # |a| <= 10^6 ||c H0||_F, gets the verdicts of H, with no warning on the way
+    d = len(kraus[0])
+    s = to_superoperator(KrausChannel(d, kraus))
+    rng = np.random.default_rng(seed)
+
+    def moved(h):
+        c = sign * 10.0**k
+        h0 = h - np.trace(h) / len(h) * np.eye(len(h))
+        return c * h + shift * 1e6 * abs(c) * np.linalg.norm(h0) * np.eye(len(h))
+
+    h = random_hermitian(d, rng)
+    assert suppression_check(s, moved(h)) == suppression_check(s, h)
+    if 2 * d <= 8:
+        h = random_hermitian(2 * d, rng)
+        assert dd_check(s, moved(h), 2).works == dd_check(s, h, 2).works
+
+
+@pytest.mark.parametrize("scale", [2.0**-1074, 1e-300, 1e300, 2.0**1020])
+def test_verdicts_at_the_ends_of_the_float_range(scale):
+    # H scaled to a subnormal or a near-overflow largest entry keeps its verdicts, with no warning
+    h = random_hamiltonian(4, seed=3)
+    h = scale * h / np.max(np.abs(h))
+    assert suppression_check(sup("E_updown"), h[:2, :2]) is True
+    assert suppression_check(sup("E_omega"), h) is False
+    v = dd_check(sup("E_updown"), h, 2)
+    assert v.works and v.kick_ergodic
