@@ -20,7 +20,7 @@ from .channel import (KrausChannel, Superoperator, _matrix_from_pairs, _matrix_t
 from .classify import classify
 from .hamiltonian import random_hamiltonian
 from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
-from .linalg import LinalgError, is_hermitian
+from .linalg import LinalgError, _unit, is_hermitian
 from .spectral import MAX_PERIPHERAL_TOL, PERIPHERAL_TOL, SpectralError, analyze_peripheral
 from .zeno import DD_TOL, SUPPRESSION_TOL, _zeno_residual, dd_check
 from .zoo import builtin, names
@@ -66,7 +66,7 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
         raise UsageError(f"cannot load Hamiltonian {spec!r}: {exc}") from exc
     if h.shape != (dim, dim):
         raise UsageError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
-    if not is_hermitian(h):
+    if not is_hermitian(_unit(h)[0]):  # at unit scale, as the verdicts check H
         raise UsageError(f"Hamiltonian {spec!r} is not Hermitian")
     return h
 
@@ -94,7 +94,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_dd_check(args) -> int:
     ch, s2 = _kick(args.channel)
     h = _load_hamiltonian(args.hamiltonian, args.d1 * ch.dim)
-    verdict = dd_check(s2, h, args.d1, tol=args.tol)
+    try:
+        verdict = dd_check(s2, h, args.d1, tol=args.tol)
+    except ValueError as exc:  # an effective Hamiltonian past the float range
+        raise UsageError(f"cannot decide on Hamiltonian {args.hamiltonian!r}: {exc}") from exc
     h_eff = verdict.effective_hamiltonian
     out = {
         "works": verdict.works,
@@ -109,7 +112,7 @@ def _cmd_dd_check(args) -> int:
 def _cmd_zeno_check(args) -> int:
     ch, s = _kick(args.channel)
     h = _load_hamiltonian(args.hamiltonian, ch.dim)
-    norm = _zeno_residual(analyze_peripheral(s), h, 1)[0]
+    norm = _zeno_residual(analyze_peripheral(s), h)[0]
     out = {
         "suppressed": norm <= args.tol,
         "zeno_hamiltonian_norm": norm,

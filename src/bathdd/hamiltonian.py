@@ -60,15 +60,6 @@ class SchmidtDecomposition:
     h2: np.ndarray  # traceless local term on factor 2
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def reconstruct(self) -> np.ndarray:
-        eye1 = np.eye(self.d1)
-        eye2 = np.eye(self.d2)
-        h = self.identity_coefficient * kron(eye1, eye2)
-        h = h + kron(self.h1, eye2) + kron(eye1, self.h2)
-        for a, b in self.terms:
-            h = h + kron(a, b)
-        return h
-
 
 def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecomposition:
     """Operator Schmidt decomposition of a bipartite Hermitian operator.

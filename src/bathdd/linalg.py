@@ -49,14 +49,11 @@ def is_hermitian(m: np.ndarray) -> bool:
     """True when the matrix, or every matrix of a (k, d, d) stack, is finite and Hermitian
     entrywise within 1e-12 times max(1, its own Frobenius norm)."""
     m = np.asarray(m, dtype=complex)
-    with np.errstate(all="ignore"):  # a norm that overflows, or is not finite, is redone below
-        norm = np.linalg.norm(m, axis=(-2, -1))
-    if not (norm < 2.0**500).all():  # the same rule on M / c (``_unit``): max(1/c, ||M / c||_F)
-        if not np.isfinite(m).all():
-            return False
-        m, c = _unit(m)
-        norm = np.maximum(1 / np.maximum(c, 2.0**-1000), np.linalg.norm(m, axis=(-2, -1)))
-    return bool((np.abs(m - dagger(m)).max(axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, norm)).all())
+    if not np.isfinite(m).all():
+        return False
+    m, c = _unit(m)  # the same rule on M / c, free of overflow: max(1/c, ||M / c||_F)
+    norm = np.maximum(1 / np.maximum(c, 2.0**-1000), np.linalg.norm(m, axis=(-2, -1)))
+    return bool((np.abs(m - dagger(m)).max(axis=(-2, -1)) <= 1e-12 * norm).all())
 
 
 def assert_hermitian(m: np.ndarray) -> np.ndarray:

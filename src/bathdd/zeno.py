@@ -132,24 +132,29 @@ def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) ->
     return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 
 
-def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int):
-    """(||H_Z(K)||_F / ||H0||_F, H_eff): H, then H0, its traceless part on C^d1 kron C^d, scaled
-    exactly by ``_unit`` first; K = H0 - H_eff kron I (H0 at d1 = 1); 0 when H0 = 0."""
-    h, c = _unit(assert_hermitian(h))
-    if len(h) != d1 * dec.dim:
+def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int | None = None):
+    """(||H_Z(K)||_F / ||H0||_F, H_eff): H is scaled exactly by ``_unit`` before its Hermiticity
+    check, so that check is relative, and H0, its traceless part, is scaled again; 0 when H0 = 0.
+    With d1 (bath DD), H is on C^d1 kron C^d and K = H0 - H_eff kron I (H0 at d1 = 1); without
+    (suppression), K = H0 on C^(dim H / d) kron C^d, as ``zeno_hamiltonian`` reads it."""
+    h, c = _unit(h)
+    h0, c0 = _unit(assert_hermitian(h) - np.trace(h) / len(h) * np.eye(len(h)))
+    k, h_eff = h0, np.zeros((1, 1))  # at d1 = 1 the traceless 1 x 1 H_eff is 0, and K = H0
+    if d1 is not None and len(h) != d1 * dec.dim:
         raise ValueError(f"dim(H)={len(h)} does not factor as {d1}*{dec.dim}")
-    h0, c0 = _unit(h - np.trace(h) / len(h) * np.eye(len(h)))
-    h_eff = np.zeros((1, 1))  # at d1 = 1 the traceless 1 x 1 H_eff is 0, and K = H0
-    if d1 > 1:
+    if d1 is not None and d1 > 1:
         h_eff = np.einsum("axby,yx->ab", h0.reshape((d1, dec.dim) * 2), fixed_point_state(dec))
         h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
-    h_z = _zeno_generator(dec, h0 - kron(h_eff, np.eye(dec.dim)) if d1 > 1 else h0).matrix
-    return float(np.linalg.norm(h_z) / max(np.linalg.norm(h0), 1.0)), h_eff * c0 * c
+        k = h0 - kron(h_eff, np.eye(dec.dim))
+        with np.errstate(over="ignore"):  # an H_eff past the float range is inf: dd_check refuses it
+            h_eff = h_eff * c0 * c
+    h_z = _zeno_generator(dec, k).matrix
+    return float(np.linalg.norm(h_z) / max(np.linalg.norm(h0), 1.0)), h_eff
 
 
 def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_TOL) -> bool:
     """True when the kick nullifies the Zeno Hamiltonian of H, within tol ||H0||_F."""
-    return _zeno_residual(analyze_peripheral(s), h, 1)[0] <= tol
+    return _zeno_residual(analyze_peripheral(s), h)[0] <= tol
 
 
 def dd_check(
@@ -163,10 +168,13 @@ def dd_check(
     P_l)||_F / ||H0||_F for K = H0 - H_eff kron I_2, H0 the traceless part of H: the verdict on
     c H + a I is that on H. Since [H_eff kron I_2, .] commutes with every lifted projection,
     this is the distance from the Zeno Hamiltonian of H to the decoupled generator on the
-    range of the peripheral projection, the only part the Zeno limit constrains.
+    range of the peripheral projection, the only part the Zeno limit constrains. An ergodic
+    kick's H_eff past the float range raises ``ValueError``.
     """
     dec2 = analyze_peripheral(s2)
     residual, h_eff = _zeno_residual(dec2, h, d1)
     ergodic = dec2.dim_fixed == 1
+    if ergodic and not np.isfinite(h_eff).all():
+        raise ValueError("the effective Hamiltonian exceeds the float range")
     return DdVerdict(works=residual <= tol, residual=residual,
                      effective_hamiltonian=h_eff if ergodic else None, kick_ergodic=ergodic)

@@ -281,6 +281,14 @@ BAD_FILES = {
                  "channel_params": {"rho": [[1e308, 0], [0, 1e308]]}},
     "inf_rho": {**SWEEP_BASE, "channel": "zoo:P_rho",
                 "channel_params": {"rho": [[float("inf"), 0], [0, 0]]}},
+    # Hermitian only within the absolute floor 1e-12 of the check: refused at every scale
+    "tiny_h2": {"matrix": [[[0.0, 0.0], [1e-13, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    "tiny_h4": {"matrix": [[[1e-13 * (i == j + 2), 0.0] for j in range(4)] for i in range(4)]},
+    # reset to |+>, and H = 1.7e308 X kron J (J all ones): H_eff = tr_2[(I kron |+><+|) H]
+    # passes the float range though no entry of H does
+    "plus_reset": {"dim": 2, "kraus": [[[[0.5**0.5, 0.0], [0.0, 0.0]], [[0.5**0.5, 0.0], [0.0, 0.0]]],
+                                       [[[0.0, 0.0], [0.5**0.5, 0.0]], [[0.0, 0.0], [0.5**0.5, 0.0]]]]},
+    "huge_xj": {"matrix": [[[1.7e308 * (i // 2 != j // 2), 0.0] for j in range(4)] for i in range(4)]},
 }
 
 
@@ -344,6 +352,9 @@ BAD_FILES = {
     ["reproduce", "fig1a", "--out", "{h2}"],
     ["sweep", "--config", "{huge_rho}", "--out", "{out}"],
     ["sweep", "--config", "{inf_rho}", "--out", "{out}"],
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "{tiny_h2}"],
+    ["dd-check", "zoo:E_updown", "--hamiltonian", "{tiny_h4}"],
+    ["dd-check", "{plus_reset}", "--hamiltonian", "{huge_xj}"],
 ], ids=" ".join)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

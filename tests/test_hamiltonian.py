@@ -95,7 +95,10 @@ def test_schmidt_purely_local():
 def test_schmidt_reconstruction(seed):
     h = random_hermitian(6, seed)
     sd = schmidt(h, 2, 3)
-    assert np.linalg.norm(sd.reconstruct() - h) <= 1e-10 * max(1, np.linalg.norm(h))
+    eye1, eye2 = np.eye(2), np.eye(3)
+    back = sd.identity_coefficient * np.eye(6) + kron(sd.h1, eye2) + kron(eye1, sd.h2)
+    back = back + sum((kron(a, b) for a, b in sd.terms), np.zeros((6, 6)))
+    assert np.linalg.norm(back - h) <= 1e-10 * max(1, np.linalg.norm(h))
     # gauge: traceless Hermitian local parts, symmetric norm split
     assert abs(np.trace(sd.h1)) < 1e-10
     assert abs(np.trace(sd.h2)) < 1e-10

@@ -17,6 +17,7 @@ from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral, fixed_point_state
 from bathdd.zeno import (
     DD_TOL,
+    SUPPRESSION_TOL,
     _factor_kick,
     _kicked_evolutions,
     dd_check,
@@ -593,3 +594,30 @@ def test_verdicts_at_the_ends_of_the_float_range(scale):
     assert suppression_check(sup("E_omega"), h) is False
     v = dd_check(sup("E_updown"), h, 2)
     assert v.works and v.kick_ergodic
+
+
+def test_verdicts_refuse_a_tiny_non_hermitian_h():
+    # 1e-13 [[0, 1], [0, 0]] is Hermitian within the absolute floor 1e-12 of ``is_hermitian``;
+    # the verdicts check H at unit scale, so they refuse it as they refuse [[0, 1], [0, 0]]
+    tiny = 1e-13 * np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        suppression_check(sup("E_updown"), tiny)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dd_check(sup("E_updown"), kron(tiny, EYE2), 2)
+
+
+@pytest.mark.parametrize("name", [name for name in names() if builtin(name).channel.dim <= 4])
+def test_suppression_check_reads_a_lifted_hamiltonian(name):
+    # H on C^2 kron C^d: ||H_Z(H0)||_F <= tol ||H0||_F with the kick's eigendata lifted, as
+    # ``zeno_hamiltonian`` reads it; I kron H2 is suppressed exactly when H2 is, Z kron I never
+    s = sup(name)
+    d = s.dim
+    dec = analyze_peripheral(s)
+    h2 = random_hamiltonian(d, seed=4)
+    cases = [random_hamiltonian(2 * d, seed=4), kron(EYE2, h2), kron(Z, np.eye(d))]
+    for h in cases:
+        h0 = h - np.trace(h) / len(h) * np.eye(len(h))
+        norm = np.linalg.norm(zeno_hamiltonian(dec, h0).matrix)
+        assert suppression_check(s, h) == (norm <= SUPPRESSION_TOL * np.linalg.norm(h0))
+    assert suppression_check(s, cases[1]) == suppression_check(s, h2)
+    assert suppression_check(s, cases[2]) is False
