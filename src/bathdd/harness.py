@@ -4,19 +4,26 @@ decoupling/suppression curves.
 Every curve is the kicked evolution (S W)^n = A P_n (B W) of ``zeno._kicked_evolutions``
 on chunks of the stacked Hamiltonian ensemble: the kick's factors S = A B come from
 ``zeno._factor_kick``, the one per-process memo that also serves ``zeno_evolution`` and
-``dd_evolution``, and each n costs one small real power P_n = (B W A)^{n-1}. Chunks and
-their blocks of n, each block one stacked step and one metric call, are sized so that no
-stacked array passes 64 KiB (``_STACK_BYTES``). Mode "dd" kicks the bath of a bipartite
-system with I_1 kron E_2, the lift of E_2's own factors, and records the purity of the
-system legs of the Choi state from the bath-traced A and B W; mode "zeno" kicks with E
-and records the trace-norm distance between the Choi states of A P_n (B W) and of
-E_phi^n (full suppression), which saturates at a nonzero constant when suppression
-fails. ``FIGURES`` holds each reference panel as a ``SweepConfig`` row, which
-``reproduce`` runs through ``sweep``.
+``dd_evolution``, and each n costs one small real power P_n = (B W A)^{n-1}. What no
+Hamiltonian enters is planned once per process: a zoo kick's superoperator bytes
+(``_zoo_kick``, keyed by the spec and the exact params) and, per (kick bytes, mode, d1, n
+grid), the factors with the bath-traced rows or the targets (``_plan``), both bounded at
+``spectral._CACHE_SIZE`` entries and read-only; a channel file is read on every sweep.
+Chunks and their blocks of n, each block one stacked step, are sized so that no stacked
+array passes 64 KiB (``_STACK_BYTES``), and each score call takes as many blocks as keep
+its stacks within that bound. Mode "dd" kicks the bath of a bipartite system with
+I_1 kron E_2, the lift of E_2's own factors, and records the purity of the system legs of
+the Choi state from the bath-traced A and B W; mode "zeno" kicks with E and records the
+trace-norm distance between the Choi states of A P_n (B W) and of E_phi^n (full
+suppression), which saturates at a nonzero constant when suppression fails. ``FIGURES``
+holds each reference panel as a ``SweepConfig`` row, which ``reproduce`` runs through
+``sweep``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -27,7 +34,7 @@ from .channel import (KrausChannel, Superoperator, _integer, _real, choi, load_c
                       to_superoperator)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
-from .spectral import analyze_peripheral, peripheral_power
+from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
 from .zeno import _factor_kick, _kicked_evolutions
 from .zoo import builtin, pauli
 
@@ -170,10 +177,76 @@ def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
     return load_channel(spec)
 
 
+def _exact(value):
+    """A hashable form of a zoo parameter, equal only for values that build the same kick: a
+    float by its bits (so -0.0 is not 0.0), a bool apart from an int, an ndarray of dim >= 1 as
+    the list of its entries. None for any other value, which is then not memoised."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = value.tolist()
+    elif isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, (list, tuple)):
+        items = tuple(map(_exact, value))
+        return None if None in items else ("list", items)
+    if isinstance(value, complex):
+        return "complex", value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return "float", value.hex()
+    if isinstance(value, int):
+        return type(value).__name__, value
+    return None
+
+
+@dataclass(frozen=True)
+class _ZooKick:
+    """A "zoo:NAME" spec with its params, keyed by the spec and the ``_exact`` form of each."""
+
+    spec: str
+    exact: frozenset
+    params: dict = field(compare=False)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _zoo_kick(key: _ZooKick) -> tuple[int, bytes]:
+    """(dim, superoperator bytes) of a zoo kick, memoised per process; refused params raise."""
+    s = to_superoperator(resolve_channel(key.spec, key.params))
+    return s.dim, s.matrix.tobytes()
+
+
+def _kick(spec: str, params: dict) -> tuple[int, bytes]:
+    """(dim, superoperator bytes) of a sweep's kick: a zoo kick from ``_zoo_kick`` when every
+    param has an ``_exact`` form, else built afresh; a channel file is read on every call."""
+    exact = frozenset((name, _exact(v)) for name, v in params.items())
+    if spec.startswith("zoo:") and all(v is not None for _, v in exact):
+        return _zoo_kick(_ZooKick(spec, exact, params))
+    s = to_superoperator(resolve_channel(spec, params))
+    return s.dim, s.matrix.tobytes()
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _plan(dim: int, data: bytes, mode: str, d1: int, ns: tuple[int, ...]):
+    """The part of a sweep that no Hamiltonian enters, memoised per process and read-only:
+    (A, B, T A, R^T = T^T) in mode "dd", T the bath trace, and (A, B, E_phi^n stacked over the
+    n of ``ns``, None) in mode "zeno", with A B the kick of these bytes lifted to d1
+    (``zeno._factor_kick``)."""
+    a, b = _factor_kick(dim, data, d1)
+    if mode == "dd":
+        kept = _trace_bath(a, d1, dim), _trace_bath(np.eye(len(a)), d1, dim).T
+    else:
+        dec = analyze_peripheral(Superoperator(dim, np.frombuffer(data, dtype=complex)
+                                               .reshape(dim * dim, -1)))
+        kept = np.array([peripheral_power(dec, n).matrix for n in ns]), None
+    for x in kept:
+        if x is not None:
+            x.flags.writeable = False  # shared by every sweep of this kick
+    return a, b, *kept
+
+
 # A sweep's chunks of Hamiltonians and blocks of n keep their largest array (the N x N maps
-# in zeno mode, the r x N B Phi in dd mode) within _STACK_BYTES. glibc serves an allocation
-# above its mmap threshold (128 KiB) from a fresh mapping whose pages fault in on every use,
-# so 64 KiB keeps each temporary in the heap: fig3a's 64 x 64 sweeps take chunks of 4 H.
+# in zeno mode, the r x N B Phi in dd mode) within _STACK_BYTES, and so do the stacks that
+# score several blocks of a chunk in one call. glibc serves an allocation above its mmap
+# threshold (128 KiB) from a fresh mapping whose pages fault in on every use, so 64 KiB keeps
+# each temporary in the heap: fig3a's 64 x 64 sweeps take chunks of 4 H.
 _STACK_BYTES = 1 << 16
 
 
@@ -192,38 +265,53 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
         yield chunk, "random", _random_hamiltonians(total_dim, chunk)
 
 
+def _stack(arrays) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"), ordered by
-    str(seed) and then n. The kick is factored as A B once per process, lifted to
-    I_1 kron E_2 in mode "dd" (``zeno._factor_kick``); each chunk of Hamiltonians is checked
-    and diagonalised once. Each block of n of a chunk is one stacked call of
-    ``_kicked_evolutions`` and one score: the purity of the d1^2 x d1^2 (T A) P_n (B W T^T)
-    / d, T the bath trace ("dd"), or the Choi distance of A P_n (B W) ("zeno")."""
-    s = to_superoperator(resolve_channel(cfg.channel, cfg.channel_params))
-    a, b = _factor_kick(s.dim, s.matrix.tobytes(), cfg.d1 if cfg.mode == "dd" else 1)
-    ns = sorted(cfg.n_values)
-    if cfg.mode == "dd":
-        d1, d2, dim, metric = cfg.d1, s.dim, cfg.d1 * s.dim, "purity"
-        rows, rt, stacked = _trace_bath(a, d1, d2), _trace_bath(np.eye(len(a)), d1, d2).T, b.size
-        score = lambda p, y, block: _reduced_purity(rows @ p @ y, dim)
+    str(seed) and then n. What no Hamiltonian enters is planned once per process: a zoo
+    kick's superoperator (``_zoo_kick``, keyed by the exact params), and per (kick bytes,
+    mode, d1, n grid) its factors A B, lifted to I_1 kron E_2 in mode "dd", with the bath-traced
+    rows ("dd") or the targets E_phi^n ("zeno") (``_plan``); a channel file is read on every
+    call. Each chunk of Hamiltonians is checked and diagonalised once; each block of n of a
+    chunk is one stacked call of ``_kicked_evolutions``. One score call takes as many blocks
+    as keep its stacks within ``_STACK_BYTES`` (a whole n grid of fig3a's chunks of 4 H): the
+    purity of the d1^2 x d1^2 (T A) P_n (B W T^T) / d, T the bath trace ("dd"), or the Choi
+    distance of A P_n (B W) to E_phi^n ("zeno")."""
+    dd = cfg.mode == "dd"
+    dim, data = _kick(cfg.channel, cfg.channel_params)
+    ns = tuple(sorted(cfg.n_values))
+    # kept: the rows T A ("dd") or the targets E_phi^n ("zeno"); rt: R^T ("dd") or None
+    a, b, kept, rt = _plan(dim, data, cfg.mode, cfg.d1 if dd else 1, () if dd else ns)
+    big_n, r = a.shape
+    if dd:
+        dim, metric = cfg.d1 * dim, "purity"
+        # per (n, H) pair: the r x N B Phi, and the r x r P_n or d1^2 x r (T A) P_n to score
+        pair, scored = 16 * r * big_n, 8 * r * max(r, 2 * cfg.d1**2)
+        score = lambda p, y, _: _reduced_purity(kept @ p @ y, dim)
     else:
-        dim, metric, rt, stacked = s.dim, "choi_distance", None, a.shape[0] ** 2  # N x N maps
-        dec = analyze_peripheral(s)
-        targets = {n: peripheral_power(dec, n).matrix for n in ns}
+        metric, pair = "choi_distance", 16 * big_n**2  # the N x N maps
+        scored = pair
 
-        def score(p, bw, block):
-            target = np.repeat([targets[n] for n in block], len(p) // len(block), axis=0)
+        def score(p, bw, n_slice):
+            target = np.repeat(kept[n_slice], len(p) // len(kept[n_slice]), axis=0)
             return choi_distance(Superoperator(dim, a @ (p @ bw)), Superoperator(dim, target))
 
-    pairs = max(1, _STACK_BYTES // (16 * stacked))  # (n, H) pairs per block
+    pairs = max(1, _STACK_BYTES // pair)  # (n, H) pairs per block
     labels, parts = [], []
     for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim, pairs):
         per = max(1, pairs // len(hs))
         blocks = [ns[i:i + per] for i in range(0, len(ns), per)]
         steps = _kicked_evolutions((a, b), hs, cfg.t, blocks, rt)
-        parts.append(np.concatenate([score(p, y, block).reshape(len(block), -1)
-                                     for block, (p, y) in zip(blocks, steps)]))
+        group = max(1, _STACK_BYTES // (per * len(hs) * scored))  # blocks per score call
+        scores = []
+        for i in range(0, len(blocks), group):
+            ps, ys = zip(*itertools.islice(steps, group))
+            scores.append(score(_stack(ps), _stack(ys), slice(i * per, (i + group) * per)))
+        parts.append(np.concatenate(scores).reshape(len(ns), -1))
         labels += seeds
     values = np.concatenate(parts, axis=1)  # (n, H)
 

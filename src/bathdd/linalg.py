@@ -45,15 +45,18 @@ def _unit(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (m / c[..., None, None]).view(complex), c  # as reals: exact, and c may be subnormal
 
 
+def _hermitian_rule(m: np.ndarray, c) -> bool:
+    """``is_hermitian``'s rule on M / c, given as m = M / c from ``_unit``: |M - M^dag| entrywise
+    within 1e-12 max(1/c, ||M / c||_F), per matrix of a stack; c = 1 makes the rule relative."""
+    norm = np.maximum(1 / np.maximum(c, 2.0**-1000), np.linalg.norm(m, axis=(-2, -1)))
+    return bool((np.abs(m - dagger(m)).max(axis=(-2, -1)) <= 1e-12 * norm).all())
+
+
 def is_hermitian(m: np.ndarray) -> bool:
     """True when the matrix, or every matrix of a (k, d, d) stack, is finite and Hermitian
     entrywise within 1e-12 times max(1, its own Frobenius norm)."""
     m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        return False
-    m, c = _unit(m)  # the same rule on M / c, free of overflow: max(1/c, ||M / c||_F)
-    norm = np.maximum(1 / np.maximum(c, 2.0**-1000), np.linalg.norm(m, axis=(-2, -1)))
-    return bool((np.abs(m - dagger(m)).max(axis=(-2, -1)) <= 1e-12 * norm).all())
+    return bool(np.isfinite(m).all()) and _hermitian_rule(*_unit(m))  # no overflow on M / c
 
 
 def assert_hermitian(m: np.ndarray) -> np.ndarray:

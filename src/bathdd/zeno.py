@@ -9,12 +9,13 @@ for H on the kick's space (suppression) and on C^d1 kron C^d (bath DD, lifted ei
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import Superoperator, _lift
-from .linalg import _unit, assert_hermitian, dagger, kron
+from .linalg import _hermitian_rule, _unit, assert_hermitian, dagger, kron
 from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, _same_cluster,
                        analyze_peripheral, fixed_point_state)
 
@@ -98,6 +99,8 @@ def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks, rt: np.ndarray 
     one phase product and one stacked product: r columns of step B W A, whose real part is
     powered once per n, then B W R^T (R the bath trace in a dd sweep, by default I). A
     block stacks the r x N B Phi of its pairs; ``harness.sweep`` sizes it (``_STACK_BYTES``).
+    A block whose phases pass the float range, (t/n) (E_max - E_min) not finite, raises
+    ``ValueError``.
     """
     a, b = factors
     energies, u = np.linalg.eigh(assert_hermitian(h).reshape(-1, *np.shape(h)[-2:]))
@@ -106,9 +109,12 @@ def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks, rt: np.ndarray 
     cols = np.hstack([a, np.eye(len(a)) if rt is None else rt])
     c_u = _sandwich(cols.T, dagger(u), u).swapaxes(-1, -2)
     gaps = (energies[:, :, None] - energies[:, None, :]).reshape(k, 1, -1)
+    span = float(np.max(energies[:, -1] - energies[:, 0]))  # the largest gap; eigh sorts E
     for block in blocks:
         if min(block) < 1:
             raise ValueError("n must be at least 1")
+        if not math.isfinite(abs(float(t)) / min(block) * span):  # Python floats: no warning
+            raise ValueError(f"the phases (t/n) (E_i - E_j) overflow at t={t:g}, n={min(block)}")
         phases = np.exp(np.array([-1j * (t / n) for n in block])[:, None, None, None] * gaps)
         out = ((b_u * phases) @ c_u).reshape(-1, r, c_u.shape[-1])
         steps = out[:, :, :r].real.reshape(len(block), k, r, r)
@@ -133,12 +139,17 @@ def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) ->
 
 
 def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int | None = None):
-    """(||H_Z(K)||_F / ||H0||_F, H_eff): H is scaled exactly by ``_unit`` before its Hermiticity
-    check, so that check is relative, and H0, its traceless part, is scaled again; 0 when H0 = 0.
+    """(||H_Z(K)||_F / ||H0||_F, H_eff): a finite H is scaled exactly by ``_unit`` and checked
+    once, by ``is_hermitian``'s rule on H / c, so the check is relative, and H0, its traceless
+    part, is scaled again; 0 when H0 = 0.
     With d1 (bath DD), H is on C^d1 kron C^d and K = H0 - H_eff kron I (H0 at d1 = 1); without
     (suppression), K = H0 on C^(dim H / d) kron C^d, as ``zeno_hamiltonian`` reads it."""
-    h, c = _unit(h)
-    h0, c0 = _unit(assert_hermitian(h) - np.trace(h) / len(h) * np.eye(len(h)))
+    h = np.asarray(h, dtype=complex)
+    finite = bool(np.isfinite(h).all())
+    h, c = _unit(h) if finite else (h, 1.0)
+    if not finite or not _hermitian_rule(h, 1.0):  # the rule on H / c itself: relative
+        raise ValueError("matrix is not Hermitian within tolerance")
+    h0, c0 = _unit(h - np.trace(h) / len(h) * np.eye(len(h)))
     k, h_eff = h0, np.zeros((1, 1))  # at d1 = 1 the traceless 1 x 1 H_eff is 0, and K = H0
     if d1 is not None and len(h) != d1 * dec.dim:
         raise ValueError(f"dim(H)={len(h)} does not factor as {d1}*{dec.dim}")

@@ -276,6 +276,9 @@ BAD_FILES = {
     "big_n_dd": {**SWEEP_BASE, "mode": "dd", "n_values": [1, 10**6 + 1]},
     "huge_n_zeno": {**SWEEP_BASE, "n_values": [1e300]},
     "huge_n_dd": {**SWEEP_BASE, "mode": "dd", "n_values": [1e300]},
+    # (t/n) (E_i - E_j) past the float range at n = 1
+    "huge_t_zeno": {**SWEEP_BASE, "t": 1.7e308},
+    "huge_t_dd": {**SWEEP_BASE, "mode": "dd", "t": 1.7e308},
     "sweep": SWEEP_BASE,
     "huge_rho": {**SWEEP_BASE, "channel": "zoo:P_rho",
                  "channel_params": {"rho": [[1e308, 0], [0, 1e308]]}},
@@ -347,6 +350,8 @@ BAD_FILES = {
     ["sweep", "--config", "{big_n_dd}", "--out", "{out}"],
     ["sweep", "--config", "{huge_n_zeno}", "--out", "{out}"],
     ["sweep", "--config", "{huge_n_dd}", "--out", "{out}"],
+    ["sweep", "--config", "{huge_t_zeno}", "--out", "{out}"],
+    ["sweep", "--config", "{huge_t_dd}", "--out", "{out}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}"],
     ["sweep", "--config", "{sweep}", "--out", "{h2}/sub"],
     ["reproduce", "fig1a", "--out", "{h2}"],

@@ -11,6 +11,8 @@ from bathdd.hamiltonian import random_hamiltonian
 from bathdd.harness import (
     _STACK_BYTES,
     _hamiltonian_chunks,
+    _plan,
+    _zoo_kick,
     FIGURES,
     FIXTURE_HAMILTONIANS,
     MAX_N,
@@ -350,9 +352,23 @@ def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
         calls.append((len(hs), blocks, factors[1].shape, [y for _, y in yielded]))
         return iter(yielded)
 
+    scored = []  # (n, H) pairs per score call
+    reduced_purity, distance_of = bathdd.harness._reduced_purity, bathdd.harness.choi_distance
+
+    def purity(lam, dim):
+        scored.append(len(lam))
+        return reduced_purity(lam, dim)
+
+    def distance(s_a, s_b):
+        scored.append(len(s_a.matrix))
+        return distance_of(s_a, s_b)
+
     monkeypatch.setattr(bathdd.harness, "_kicked_evolutions", record)
+    monkeypatch.setattr(bathdd.harness, "_reduced_purity", purity)
+    monkeypatch.setattr(bathdd.harness, "choi_distance", distance)
     sweep(cfg)
     assert sum(k for k, _, _, _ in calls) == cfg.hamiltonians["random"]
+    assert sum(scored) == cfg.hamiltonians["random"] * len(cfg.n_values)
     for k, blocks, (r, big_n), ys in calls:
         assert [n for block in blocks for n in block] == sorted(cfg.n_values)
         # per (n, H) pair: the r x N B Phi, or in zeno mode the larger N x N map
@@ -361,6 +377,11 @@ def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
         assert len(blocks[0]) * k * pair <= _STACK_BYTES
         # as many n per block as fit
         assert len(blocks) == 1 or (len(blocks[0]) + 1) * k * pair > _STACK_BYTES
+    # per scored pair in dd mode: the real r x r P_n, the r x d1^2 B W T^T and the d1^2 x r
+    # (T A) P_n; in zeno mode the N x N maps
+    _, _, (r, big_n), _ = calls[0]
+    score_pair = 8 * r * max(r, 2 * cfg.d1**2) if cfg.mode == "dd" else 16 * big_n**2
+    assert max(scored) * score_pair <= _STACK_BYTES
 
 
 def kicked_products():
@@ -406,6 +427,7 @@ def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
     for cfg, kick in ((FIGURES["fig3a"].config, sup("E_omega")),
                       (STACKED_CASES["updown:d1=3"], sup("E_updown"))):
         _factor_kick.cache_clear()  # factors memoised by earlier sweeps
+        _plan.cache_clear()  # and the plans that hold them
         records = sweep(with_hamiltonians(cfg, random=2, seed=0))
         assert len(records) == 5 * len(cfg.n_values)
         assert _factor_kick.cache_info().misses == 1
@@ -416,6 +438,7 @@ def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
 
 def test_second_sweep_of_a_kick_factors_nothing():
     _factor_kick.cache_clear()
+    _plan.cache_clear()
     cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
     first = sweep(cfg)
     assert _factor_kick.cache_info().misses == 1
@@ -440,6 +463,91 @@ def test_sweep_then_dd_evolution_of_its_kick_factors_nothing_more():
     for h, m in zip(hs, got.matrix):
         want = plain_kicked_evolution(extend_with_identity(sup("E_omega"), 2), h, cfg.t, 5)
         assert np.max(np.abs(m - want.matrix)) <= 1e-12
+
+
+def test_second_sweep_of_a_zoo_kick_builds_nothing(monkeypatch):
+    import bathdd.harness
+
+    counts = {"builtin": 0, "to_superoperator": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(bathdd.harness, name, counted(name, getattr(bathdd.harness, name)))
+    _zoo_kick.cache_clear()
+    cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
+    first = sweep(cfg)
+    assert counts == {"builtin": 1, "to_superoperator": 1}
+    assert sweep(cfg) == first and sweep(with_hamiltonians(cfg, random=2, seed=3)) != first
+    assert counts == {"builtin": 1, "to_superoperator": 1}
+
+
+def test_a_channel_file_is_read_on_every_sweep(tmp_path):
+    from test_channel import save_channel
+
+    path = tmp_path / "kick.json"
+    cfg = SweepConfig(str(path), "zeno", (1, 2, 7), {"random": 2, "seed": 0})
+    values = {}
+    for name in ("E_updown", "E_dephase"):
+        save_channel(builtin(name).channel, path)
+        values[name] = sweep(cfg)
+        fresh = sweep(replace(cfg, channel=f"zoo:{name}"))
+        assert [r.value for r in values[name]] == [r.value for r in fresh]
+    assert values["E_updown"] != values["E_dephase"]
+
+
+def test_refused_zoo_params_raise_on_every_sweep():
+    cfg = SweepConfig("zoo:E_square", "zeno", (1, 2), {"random": 2, "seed": 0},
+                      channel_params={"p": 3.0})
+    before = _zoo_kick.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="p in"):
+            sweep(cfg)
+    assert _zoo_kick.cache_info().currsize == before
+
+
+def test_zoo_kicks_are_memoised_by_exact_params():
+    def entry(**params):
+        """(misses added, kick bytes) of one sweep of E_omega with these params."""
+        misses = _zoo_kick.cache_info().misses
+        sweep(SweepConfig("zoo:E_omega", "dd", (1, 2), {"random": 1, "seed": 0},
+                          channel_params=params))
+        return _zoo_kick.cache_info().misses - misses, sup("E_omega", **params).matrix.tobytes()
+
+    _zoo_kick.cache_clear()
+    default = entry()
+    assert default[0] == 1
+    assert entry(omega=np.diag([0.3, 0.7]).tolist())[0] == 1
+    # the same values as an ndarray, or as the list again, share that entry
+    assert entry(omega=np.diag([0.3, 0.7]))[0] == 0
+    assert entry(omega=[[0.3, 0.0], [0.0, 0.7]])[0] == 0
+    # an omega that differs past a repr's 8 digits gets its own entry and its own kick
+    near = entry(omega=np.diag([0.3 + 1e-12, 0.7 - 1e-12]))
+    far = entry(omega=np.diag([0.3, 0.7]))
+    assert near[0] == 1 and near[1] != far[1] != default[1]
+    assert _zoo_kick.cache_info().currsize == 3
+
+
+def test_planned_kicks_are_read_only():
+    from bathdd.harness import _kick
+
+    for fig, mode, d1 in (("fig3a", "dd", 2), ("fig3b", "zeno", 1)):
+        cfg = with_hamiltonians(FIGURES[fig].config, random=1, seed=0)
+        ns = () if mode == "dd" else cfg.n_values
+        sweep(cfg)
+        misses = _plan.cache_info().misses
+        planned = _plan(*_kick(cfg.channel, cfg.channel_params), mode, d1, ns)
+        assert _plan.cache_info().misses == misses  # the sweep's own plan
+        arrays = [x for x in planned if x is not None]
+        assert len(arrays) == (4 if mode == "dd" else 3)
+        for x in arrays:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0, 0] = 0
 
 
 def test_sweep_deterministic_replay(tmp_path):

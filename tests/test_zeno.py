@@ -112,6 +112,18 @@ def test_zeno_evolution_degenerate_cases():
         zeno_evolution(s, h, 1.0, 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zeno_evolution_refuses_phases_past_the_float_range():
+    s = sup("E_updown")
+    h = np.diag([1.0, -1.0])  # the largest gap is 2
+    with pytest.raises(ValueError, match="overflow"):
+        zeno_evolution(s, h, 1e308, 1)
+    with pytest.raises(ValueError, match="overflow"):
+        dd_evolution(s, kron(h, h), -1e308, 1, 2)
+    # (t/n) 2 is finite from n = 2 on
+    assert np.isfinite(zeno_evolution(s, h, 1e308, 2).matrix).all()
+
+
 def test_zeno_evolution_approaches_channel_powers():
     s = sup("E_updown")
     n = 100
