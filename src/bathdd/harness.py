@@ -4,17 +4,19 @@ decoupling/suppression curves.
 Every curve is the kicked evolution (S W)^n = A P_n (B W) of ``zeno._kicked_evolutions``
 on chunks of the stacked Hamiltonian ensemble: the kick's factors S = A B come from
 ``zeno._factor_kick``, the one per-process memo that also serves ``zeno_evolution`` and
-``dd_evolution``, and each n costs one small real power P_n = (B W A)^{n-1}. What no
-Hamiltonian enters is planned once per process: a zoo kick's superoperator bytes
-(``_zoo_kick``, keyed by the spec and the exact params) and, per (kick bytes, mode, d1, n
-grid), the factors with the bath-traced rows or the targets (``_plan``), both bounded at
+``dd_evolution``, and each n costs one real product in Hermitian coordinates of H's
+eigenbasis (the phases of the d(d-1)/2 pairs of energies on the rows) and one small real
+power P_n = (B W A)^{n-1}. What no Hamiltonian enters is planned once per process: a zoo
+kick's superoperator bytes (``_zoo_kick``, keyed by the spec and the exact params) and, per
+(kick bytes, mode, d1, n grid), the factors with the bath-traced rows and columns in the
+Hermitian basis Q of M_d1, or the Choi states of the targets (``_plan``), both bounded at
 ``spectral._CACHE_SIZE`` entries and read-only; a channel file is read on every sweep.
-Chunks and their blocks of n, each block one stacked step, are sized so that no stacked
-array passes 64 KiB (``_STACK_BYTES``), and each score call takes as many blocks as keep
+Chunks and their blocks of n, each block one stacked step, are sized so that no per-pair
+stack passes 64 KiB (``_STACK_BYTES``), and each score call takes as many blocks as keep
 its stacks within that bound. Mode "dd" kicks the bath of a bipartite system with
 I_1 kron E_2, the lift of E_2's own factors, and records the purity of the system legs of
-the Choi state from the bath-traced A and B W; mode "zeno" kicks with E and records the
-trace-norm distance between the Choi states of A P_n (B W) and of E_phi^n (full
+the Choi state from the real (Q^dag T A) P_n (B W T^T Q); mode "zeno" kicks with E and
+records the trace-norm distance between the Choi states of A P_n (B W) and of E_phi^n (full
 suppression), which saturates at a nonzero constant when suppression fails. ``FIGURES``
 holds each reference panel as a ``SweepConfig`` row, which ``reproduce`` runs through
 ``sweep``.
@@ -30,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, _integer, _real, choi, load_channel,
-                      to_superoperator)
+from .channel import (KrausChannel, Superoperator, _hermitian_coordinates, _integer, _real, choi,
+                      load_channel, to_superoperator)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
 from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
@@ -76,7 +78,12 @@ def choi_distance(s_a: Superoperator, s_b: Superoperator) -> float | np.ndarray:
     map of a stack): sum |lambda| of their Hermitian difference, else ``ValueError``."""
     if s_a.dim != s_b.dim:
         raise ValueError("dimension mismatch")
-    return np.abs(np.linalg.eigvalsh(assert_hermitian(choi(s_a) - choi(s_b)))).sum(axis=-1)
+    return _hermitian_trace_norm(choi(s_a) - choi(s_b))
+
+
+def _hermitian_trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """sum |lambda| of a Hermitian matrix, per matrix of a stack, else ``ValueError``."""
+    return np.abs(np.linalg.eigvalsh(assert_hermitian(m))).sum(axis=-1)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -226,27 +233,33 @@ def _kick(spec: str, params: dict) -> tuple[int, bytes]:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _plan(dim: int, data: bytes, mode: str, d1: int, ns: tuple[int, ...]):
     """The part of a sweep that no Hamiltonian enters, memoised per process and read-only:
-    (A, B, T A, R^T = T^T) in mode "dd", T the bath trace, and (A, B, E_phi^n stacked over the
-    n of ``ns``, None) in mode "zeno", with A B the kick of these bytes lifted to d1
-    (``zeno._factor_kick``)."""
+    (A, B, Q^dag T A, T^T Q) in mode "dd", T the bath trace and Q the orthonormal Hermitian
+    basis of M_d1, so that Q^dag T A is real and the columns of T^T Q are Hermitian, and
+    (A, B, the Choi states of E_phi^n stacked over the n of ``ns``, None) in mode "zeno", with
+    A B the kick of these bytes lifted to d1 (``zeno._factor_kick``)."""
     a, b = _factor_kick(dim, data, d1)
     if mode == "dd":
-        kept = _trace_bath(a, d1, dim), _trace_bath(np.eye(len(a)), d1, dim).T
+        q = _hermitian_coordinates(d1)[1]
+        q = q / np.linalg.norm(q, axis=0)
+        kept = ((q.conj().T @ _trace_bath(a, d1, dim)).real,
+                _trace_bath(np.eye(len(a)), d1, dim).T @ q)
     else:
         dec = analyze_peripheral(Superoperator(dim, np.frombuffer(data, dtype=complex)
                                                .reshape(dim * dim, -1)))
-        kept = np.array([peripheral_power(dec, n).matrix for n in ns]), None
+        targets = np.array([peripheral_power(dec, n).matrix for n in ns])
+        kept = choi(Superoperator(dim, targets)), None
     for x in kept:
         if x is not None:
             x.flags.writeable = False  # shared by every sweep of this kick
     return a, b, *kept
 
 
-# A sweep's chunks of Hamiltonians and blocks of n keep their largest array (the N x N maps
-# in zeno mode, the r x N B Phi in dd mode) within _STACK_BYTES, and so do the stacks that
-# score several blocks of a chunk in one call. glibc serves an allocation above its mmap
-# threshold (128 KiB) from a fresh mapping whose pages fault in on every use, so 64 KiB keeps
-# each temporary in the heap: fig3a's 64 x 64 sweeps take chunks of 4 H.
+# A sweep's chunks of Hamiltonians and blocks of n keep their largest per-pair stack within
+# _STACK_BYTES: the real r x N rows of the kicked step and its real r x (r + c) output, and in
+# zeno mode the N x N maps when larger; so do the stacks that score several blocks of a chunk
+# in one call. glibc serves an allocation above its mmap threshold (128 KiB) from a fresh
+# mapping whose pages fault in on every use, so 64 KiB keeps each temporary in the heap:
+# fig3a's 64 x 64 sweeps take chunks of 8 H, and a 4-H sweep blocks of 2 n.
 _STACK_BYTES = 1 << 16
 
 
@@ -275,30 +288,37 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     str(seed) and then n. What no Hamiltonian enters is planned once per process: a zoo
     kick's superoperator (``_zoo_kick``, keyed by the exact params), and per (kick bytes,
     mode, d1, n grid) its factors A B, lifted to I_1 kron E_2 in mode "dd", with the bath-traced
-    rows ("dd") or the targets E_phi^n ("zeno") (``_plan``); a channel file is read on every
-    call. Each chunk of Hamiltonians is checked and diagonalised once; each block of n of a
-    chunk is one stacked call of ``_kicked_evolutions``. One score call takes as many blocks
-    as keep its stacks within ``_STACK_BYTES`` (a whole n grid of fig3a's chunks of 4 H): the
-    purity of the d1^2 x d1^2 (T A) P_n (B W T^T) / d, T the bath trace ("dd"), or the Choi
-    distance of A P_n (B W) to E_phi^n ("zeno")."""
+    rows and columns in the Hermitian basis Q of M_d1 ("dd") or the Choi states of the targets
+    E_phi^n ("zeno") (``_plan``); a channel file is read on every call. Each chunk of
+    Hamiltonians is checked and diagonalised once; each block of n of a chunk is one stacked
+    real product of ``_kicked_evolutions``. One score call takes as many blocks as keep its
+    stacks within ``_STACK_BYTES`` (a whole n grid of fig3a's 4-H sweeps): the purity of the
+    real d1^2 x d1^2 (Q^dag T A) P_n (B W T^T Q) / d, T the bath trace, which is that of
+    T S T^T as Q is unitary ("dd"), or the Choi distance of A P_n (B W) to E_phi^n, the
+    chunk's maps broadcast against the planned Choi states ("zeno")."""
     dd = cfg.mode == "dd"
     dim, data = _kick(cfg.channel, cfg.channel_params)
     ns = tuple(sorted(cfg.n_values))
-    # kept: the rows T A ("dd") or the targets E_phi^n ("zeno"); rt: R^T ("dd") or None
+    # kept: the rows Q^dag T A ("dd") or the Choi states of E_phi^n ("zeno"); rt: T^T Q or None
     a, b, kept, rt = _plan(dim, data, cfg.mode, cfg.d1 if dd else 1, () if dd else ns)
     big_n, r = a.shape
+    # per (n, H) pair of a block: the real r x N rows and r x (r + c) output, c the d1^2
+    # columns T^T Q ("dd") or the real and imaginary parts of the N columns of I ("zeno")
+    pair = 8 * r * max(big_n, r + (cfg.d1**2 if dd else 2 * big_n))
     if dd:
         dim, metric = cfg.d1 * dim, "purity"
-        # per (n, H) pair: the r x N B Phi, and the r x r P_n or d1^2 x r (T A) P_n to score
-        pair, scored = 16 * r * big_n, 8 * r * max(r, 2 * cfg.d1**2)
+        # per scored pair: the real r x r P_n, r x d1^2 B W T^T Q and d1^2 x r (Q^dag T A) P_n
+        scored = 8 * r * max(r, cfg.d1**2)
         score = lambda p, y, _: _reduced_purity(kept @ p @ y, dim)
     else:
-        metric, pair = "choi_distance", 16 * big_n**2  # the N x N maps
-        scored = pair
+        metric = "choi_distance"
+        pair = scored = max(pair, 16 * big_n**2)  # and the N x N maps and their Choi states
 
         def score(p, bw, n_slice):
-            target = np.repeat(kept[n_slice], len(p) // len(kept[n_slice]), axis=0)
-            return choi_distance(Superoperator(dim, a @ (p @ bw)), Superoperator(dim, target))
+            maps = choi(Superoperator(dim, a @ (p @ bw)))
+            targets = kept[n_slice]
+            return _hermitian_trace_norm(maps.reshape(len(targets), -1, big_n, big_n)
+                                         - targets[:, None]).reshape(-1)
 
     pairs = max(1, _STACK_BYTES // pair)  # (n, H) pairs per block
     labels, parts = [], []

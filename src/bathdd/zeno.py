@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Superoperator, _lift
+from .channel import Superoperator, _hermitian_coordinates, _lift
 from .linalg import _hermitian_rule, _unit, assert_hermitian, dagger, kron
 from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, _same_cluster,
                        analyze_peripheral, fixed_point_state)
@@ -88,38 +88,65 @@ def _sandwich(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarra
     return (y @ right).reshape(k, -1, d * d)
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For d x d operators: the pairs i < j as two index arrays; the flat indices of each (i, j)
+    and then of each (i, i); the Hermitian basis T^-1 of ``_hermitian_coordinates``; and Re T and
+    Im T interleaved column by column, so that y T = (y @ them).view(complex) for a real y."""
+    i, j = np.triu_indices(d, 1)
+    t, t_inv = _hermitian_coordinates(d)
+    parts = np.stack([t.real, t.imag], axis=-1).reshape(d * d, -1)
+    return i, j, np.concatenate([d * i + j, np.arange(d) * (d + 1)]), t_inv, parts
+
+
 def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks, rt: np.ndarray | None = None):
     """(P, B W R^T) per block of n, on one flat (n, H) axis: row i k + j holds n = block[i]
     and H_j of the k Hamiltonians, with the real P = (B W A)^{n-1}, so (S W)^n = A P (B W).
 
-    With S = A B from the read-only memo ``_factor_kick``, B W A is real in exact arithmetic.
-    H, one matrix or a (k, d, d) stack, is checked and diagonalised once, H = U E U^dag, so W
-    is (U kron conj(U)) Phi (U kron conj(U))^dag with Phi = diag exp(-i (t/n) (E_i - E_j)).
-    Rows X of B go to U^T X conj(U) and columns Y of [A | R^T] to U^dag Y U once; a block is
-    one phase product and one stacked product: r columns of step B W A, whose real part is
-    powered once per n, then B W R^T (R the bath trace in a dd sweep, by default I). A
-    block stacks the r x N B Phi of its pairs; ``harness.sweep`` sizes it (``_STACK_BYTES``).
-    A block whose phases pass the float range, (t/n) (E_max - E_min) not finite, raises
-    ``ValueError``.
+    With S = A B from the read-only memo ``_factor_kick``, H, one matrix or a (k, d, d) stack,
+    is checked and diagonalised once, H = U E U^dag, and W multiplies the (i, j) entry of
+    U^dag Y U by phi_ij = exp(-i (t/n) (E_i - E_j)). The rows X of B, the columns Y of A and
+    those of R^T (the bath trace of a dd sweep) are Hermitian operators, so B W Y is real:
+    sum_i Z_ii Y_ii + sum_{i<j} 2 Re(conj(Z_ij phi_ji) Y_ij) with Z = U^dag conj(X) U and Y
+    read as U^dag Y U, each side one stacked product per chunk. So each (n, H) pair costs one
+    complex product of the d(d-1)/2 phases phi_ji into 2 Z_ij and one real product of those
+    r x (N - d) rows, as Re and Im, with the matching coordinates of [A | R^T]; the diagonal
+    part, free of n, is formed once. R = I by default: its columns are not Hermitian, and take
+    the complex coordinates of T^-1 T (``channel._hermitian_coordinates``), so that B W comes
+    out complex. The phases of the whole n grid are one call; a block's first r columns, the
+    step B W A, are powered once per n. ``harness.sweep`` sizes a block (``_STACK_BYTES``).
+    Phases past the float range, (t/n) (E_max - E_min) not finite, raise ``ValueError``.
     """
     a, b = factors
     energies, u = np.linalg.eigh(assert_hermitian(h).reshape(-1, *np.shape(h)[-2:]))
-    k, r = len(u), len(b)
-    b_u = _sandwich(b, u.swapaxes(-1, -2), u.conj())
-    cols = np.hstack([a, np.eye(len(a)) if rt is None else rt])
-    c_u = _sandwich(cols.T, dagger(u), u).swapaxes(-1, -2)
-    gaps = (energies[:, :, None] - energies[:, None, :]).reshape(k, 1, -1)
+    ns = [n for block in blocks for n in block]
+    if min(ns) < 1:
+        raise ValueError("n must be at least 1")
     span = float(np.max(energies[:, -1] - energies[:, 0]))  # the largest gap; eigh sorts E
+    if not math.isfinite(abs(float(t)) / min(ns) * span):  # Python floats: no warning
+        raise ValueError(f"the phases (t/n) (E_i - E_j) overflow at t={t:g}, n={min(ns)}")
+    (k, d), r = energies.shape, len(b)
+    i, j, kept, basis, t_parts = _coordinates(d)
+    pairs = len(i)
+    z = _sandwich(b.conj(), dagger(u), u).take(kept, -1)
+    y = _sandwich(np.hstack([a, basis if rt is None else rt]).T, dagger(u), u).take(kept, -1)
+    cols = np.concatenate([y[..., :pairs].view(float), y[..., pairs:].real], -1).swapaxes(-1, -2)
+    if rt is None:  # I's columns: Re and Im of their coordinates, interleaved
+        cols = np.concatenate([cols[..., :r], cols[..., r:] @ t_parts], -1)
+    fixed = z[..., pairs:].real @ cols[:, 2 * pairs:]  # sum_i Z_ii Y_ii
+    z, cols = 2 * z[..., :pairs], np.ascontiguousarray(cols[:, :2 * pairs])
+    phases = np.exp(np.array([-1j * (t / n) for n in ns])[:, None, None]
+                    * (energies[:, j] - energies[:, i]))
+    start = 0
     for block in blocks:
-        if min(block) < 1:
-            raise ValueError("n must be at least 1")
-        if not math.isfinite(abs(float(t)) / min(block) * span):  # Python floats: no warning
-            raise ValueError(f"the phases (t/n) (E_i - E_j) overflow at t={t:g}, n={min(block)}")
-        phases = np.exp(np.array([-1j * (t / n) for n in block])[:, None, None, None] * gaps)
-        out = ((b_u * phases) @ c_u).reshape(-1, r, c_u.shape[-1])
-        steps = out[:, :, :r].real.reshape(len(block), k, r, r)
+        out = (z * phases[start:start + len(block), :, None]).view(float) @ cols
+        out += fixed
+        out = out.reshape(-1, r, out.shape[-1])
+        start += len(block)
+        steps = out[:, :, :r].reshape(len(block), k, r, r)
         powers = [np.linalg.matrix_power(step, n - 1) for step, n in zip(steps, block)]
-        yield np.concatenate(powers), out[:, :, r:]
+        bw = out[:, :, r:] if rt is not None else out[:, :, r:].view(complex)
+        yield np.concatenate(powers), bw
 
 
 def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Superoperator:

@@ -280,13 +280,13 @@ STACKED_CASES = {
        for fig_id, fig in FIGURES.items()},
     **{f"{fig_id}:{fig.fixture}": with_hamiltonians(fig.config, fixture=fig.fixture)
        for fig_id, fig in FIGURES.items() if fig.fixture is not None},
-    # more Hamiltonians than one chunk of 64 KiB holds: 16x16 superoperators, where r = 8
-    # and N = 16 give 32 pairs per chunk, and 64x64 ones, 4 pairs per chunk
-    "fig1a:chunked": with_hamiltonians(FIGURES["fig1a"].config, random=37, seed=0),
-    "fig3a:chunked": with_hamiltonians(FIGURES["fig3a"].config, random=_STACK_BYTES // 2**14 + 1,
+    # more Hamiltonians than one chunk of 64 KiB holds: 16x16 superoperators, where the real
+    # 8 x 16 rows give 64 pairs per chunk, and 64x64 ones, whose 16 x 64 rows give 8
+    "fig1a:chunked": with_hamiltonians(FIGURES["fig1a"].config, random=65, seed=0),
+    "fig3a:chunked": with_hamiltonians(FIGURES["fig3a"].config, random=_STACK_BYTES // 2**13 + 1,
                                        seed=0),
-    # n grids that split into several blocks of several n: 64 KiB holds 4 of fig3a's
-    # (16 x 64) B W, so 2 H take blocks of 2 n; 32 of fig1a's (8 x 16), so 10 H take 3 n
+    # n grids that split into several blocks of several n: 64 KiB holds 8 of fig3a's real
+    # 16 x 64 rows, so 2 H take blocks of 4 n; 64 of fig1a's 8 x 16, so 10 H take 6 n
     "fig3a:blocks": with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=1),
     "fig1a:blocks": with_hamiltonians(FIGURES["fig1a"].config, random=10, seed=1),
     # dd shapes no figure has: d1 = 3 and d1 = 1, d2 = 3, and P_rho lifted to rank 4 of 16
@@ -353,34 +353,37 @@ def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
         return iter(yielded)
 
     scored = []  # (n, H) pairs per score call
-    reduced_purity, distance_of = bathdd.harness._reduced_purity, bathdd.harness.choi_distance
+    reduced_purity = bathdd.harness._reduced_purity
+    trace_norm = bathdd.harness._hermitian_trace_norm
 
     def purity(lam, dim):
         scored.append(len(lam))
         return reduced_purity(lam, dim)
 
-    def distance(s_a, s_b):
-        scored.append(len(s_a.matrix))
-        return distance_of(s_a, s_b)
+    def distance(diff):
+        scored.append(int(np.prod(diff.shape[:-2])))
+        return trace_norm(diff)
 
     monkeypatch.setattr(bathdd.harness, "_kicked_evolutions", record)
     monkeypatch.setattr(bathdd.harness, "_reduced_purity", purity)
-    monkeypatch.setattr(bathdd.harness, "choi_distance", distance)
+    monkeypatch.setattr(bathdd.harness, "_hermitian_trace_norm", distance)
     sweep(cfg)
     assert sum(k for k, _, _, _ in calls) == cfg.hamiltonians["random"]
     assert sum(scored) == cfg.hamiltonians["random"] * len(cfg.n_values)
     for k, blocks, (r, big_n), ys in calls:
         assert [n for block in blocks for n in block] == sorted(cfg.n_values)
-        # per (n, H) pair: the r x N B Phi, or in zeno mode the larger N x N map
-        pair = max(16 * r * big_n, 16 * big_n**2 if cfg.mode == "zeno" else 0)
+        # per (n, H) pair: the real r x N rows and the real r x (r + c) output, c = d1^2 in
+        # dd mode and 2 N in zeno mode, where the N x N maps may be larger
+        pair = 8 * r * max(big_n, r + (cfg.d1**2 if cfg.mode == "dd" else 2 * big_n))
+        pair = pair if cfg.mode == "dd" else max(pair, 16 * big_n**2)
         assert all(len(y) == len(block) * k for block, y in zip(blocks, ys, strict=True))
         assert len(blocks[0]) * k * pair <= _STACK_BYTES
         # as many n per block as fit
         assert len(blocks) == 1 or (len(blocks[0]) + 1) * k * pair > _STACK_BYTES
-    # per scored pair in dd mode: the real r x r P_n, the r x d1^2 B W T^T and the d1^2 x r
-    # (T A) P_n; in zeno mode the N x N maps
+    # per scored pair in dd mode: the real r x r P_n, r x d1^2 B W T^T Q and d1^2 x r
+    # (Q^dag T A) P_n; in zeno mode the N x N maps
     _, _, (r, big_n), _ = calls[0]
-    score_pair = 8 * r * max(r, 2 * cfg.d1**2) if cfg.mode == "dd" else 16 * big_n**2
+    score_pair = 8 * r * max(r, cfg.d1**2) if cfg.mode == "dd" else 16 * big_n**2
     assert max(scored) * score_pair <= _STACK_BYTES
 
 

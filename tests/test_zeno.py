@@ -12,7 +12,7 @@ from bathdd.channel import (
     to_superoperator,
 )
 from bathdd.hamiltonian import adjoint_rep, random_hamiltonian, schmidt
-from bathdd.harness import choi_distance
+from bathdd.harness import _plan, choi_distance
 from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral, fixed_point_state
 from bathdd.zeno import (
@@ -490,6 +490,34 @@ def test_kicked_step_is_real(name):
                 step = b @ kron(v, v.conj()) @ a
                 assert np.max(np.abs(step.imag)) <= 1e-15
                 assert np.max(np.abs(p_h - np.linalg.matrix_power(step, n - 1))) <= 1e-12
+
+
+def gue(d, seed):
+    """A complex Hermitian H (Gaussian unitary ensemble): unlike a sweep's real symmetric H,
+    its eigenvectors are complex, so a conjugation slip in the kernel changes its output."""
+    re, im = np.random.default_rng(seed).standard_normal((2, d, d))
+    return (re + re.T) / 2 + 1j * (im - im.T) / 2
+
+
+@pytest.mark.parametrize("columns", ["dd", "zeno"])
+@pytest.mark.parametrize("name", names())
+def test_kicked_evolutions_match_expm_on_complex_hamiltonians(name, columns):
+    # P and y element by element against b @ kron(v, conj(v)) @ [a | cols]: cols the dd
+    # sweep's planned bath-trace columns, or the identity whose complex B W is returned
+    s2 = sup(name)
+    for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
+        a, b, _, rt = _plan(s2.dim, s2.matrix.tobytes(), "dd", d1, ())
+        rt = rt if columns == "dd" else None
+        hs = np.array([gue(d1 * s2.dim, seed) for seed in range(3)])
+        for n in (1, 7, 100):
+            p, y = next(_kicked_evolutions((a, b), hs, 0.7, [(n,)], rt))
+            for h, p_h, y_h in zip(hs, p, y):
+                v = scipy.linalg.expm(-0.7j / n * h)
+                bw = b @ kron(v, v.conj())
+                assert np.max(np.abs(p_h - np.linalg.matrix_power(bw @ a, n - 1))) <= 1e-12
+                want = bw if rt is None else bw @ rt
+                assert y_h.shape == want.shape
+                assert np.max(np.abs(y_h - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", names())
