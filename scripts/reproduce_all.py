@@ -4,14 +4,17 @@
 Usage: python3 scripts/reproduce_all.py [out_dir]
 """
 
-import sys
+import argparse
 import time
 from pathlib import Path
 
 from bathdd.harness import FIGURE_IDS, reproduce
 
-def main() -> int:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/figures")
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Recompute all six reference data series.")
+    parser.add_argument("out_dir", nargs="?", default="out/figures", type=Path,
+                        help="directory for the figure files (default: out/figures)")
+    out = parser.parse_args(argv).out_dir
     for fig in FIGURE_IDS:
         t0 = time.perf_counter()
         files = reproduce(fig, out)

@@ -104,21 +104,24 @@ def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecom
     )
 
 
-def _random_hamiltonians(d: int, seeds) -> np.ndarray:
-    """(len(seeds), d, d) stack of ``random_hamiltonian(d, seed)``: each seed's
-    Gaussian drawn on its own, the stack normalised by one stacked SVD."""
+def _random_hamiltonians(d: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, U, H) of the len(seeds) random Hamiltonians: each seed's Gaussian g drawn on its own,
+    H = (g + g^T)/2 checked by ``assert_hermitian``, one real ``eigh`` H = U diag(E) U^T with E
+    ascending, then H and E divided by c = max(-E_0, E_{d-1}), the operator norm of H."""
     if d < 2:
         raise ValueError("d must be at least 2")
     g = np.array([np.random.default_rng(seed).standard_normal((d, d)) for seed in seeds])
-    h = (g + g.swapaxes(-1, -2)) / 2
-    return (h / np.linalg.svd(h, compute_uv=False)[:, :1, None]).astype(complex)
+    h = assert_hermitian((g + g.swapaxes(-1, -2)) / 2).real
+    energies, u = np.linalg.eigh(h)
+    c = np.maximum(-energies[:, :1], energies[:, -1:])
+    return energies / c, u, h / c[..., None]
 
 
 def random_hamiltonian(d: int, seed: int) -> np.ndarray:
-    """Random Hermitian matrix normalized to unit operator norm.
+    """Random Hermitian matrix of unit operator norm, ``_random_hamiltonians``' H at one seed.
 
     Gaussian real symmetric ensemble; this reproduces the reference ensemble
     statistics of the decoupling/suppression curves (saturation constants
     0.85, 0.91, 0.55) noticeably better than the complex Gaussian ensemble.
     """
-    return _random_hamiltonians(d, (seed,))[0]
+    return _random_hamiltonians(d, (seed,))[2][0].astype(complex)

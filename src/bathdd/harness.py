@@ -2,15 +2,15 @@
 decoupling/suppression curves.
 
 Every curve is the kicked evolution (S W)^n = A P_n (B W) of ``zeno._kicked_evolutions``
-on chunks of the stacked Hamiltonian ensemble: the kick's factors S = A B come from
-``zeno._factor_kick``, the one per-process memo that also serves ``zeno_evolution`` and
-``dd_evolution``, and each n costs one real product in Hermitian coordinates of H's
-eigenbasis (the phases of the d(d-1)/2 pairs of energies on the rows) and one small real
-power P_n = (B W A)^{n-1}. What no Hamiltonian enters is planned once per process: a zoo
-kick's superoperator bytes (``_zoo_kick``, keyed by the spec and the exact params) and, per
-(kick bytes, mode, d1, n grid), the factors with the bath-traced rows and columns in the
-Hermitian basis Q of M_d1, or the Choi states of the targets (``_plan``), both bounded at
-``spectral._CACHE_SIZE`` entries and read-only; a channel file is read on every sweep.
+on chunks of the Hamiltonian ensemble, drawn straight into eigendata by one real ``eigh``:
+the kick's factors S = A B come from ``zeno._factor_kick``, the one per-process memo that
+also serves ``zeno_evolution`` and ``dd_evolution``, and each n costs one real product in
+Hermitian coordinates of H's eigenbasis (the phases of the d(d-1)/2 energy gaps on the rows)
+and one small real power P_n = (B W A)^{n-1}. What no Hamiltonian enters is planned once
+per process: a zoo kick's superoperator bytes (``_zoo_kick``, keyed by the spec and the exact
+params), per (kick bytes, d1) the factors with the bath-traced rows and columns in the
+Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the Choi state of a zeno
+target (``_target``), each bounded at ``spectral._CACHE_SIZE`` entries and read-only.
 Chunks and their blocks of n, each block one stacked step, are sized so that no per-pair
 stack passes 64 KiB (``_STACK_BYTES``), and each score call takes as many blocks as keep
 its stacks within that bound. Mode "dd" kicks the bath of a bipartite system with
@@ -29,6 +29,7 @@ import itertools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .channel import (KrausChannel, Superoperator, _hermitian_coordinates, _inte
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
 from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
-from .zeno import _factor_kick, _kicked_evolutions
+from .zeno import _eigensystem, _factor_kick, _kicked_evolutions
 from .zoo import builtin, pauli
 
 __all__ = [
@@ -92,8 +93,7 @@ def _hermitian_trace_norm(m: np.ndarray) -> float | np.ndarray:
 MAX_N = 10**6
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     n: int
     metric_name: str  # "purity" | "choi_distance"
     value: float
@@ -231,27 +231,29 @@ def _kick(spec: str, params: dict) -> tuple[int, bytes]:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _plan(dim: int, data: bytes, mode: str, d1: int, ns: tuple[int, ...]):
-    """The part of a sweep that no Hamiltonian enters, memoised per process and read-only:
-    (A, B, Q^dag T A, T^T Q) in mode "dd", T the bath trace and Q the orthonormal Hermitian
-    basis of M_d1, so that Q^dag T A is real and the columns of T^T Q are Hermitian, and
-    (A, B, the Choi states of E_phi^n stacked over the n of ``ns``, None) in mode "zeno", with
-    A B the kick of these bytes lifted to d1 (``zeno._factor_kick``)."""
+def _plan(dim: int, data: bytes, d1: int):
+    """The part of a dd sweep that no Hamiltonian enters, memoised per process and read-only:
+    (A, B, Q^dag T A, T^T Q), A B the kick of these bytes lifted to d1 (``zeno._factor_kick``),
+    T the bath trace and Q the orthonormal Hermitian basis of M_d1, so that Q^dag T A is real
+    and the columns of T^T Q are Hermitian."""
     a, b = _factor_kick(dim, data, d1)
-    if mode == "dd":
-        q = _hermitian_coordinates(d1)[1]
-        q = q / np.linalg.norm(q, axis=0)
-        kept = ((q.conj().T @ _trace_bath(a, d1, dim)).real,
-                _trace_bath(np.eye(len(a)), d1, dim).T @ q)
-    else:
-        dec = analyze_peripheral(Superoperator(dim, np.frombuffer(data, dtype=complex)
-                                               .reshape(dim * dim, -1)))
-        targets = np.array([peripheral_power(dec, n).matrix for n in ns])
-        kept = choi(Superoperator(dim, targets)), None
+    q = _hermitian_coordinates(d1)[1]
+    q = q / np.linalg.norm(q, axis=0)
+    kept = (q.conj().T @ _trace_bath(a, d1, dim)).real, _trace_bath(np.eye(len(a)), d1, dim).T @ q
     for x in kept:
-        if x is not None:
-            x.flags.writeable = False  # shared by every sweep of this kick
+        x.flags.writeable = False  # shared by every sweep of this kick
     return a, b, *kept
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _target(dim: int, data: bytes, n: int) -> np.ndarray:
+    """The read-only Choi state of E_phi^n for the kick of these bytes, memoised per (kick, n):
+    a process holds at most ``_CACHE_SIZE`` targets, and a score call stacks those of its n."""
+    dec = analyze_peripheral(Superoperator(dim, np.frombuffer(data, dtype=complex)
+                                           .reshape(dim * dim, -1)))
+    x = choi(peripheral_power(dec, n))
+    x.flags.writeable = False
+    return x
 
 
 # A sweep's chunks of Hamiltonians and blocks of n keep their largest per-pair stack within
@@ -264,18 +266,18 @@ _STACK_BYTES = 1 << 16
 
 
 def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
-    """(labels, series name, (k, d, d) stack) chunks of at most ``size`` Hamiltonians."""
+    """(labels, series name, eigendata (E, U)) chunks of at most ``size`` Hamiltonians."""
     src = cfg.hamiltonians
     if "fixture" in src:
         name = src["fixture"]
         h = FIXTURE_HAMILTONIANS[name]
         if h.shape[0] != total_dim:
             raise ValueError(f"fixture {name} has dim {h.shape[0]}, expected {total_dim}")
-        yield [name], name, h[None]
+        yield [name], name, _eigensystem(h)
         return
     seeds = range(src["seed"], src["seed"] + src["random"])
     for chunk in (seeds[i:i + size] for i in range(0, len(seeds), size)):
-        yield chunk, "random", _random_hamiltonians(total_dim, chunk)
+        yield chunk, "random", _random_hamiltonians(total_dim, chunk)[:2]
 
 
 def _stack(arrays) -> np.ndarray:
@@ -286,21 +288,21 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"), ordered by
     str(seed) and then n. What no Hamiltonian enters is planned once per process: a zoo
-    kick's superoperator (``_zoo_kick``, keyed by the exact params), and per (kick bytes,
-    mode, d1, n grid) its factors A B, lifted to I_1 kron E_2 in mode "dd", with the bath-traced
-    rows and columns in the Hermitian basis Q of M_d1 ("dd") or the Choi states of the targets
-    E_phi^n ("zeno") (``_plan``); a channel file is read on every call. Each chunk of
-    Hamiltonians is checked and diagonalised once; each block of n of a chunk is one stacked
-    real product of ``_kicked_evolutions``. One score call takes as many blocks as keep its
-    stacks within ``_STACK_BYTES`` (a whole n grid of fig3a's 4-H sweeps): the purity of the
-    real d1^2 x d1^2 (Q^dag T A) P_n (B W T^T Q) / d, T the bath trace, which is that of
-    T S T^T as Q is unitary ("dd"), or the Choi distance of A P_n (B W) to E_phi^n, the
-    chunk's maps broadcast against the planned Choi states ("zeno")."""
+    kick's superoperator (``_zoo_kick``, keyed by the exact params), its factors A B, lifted
+    to I_1 kron E_2 in mode "dd", with the bath-traced rows and columns in the Hermitian basis
+    Q of M_d1 (``_plan``), or the Choi states of the targets E_phi^n ("zeno", ``_target``);
+    a channel file is read on every call. A random chunk of Hamiltonians is drawn as its
+    eigendata, one real ``eigh`` that also normalises it (a fixture: ``zeno._eigensystem``);
+    each block of n of a chunk is one stacked real product of ``_kicked_evolutions``. One
+    score call takes as many blocks as keep its stacks within ``_STACK_BYTES`` (a whole n grid
+    of fig3a's 4-H sweeps): the purity of the real d1^2 x d1^2 (Q^dag T A) P_n (B W T^T Q) / d,
+    T the bath trace, which is that of T S T^T as Q is unitary ("dd"), or the Choi distance of
+    A P_n (B W) to E_phi^n, the maps broadcast against the call's stacked targets ("zeno")."""
     dd = cfg.mode == "dd"
     dim, data = _kick(cfg.channel, cfg.channel_params)
     ns = tuple(sorted(cfg.n_values))
-    # kept: the rows Q^dag T A ("dd") or the Choi states of E_phi^n ("zeno"); rt: T^T Q or None
-    a, b, kept, rt = _plan(dim, data, cfg.mode, cfg.d1 if dd else 1, () if dd else ns)
+    # "dd": kept the rows Q^dag T A, rt the columns T^T Q; "zeno": both None
+    a, b, kept, rt = _plan(dim, data, cfg.d1) if dd else (*_factor_kick(dim, data, 1), None, None)
     big_n, r = a.shape
     # per (n, H) pair of a block: the real r x N rows and r x (r + c) output, c the d1^2
     # columns T^T Q ("dd") or the real and imaginary parts of the N columns of I ("zeno")
@@ -316,17 +318,17 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
         def score(p, bw, n_slice):
             maps = choi(Superoperator(dim, a @ (p @ bw)))
-            targets = kept[n_slice]
+            targets = np.array([_target(dim, data, n) for n in ns[n_slice]])
             return _hermitian_trace_norm(maps.reshape(len(targets), -1, big_n, big_n)
                                          - targets[:, None]).reshape(-1)
 
     pairs = max(1, _STACK_BYTES // pair)  # (n, H) pairs per block
     labels, parts = [], []
-    for seeds, h_label, hs in _hamiltonian_chunks(cfg, dim, pairs):
-        per = max(1, pairs // len(hs))
+    for seeds, h_label, eigen in _hamiltonian_chunks(cfg, dim, pairs):
+        per = max(1, pairs // len(eigen[0]))
         blocks = [ns[i:i + per] for i in range(0, len(ns), per)]
-        steps = _kicked_evolutions((a, b), hs, cfg.t, blocks, rt)
-        group = max(1, _STACK_BYTES // (per * len(hs) * scored))  # blocks per score call
+        steps = _kicked_evolutions((a, b), eigen, cfg.t, blocks, rt)
+        group = max(1, _STACK_BYTES // (per * len(eigen[0]) * scored))  # blocks per score call
         scores = []
         for i in range(0, len(blocks), group):
             ps, ys = zip(*itertools.islice(steps, group))

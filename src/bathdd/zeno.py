@@ -99,26 +99,30 @@ def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return i, j, np.concatenate([d * i + j, np.arange(d) * (d + 1)]), t_inv, parts
 
 
-def _kicked_evolutions(factors, h: np.ndarray, t: float, blocks, rt: np.ndarray | None = None):
+def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, U), (k, d) and (k, d, d), of H or a stack of k, checked, from one complex ``eigh``."""
+    return np.linalg.eigh(assert_hermitian(h).reshape(-1, *np.shape(h)[-2:]))
+
+
+def _kicked_evolutions(factors, eigen, t: float, blocks, rt: np.ndarray | None = None):
     """(P, B W R^T) per block of n, on one flat (n, H) axis: row i k + j holds n = block[i]
     and H_j of the k Hamiltonians, with the real P = (B W A)^{n-1}, so (S W)^n = A P (B W).
 
-    With S = A B from the read-only memo ``_factor_kick``, H, one matrix or a (k, d, d) stack,
-    is checked and diagonalised once, H = U E U^dag, and W multiplies the (i, j) entry of
-    U^dag Y U by phi_ij = exp(-i (t/n) (E_i - E_j)). The rows X of B, the columns Y of A and
-    those of R^T (the bath trace of a dd sweep) are Hermitian operators, so B W Y is real:
-    sum_i Z_ii Y_ii + sum_{i<j} 2 Re(conj(Z_ij phi_ji) Y_ij) with Z = U^dag conj(X) U and Y
-    read as U^dag Y U, each side one stacked product per chunk. So each (n, H) pair costs one
-    complex product of the d(d-1)/2 phases phi_ji into 2 Z_ij and one real product of those
-    r x (N - d) rows, as Re and Im, with the matching coordinates of [A | R^T]; the diagonal
-    part, free of n, is formed once. R = I by default: its columns are not Hermitian, and take
-    the complex coordinates of T^-1 T (``channel._hermitian_coordinates``), so that B W comes
-    out complex. The phases of the whole n grid are one call; a block's first r columns, the
-    step B W A, are powered once per n. ``harness.sweep`` sizes a block (``_STACK_BYTES``).
+    With S = A B from the read-only memo ``_factor_kick``, the k Hamiltonians come as checked
+    eigendata (E, U), H = U E U^dag: complex from ``_eigensystem``, real from a sweep's draw.
+    W multiplies the (i, j) entry of U^dag Y U by phi_ij = exp(-i (t/n) (E_i - E_j)). The
+    rows X of B, the columns Y of A and those of R^T (the bath trace of a dd sweep) are
+    Hermitian, so B W Y is real: sum_i Z_ii Y_ii + sum_{i<j} 2 Re(conj(Z_ij phi_ji) Y_ij) with
+    Z = U^dag conj(X) U and Y read as U^dag Y U, each side one stacked product. So each (n, H)
+    pair costs one complex product of the d(d-1)/2 phases phi_ji into 2 Z_ij and one real
+    product of those r x (N - d) rows, as Re and Im, with the matching coordinates of
+    [A | R^T]; the diagonal part, free of n, is formed once. R = I by default: its columns
+    are not Hermitian and take the complex coordinates of T^-1 T (``_coordinates``), so B W
+    comes out complex. The phases of the whole n grid are one call; a block's first r columns,
+    the step B W A, are powered once per n. ``harness.sweep`` sizes a block (``_STACK_BYTES``).
     Phases past the float range, (t/n) (E_max - E_min) not finite, raise ``ValueError``.
     """
-    a, b = factors
-    energies, u = np.linalg.eigh(assert_hermitian(h).reshape(-1, *np.shape(h)[-2:]))
+    (a, b), (energies, u) = factors, eigen
     ns = [n for block in blocks for n in block]
     if min(ns) < 1:
         raise ValueError("n must be at least 1")
@@ -161,7 +165,7 @@ def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) ->
     """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n, from
     the factors of E alone, lifted and memoised by ``_factor_kick`` as in a bath-DD sweep."""
     a, b = _factor_kick(s2.dim, s2.matrix.tobytes(), d1)
-    p, bw = next(_kicked_evolutions((a, b), h, t, [(n,)]))
+    p, bw = next(_kicked_evolutions((a, b), _eigensystem(h), t, [(n,)]))
     return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 
 

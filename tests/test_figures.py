@@ -5,7 +5,9 @@ nine CSVs that ``reproduce`` writes for the six figures. A change to the
 evaluation path must leave each of them within 1e-10.
 """
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,20 @@ def test_reproduced_values_match_recorded(figure_id, tmp_path):
     want = {(series, n): value for fig, series, n, value in RECORDED if fig == figure_id}
     assert got.keys() == want.keys()
     assert max(abs(got[k] - want[k]) for k in want) <= 1e-10
+
+
+def test_reproduce_all_script_refuses_what_is_no_out_dir(tmp_path, monkeypatch, capsys):
+    # -h and --help print usage and exit 0, a second argument exits 2; neither writes a file
+    path = Path(__file__).parent.parent / "scripts" / "reproduce_all.py"
+    spec = importlib.util.spec_from_file_location("reproduce_all", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.chdir(tmp_path)
+    for argv, code in ((["--help"], 0), (["-h"], 0), (["out", "extra"], 2)):
+        monkeypatch.setattr(sys, "argv", [str(path), *argv])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == code
+        assert list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out.startswith("usage:") and "unrecognized arguments: extra" in err

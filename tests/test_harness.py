@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,13 +316,16 @@ def test_stacked_sweep_matches_per_pair_reference(cfg):
 
 
 def test_random_hamiltonian_is_its_row_of_a_sweep_chunk():
+    # a chunk is the eigendata (E, U) of its draws: U diag(E) U^T is random_hamiltonian,
+    # E ascends and its extreme entry is exactly +-1
     cfg = with_hamiltonians(FIGURES["fig1b"].config, random=40, seed=0)
     for d in (2, 4, 8):
         chunks = list(_hamiltonian_chunks(cfg, d, 32))
-        assert [len(hs) for _, _, hs in chunks] == [32, 8]
-        for seeds, _, hs in chunks:
-            for seed, h in zip(seeds, hs):
-                assert np.array_equal(random_hamiltonian(d, seed), h)
+        assert [len(energies) for _, _, (energies, _) in chunks] == [32, 8]
+        for seeds, _, (energies, u) in chunks:
+            for seed, e, v in zip(seeds, energies, u):
+                assert np.max(np.abs((v * e) @ v.T - random_hamiltonian(d, seed))) <= 1e-14
+                assert np.all(np.diff(e) >= 0) and np.max(np.abs(e)) == 1.0
 
 
 @pytest.mark.parametrize("cfg", [
@@ -329,6 +336,8 @@ def test_random_hamiltonian_is_its_row_of_a_sweep_chunk():
 def test_sweep_records_come_in_seed_string_then_n_order(cfg):
     records = sweep(cfg)
     assert records == sorted(records, key=lambda r: (str(r.seed), r.n))
+    with pytest.raises(AttributeError):  # a record is read-only
+        records[0].value = 0.0
     plain = [r for r in records if r.hamiltonian != "aggregate"]
     aggregates = {(r.seed, r.n): r.value for r in records if r.hamiltonian == "aggregate"}
     assert len(aggregates) == 3 * len(cfg.n_values)
@@ -347,9 +356,9 @@ def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
 
     calls = []
 
-    def record(factors, hs, t, blocks, rt):
-        yielded = list(bathdd.zeno._kicked_evolutions(factors, hs, t, blocks, rt))
-        calls.append((len(hs), blocks, factors[1].shape, [y for _, y in yielded]))
+    def record(factors, eigen, t, blocks, rt):
+        yielded = list(bathdd.zeno._kicked_evolutions(factors, eigen, t, blocks, rt))
+        calls.append((len(eigen[0]), blocks, factors[1].shape, [y for _, y in yielded]))
         return iter(yielded)
 
     scored = []  # (n, H) pairs per score call
@@ -536,21 +545,55 @@ def test_zoo_kicks_are_memoised_by_exact_params():
 
 
 def test_planned_kicks_are_read_only():
-    from bathdd.harness import _kick
+    from bathdd.harness import _kick, _target
 
     for fig, mode, d1 in (("fig3a", "dd", 2), ("fig3b", "zeno", 1)):
         cfg = with_hamiltonians(FIGURES[fig].config, random=1, seed=0)
-        ns = () if mode == "dd" else cfg.n_values
         sweep(cfg)
-        misses = _plan.cache_info().misses
-        planned = _plan(*_kick(cfg.channel, cfg.channel_params), mode, d1, ns)
-        assert _plan.cache_info().misses == misses  # the sweep's own plan
-        arrays = [x for x in planned if x is not None]
-        assert len(arrays) == (4 if mode == "dd" else 3)
+        kick, memo = _kick(cfg.channel, cfg.channel_params), _plan if mode == "dd" else _target
+        misses = memo.cache_info().misses
+        arrays = (_plan(*kick, d1) if mode == "dd" else
+                  [*_factor_kick(*kick, d1), *(_target(*kick, n) for n in cfg.n_values)])
+        assert memo.cache_info().misses == misses  # the sweep's own plan and targets
+        assert len(arrays) == (4 if mode == "dd" else 2 + len(cfg.n_values))
         for x in arrays:
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x[0, 0] = 0
+
+
+def test_zeno_figure_grids_build_no_target_after_their_first_sweep():
+    from bathdd.harness import _target
+
+    configs = [with_hamiltonians(FIGURES[fig].config, random=2, seed=0)
+               for fig in ("fig1b", "fig2b", "fig3b")]
+    for cfg in configs:
+        sweep(cfg)
+    misses = _target.cache_info().misses
+    for cfg in configs:
+        sweep(with_hamiltonians(cfg, random=3, seed=7))
+    assert _target.cache_info().misses == misses
+
+
+# three zeno sweeps of the 64 x 64 E_df over distinct 200-point n grids in a fresh interpreter:
+# the peak RSS in KiB after each
+RSS_SCRIPT = """
+import resource
+from bathdd.harness import SweepConfig, sweep
+for first in (1, 1001, 2001):
+    sweep(SweepConfig("zoo:E_df", "zeno", tuple(range(first, first + 200)), {"random": 1}))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_zeno_sweeps_over_new_n_grids_hold_no_more_memory():
+    # the targets are memoised per (kick, n), at most _CACHE_SIZE of them, not per n grid
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", RSS_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    first, _, third = map(int, proc.stdout.split())
+    assert third - first <= 10 * 1024
 
 
 def test_sweep_deterministic_replay(tmp_path):

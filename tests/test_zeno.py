@@ -11,13 +11,14 @@ from bathdd.channel import (
     extend_with_identity,
     to_superoperator,
 )
-from bathdd.hamiltonian import adjoint_rep, random_hamiltonian, schmidt
+from bathdd.hamiltonian import _random_hamiltonians, adjoint_rep, random_hamiltonian, schmidt
 from bathdd.harness import _plan, choi_distance
 from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral, fixed_point_state
 from bathdd.zeno import (
     DD_TOL,
     SUPPRESSION_TOL,
+    _eigensystem,
     _factor_kick,
     _kicked_evolutions,
     dd_check,
@@ -430,11 +431,11 @@ def test_kicked_evolution_block_stacks_each_n_of_one_n_blocks(name, monkeypatch)
     for hs in (np.array([random_hamiltonian(kick.dim, seed) for seed in range(3)]),
                random_hamiltonian(kick.dim, 7)):
         k = len(hs) if hs.ndim == 3 else 1
-        p, bw = next(_kicked_evolutions(factors, hs, 0.7, [block]))
+        p, bw = next(_kicked_evolutions(factors, _eigensystem(hs), 0.7, [block]))
         assert powers == [n - 1 for n in block]
         assert p.shape == (len(block) * k, rank, rank) and bw.shape == (len(block) * k, rank, kick.dim**2)
         for i, n in enumerate(block):
-            p_n, bw_n = next(_kicked_evolutions(factors, hs, 0.7, [(n,)]))
+            p_n, bw_n = next(_kicked_evolutions(factors, _eigensystem(hs), 0.7, [(n,)]))
             assert np.array_equal(p[i * k:(i + 1) * k], p_n)
             assert np.array_equal(bw[i * k:(i + 1) * k], bw_n)
         powers.clear()
@@ -483,7 +484,7 @@ def test_kicked_step_is_real(name):
         a, b = _lift(*factor_kick(s2), d1)
         hs = np.array([random_hamiltonian(d1 * s2.dim, seed) for seed in range(3)])
         for n in (1, 2, 7, 100):
-            p, _ = next(_kicked_evolutions((a, b), hs, 0.7, [(n,)]))
+            p, _ = next(_kicked_evolutions((a, b), _eigensystem(hs), 0.7, [(n,)]))
             assert p.dtype == np.float64
             for h, p_h in zip(hs, p):
                 v = scipy.linalg.expm(-0.7j / n * h)
@@ -506,11 +507,11 @@ def test_kicked_evolutions_match_expm_on_complex_hamiltonians(name, columns):
     # sweep's planned bath-trace columns, or the identity whose complex B W is returned
     s2 = sup(name)
     for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
-        a, b, _, rt = _plan(s2.dim, s2.matrix.tobytes(), "dd", d1, ())
+        a, b, _, rt = _plan(s2.dim, s2.matrix.tobytes(), d1)
         rt = rt if columns == "dd" else None
         hs = np.array([gue(d1 * s2.dim, seed) for seed in range(3)])
         for n in (1, 7, 100):
-            p, y = next(_kicked_evolutions((a, b), hs, 0.7, [(n,)], rt))
+            p, y = next(_kicked_evolutions((a, b), _eigensystem(hs), 0.7, [(n,)], rt))
             for h, p_h, y_h in zip(hs, p, y):
                 v = scipy.linalg.expm(-0.7j / n * h)
                 bw = b @ kron(v, v.conj())
@@ -518,6 +519,25 @@ def test_kicked_evolutions_match_expm_on_complex_hamiltonians(name, columns):
                 want = bw if rt is None else bw @ rt
                 assert y_h.shape == want.shape
                 assert np.max(np.abs(y_h - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("columns", ["dd", "zeno"])
+@pytest.mark.parametrize("name", names())
+def test_kicked_evolutions_agree_on_real_and_complex_eigendata(name, columns):
+    # one kernel for both producers of eigendata: a sweep's draw, real U, and _eigensystem of
+    # the same H, complex U, give the same P and B W R^T
+    s2 = sup(name)
+    for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
+        a, b, _, rt = _plan(s2.dim, s2.matrix.tobytes(), d1)
+        rt = rt if columns == "dd" else None
+        energies, u, hs = _random_hamiltonians(d1 * s2.dim, range(3))
+        assert u.dtype == np.float64 and _eigensystem(hs)[1].dtype == complex
+        for n in (1, 7, 100):
+            real = next(_kicked_evolutions((a, b), (energies, u), 0.7, [(n,)], rt))
+            general = next(_kicked_evolutions((a, b), _eigensystem(hs), 0.7, [(n,)], rt))
+            for x, y in zip(real, general, strict=True):
+                assert x.shape == y.shape and x.dtype == y.dtype
+                assert np.max(np.abs(x - y)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", names())
@@ -542,8 +562,8 @@ def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
     # zeno_evolution of the Kraus-built I kron E at each n, from one factorisation
     a, b = factor_kick(kraus_lift(ch, d1))
     blocks = [(1,), (7,), (100,)]
-    want = {n: a @ (p @ bw)
-            for (n,), (p, bw) in zip(blocks, _kicked_evolutions((a, b), hs, 1.0, blocks))}
+    steps = _kicked_evolutions((a, b), _eigensystem(hs), 1.0, blocks)
+    want = {n: a @ (p @ bw) for (n,), (p, bw) in zip(blocks, steps)}
 
     def refuse(*args):
         raise AssertionError("dd_evolution formed the lifted kick")
@@ -591,12 +611,12 @@ def test_factored_kicked_evolution_error_paths():
     hs = np.array([random_hamiltonian(8, seed) for seed in range(3)])
     for blocks in ([(1,), (0,)], [(1, 0)], [(-2,)]):
         with pytest.raises(ValueError):
-            list(_kicked_evolutions(factor_kick(kick), hs, 1.0, blocks))
+            list(_kicked_evolutions(factor_kick(kick), _eigensystem(hs), 1.0, blocks))
     with pytest.raises(ValueError):
         zeno_evolution(kick, hs, 1.0, 0)
     hs[1, 2, 5] += 1e-9j
     with pytest.raises(ValueError):
-        list(_kicked_evolutions(factor_kick(kick), hs, 1.0, [(1, 100)]))
+        list(_kicked_evolutions(factor_kick(kick), _eigensystem(hs), 1.0, [(1, 100)]))
     with pytest.raises(ValueError):
         zeno_evolution(kick, hs, 1.0, 100)
 
