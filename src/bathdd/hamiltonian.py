@@ -106,12 +106,12 @@ def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecom
 
 def _random_hamiltonians(d: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E, U, H) of the len(seeds) random Hamiltonians: each seed's Gaussian g drawn on its own,
-    H = (g + g^T)/2 checked by ``assert_hermitian``, one real ``eigh`` H = U diag(E) U^T with E
-    ascending, then H and E divided by c = max(-E_0, E_{d-1}), the operator norm of H."""
+    the real symmetric H = (g + g^T)/2, one real ``eigh`` H = U diag(E) U^T with E ascending,
+    then H and E divided by c = max(-E_0, E_{d-1}), the operator norm of H."""
     if d < 2:
         raise ValueError("d must be at least 2")
     g = np.array([np.random.default_rng(seed).standard_normal((d, d)) for seed in seeds])
-    h = assert_hermitian((g + g.swapaxes(-1, -2)) / 2).real
+    h = (g + g.swapaxes(-1, -2)) / 2  # unchecked: IEEE addition commutes, so H is exactly H^T
     energies, u = np.linalg.eigh(h)
     c = np.maximum(-energies[:, :1], energies[:, -1:])
     return energies / c, u, h / c[..., None]

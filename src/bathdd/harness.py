@@ -11,21 +11,19 @@ per process: a zoo kick's superoperator bytes (``_zoo_kick``, keyed by the spec 
 params), per (kick bytes, d1) the factors with the bath-traced rows and columns in the
 Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the Choi state of a zeno
 target (``_target``), each bounded at ``spectral._CACHE_SIZE`` entries and read-only.
-Chunks and their blocks of n, each block one stacked step, are sized so that no per-pair
-stack passes 64 KiB (``_STACK_BYTES``), and each score call takes as many blocks as keep
-its stacks within that bound. Mode "dd" kicks the bath of a bipartite system with
-I_1 kron E_2, the lift of E_2's own factors, and records the purity of the system legs of
-the Choi state from the real (Q^dag T A) P_n (B W T^T Q); mode "zeno" kicks with E and
-records the trace-norm distance between the Choi states of A P_n (B W) and of E_phi^n (full
-suppression), which saturates at a nonzero constant when suppression fails. ``FIGURES``
-holds each reference panel as a ``SweepConfig`` row, which ``reproduce`` runs through
-``sweep``.
+Chunks and their blocks of n, each block one stacked step and one score call, are sized so
+that no per-pair stack passes 64 KiB (``_STACK_BYTES``). Mode "dd" kicks the bath of a
+bipartite system with I_1 kron E_2, the lift of E_2's own factors, and records the purity of
+the system legs of the Choi state from the real (Q^dag T A) P_n (B W T^T Q); mode "zeno"
+kicks with E and records the trace-norm distance between the Choi states of A P_n (B W) and
+of E_phi^n (full suppression), which saturates at a nonzero constant when suppression fails.
+``FIGURES`` holds each reference panel as a ``SweepConfig`` row, which ``reproduce`` runs
+through ``sweep``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -59,7 +57,7 @@ def _trace_bath(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
 
 def _reduced_purity(lam: np.ndarray, d: int) -> float | np.ndarray:
     """Sum |lambda|^2 of the reduced Choi matrix lam / d, with lam = T S T^T."""
-    return np.real(np.sum(lam * lam.conj(), axis=(-2, -1))) / d**2
+    return (lam * lam.conj()).real.sum(axis=(-2, -1)) / d**2
 
 
 def reduced_choi_purity(s: Superoperator, d1: int, d2: int) -> float | np.ndarray:
@@ -185,23 +183,14 @@ def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
 
 
 def _exact(value):
-    """A hashable form of a zoo parameter, equal only for values that build the same kick: a
-    float by its bits (so -0.0 is not 0.0), a bool apart from an int, an ndarray of dim >= 1 as
-    the list of its entries. None for any other value, which is then not memoised."""
-    if isinstance(value, np.ndarray) and value.ndim:
-        value = value.tolist()
-    elif isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, (list, tuple)):
-        items = tuple(map(_exact, value))
-        return None if None in items else ("list", items)
-    if isinstance(value, complex):
-        return "complex", value.real.hex(), value.imag.hex()
-    if isinstance(value, float):
-        return "float", value.hex()
-    if isinstance(value, int):
-        return type(value).__name__, value
-    return None
+    """A hashable form of a zoo parameter, equal only for values that build the same kick: the
+    dtype, shape and bytes of its array (so -0.0 is not 0.0, nor True 1). None for a ragged or
+    object value, which is then not memoised."""
+    try:
+        x = np.asarray(value)
+    except ValueError:  # ragged
+        return None
+    return None if x.dtype.hasobject else (x.dtype.str, x.shape, x.tobytes())
 
 
 @dataclass(frozen=True)
@@ -248,7 +237,7 @@ def _plan(dim: int, data: bytes, d1: int):
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _target(dim: int, data: bytes, n: int) -> np.ndarray:
     """The read-only Choi state of E_phi^n for the kick of these bytes, memoised per (kick, n):
-    a process holds at most ``_CACHE_SIZE`` targets, and a score call stacks those of its n."""
+    a process holds at most ``_CACHE_SIZE`` targets, and a block's score stacks those of its n."""
     dec = analyze_peripheral(Superoperator(dim, np.frombuffer(data, dtype=complex)
                                            .reshape(dim * dim, -1)))
     x = choi(peripheral_power(dec, n))
@@ -258,9 +247,9 @@ def _target(dim: int, data: bytes, n: int) -> np.ndarray:
 
 # A sweep's chunks of Hamiltonians and blocks of n keep their largest per-pair stack within
 # _STACK_BYTES: the real r x N rows of the kicked step and its real r x (r + c) output, and in
-# zeno mode the N x N maps when larger; so do the stacks that score several blocks of a chunk
-# in one call. glibc serves an allocation above its mmap threshold (128 KiB) from a fresh
-# mapping whose pages fault in on every use, so 64 KiB keeps each temporary in the heap:
+# zeno mode the N x N maps when larger, which also bound the stacks that score the block.
+# glibc serves an allocation above its mmap threshold (128 KiB) from a fresh mapping whose
+# pages fault in on every use, so 64 KiB keeps each temporary in the heap:
 # fig3a's 64 x 64 sweeps take chunks of 8 H, and a 4-H sweep blocks of 2 n.
 _STACK_BYTES = 1 << 16
 
@@ -280,10 +269,6 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
         yield chunk, "random", _random_hamiltonians(total_dim, chunk)[:2]
 
 
-def _stack(arrays) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
     min/max/mean aggregate rows per n (seeds "min", "max", "mean"), ordered by
@@ -293,11 +278,11 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     Q of M_d1 (``_plan``), or the Choi states of the targets E_phi^n ("zeno", ``_target``);
     a channel file is read on every call. A random chunk of Hamiltonians is drawn as its
     eigendata, one real ``eigh`` that also normalises it (a fixture: ``zeno._eigensystem``);
-    each block of n of a chunk is one stacked real product of ``_kicked_evolutions``. One
-    score call takes as many blocks as keep its stacks within ``_STACK_BYTES`` (a whole n grid
-    of fig3a's 4-H sweeps): the purity of the real d1^2 x d1^2 (Q^dag T A) P_n (B W T^T Q) / d,
-    T the bath trace, which is that of T S T^T as Q is unitary ("dd"), or the Choi distance of
-    A P_n (B W) to E_phi^n, the maps broadcast against the call's stacked targets ("zeno")."""
+    each block of n of a chunk is one stacked real product of ``_kicked_evolutions``, and one
+    score call as soon as it is yielded: the purity of the real d1^2 x d1^2
+    (Q^dag T A) P_n (B W T^T Q) / d, T the bath trace, which is that of T S T^T as Q is unitary
+    ("dd"), or the Choi distance of A P_n (B W) to E_phi^n, the maps broadcast against the
+    block's stacked targets ("zeno")."""
     dd = cfg.mode == "dd"
     dim, data = _kick(cfg.channel, cfg.channel_params)
     ns = tuple(sorted(cfg.n_values))
@@ -309,16 +294,14 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     pair = 8 * r * max(big_n, r + (cfg.d1**2 if dd else 2 * big_n))
     if dd:
         dim, metric = cfg.d1 * dim, "purity"
-        # per scored pair: the real r x r P_n, r x d1^2 B W T^T Q and d1^2 x r (Q^dag T A) P_n
-        scored = 8 * r * max(r, cfg.d1**2)
         score = lambda p, y, _: _reduced_purity(kept @ p @ y, dim)
     else:
         metric = "choi_distance"
-        pair = scored = max(pair, 16 * big_n**2)  # and the N x N maps and their Choi states
+        pair = max(pair, 16 * big_n**2)  # and the N x N maps and their Choi states
 
-        def score(p, bw, n_slice):
+        def score(p, bw, block):
             maps = choi(Superoperator(dim, a @ (p @ bw)))
-            targets = np.array([_target(dim, data, n) for n in ns[n_slice]])
+            targets = np.array([_target(dim, data, n) for n in block])
             return _hermitian_trace_norm(maps.reshape(len(targets), -1, big_n, big_n)
                                          - targets[:, None]).reshape(-1)
 
@@ -328,12 +311,8 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
         per = max(1, pairs // len(eigen[0]))
         blocks = [ns[i:i + per] for i in range(0, len(ns), per)]
         steps = _kicked_evolutions((a, b), eigen, cfg.t, blocks, rt)
-        group = max(1, _STACK_BYTES // (per * len(eigen[0]) * scored))  # blocks per score call
-        scores = []
-        for i in range(0, len(blocks), group):
-            ps, ys = zip(*itertools.islice(steps, group))
-            scores.append(score(_stack(ps), _stack(ys), slice(i * per, (i + group) * per)))
-        parts.append(np.concatenate(scores).reshape(len(ns), -1))
+        parts.append(np.concatenate([score(p, y, block) for block, (p, y) in zip(blocks, steps)])
+                     .reshape(len(ns), -1))
         labels += seeds
     values = np.concatenate(parts, axis=1)  # (n, H)
 

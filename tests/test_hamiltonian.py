@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bathdd.hamiltonian import (
     _hermitian_basis,
+    _random_hamiltonians,
     adjoint_rep,
     random_hamiltonian,
     schmidt,
@@ -130,3 +131,10 @@ def test_random_hamiltonian_ensemble_band():
     # frozen reference: mean Frobenius norm over 1000 draws at d=2 was 1.110
     vals = [np.linalg.norm(random_hamiltonian(2, s)) for s in range(1000)]
     assert 1.08 <= float(np.mean(vals)) <= 1.14
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_random_hamiltonian_draws_are_bitwise_symmetric(d):
+    # (g + g^T)/2 is exactly symmetric, as IEEE addition commutes, so the draw takes no check
+    _, _, h = _random_hamiltonians(d, range(250))
+    assert np.isfinite(h).all() and np.array_equal(h, h.swapaxes(-1, -2))

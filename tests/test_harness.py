@@ -379,6 +379,8 @@ def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
     sweep(cfg)
     assert sum(k for k, _, _, _ in calls) == cfg.hamiltonians["random"]
     assert sum(scored) == cfg.hamiltonians["random"] * len(cfg.n_values)
+    # one score call per kernel block, of that block's pairs, as the block is yielded
+    assert scored == [len(block) * k for k, blocks, _, _ in calls for block in blocks]
     for k, blocks, (r, big_n), ys in calls:
         assert [n for block in blocks for n in block] == sorted(cfg.n_values)
         # per (n, H) pair: the real r x N rows and the real r x (r + c) output, c = d1^2 in
@@ -523,12 +525,12 @@ def test_refused_zoo_params_raise_on_every_sweep():
 
 
 def test_zoo_kicks_are_memoised_by_exact_params():
-    def entry(**params):
-        """(misses added, kick bytes) of one sweep of E_omega with these params."""
+    def entry(name="E_omega", **params):
+        """(misses added, kick bytes) of one sweep of this zoo kick with these params."""
         misses = _zoo_kick.cache_info().misses
-        sweep(SweepConfig("zoo:E_omega", "dd", (1, 2), {"random": 1, "seed": 0},
-                          channel_params=params))
-        return _zoo_kick.cache_info().misses - misses, sup("E_omega", **params).matrix.tobytes()
+        sweep(SweepConfig(f"zoo:{name}", "dd", (1, 2), {"random": 1, "seed": 0},
+                          d1=2 if name == "E_omega" else 1, channel_params=params))
+        return _zoo_kick.cache_info().misses - misses, sup(name, **params).matrix.tobytes()
 
     _zoo_kick.cache_clear()
     default = entry()
@@ -542,6 +544,18 @@ def test_zoo_kicks_are_memoised_by_exact_params():
     far = entry(omega=np.diag([0.3, 0.7]))
     assert near[0] == 1 and near[1] != far[1] != default[1]
     assert _zoo_kick.cache_info().currsize == 3
+    # a numpy scalar shares the entry of the float it holds
+    assert entry("E_square", p=0.3)[0] == 1 and entry("E_square", p=np.float64(0.3))[0] == 0
+    # -0.0 is not 0.0: an omega holding it gets its own entry
+    assert entry(omega=[[0.3, -0.0], [-0.0, 0.7]])[0] == 1
+    assert _zoo_kick.cache_info().currsize == 5
+    # a ragged omega has no exact form: it is refused on every call and never stored
+    info = _zoo_kick.cache_info()
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            sweep(SweepConfig("zoo:E_omega", "dd", (1, 2), {"random": 1, "seed": 0},
+                              channel_params={"omega": [[0.3, 0.0], [0.7]]}))
+    assert _zoo_kick.cache_info() == info
 
 
 def test_planned_kicks_are_read_only():
