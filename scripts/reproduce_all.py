@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Recompute all six reference data series into out/figures/.
+"""Recompute all six reference data series into out/figures/, printing each written file's
+SHA-256 beside its path, so that two runs compare with one diff (timings aside).
 
 Usage: python3 scripts/reproduce_all.py [out_dir]
 """
 
 import argparse
+import hashlib
 import time
 from pathlib import Path
 
@@ -20,7 +22,7 @@ def main(argv=None) -> int:
         files = reproduce(fig, out)
         print(f"{fig}: {len(files)} files in {1e3 * (time.perf_counter() - t0):.1f} ms")
         for f in files:
-            print(f"  {f}")
+            print(f"  {f}  {hashlib.sha256(f.read_bytes()).hexdigest()}")
     return 0
 
 if __name__ == "__main__":

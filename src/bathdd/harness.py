@@ -4,12 +4,12 @@ decoupling/suppression curves.
 Every curve is the kicked evolution (S W)^n = A P_n (B W) of ``zeno._kicked_evolutions``
 on chunks of the Hamiltonian ensemble, drawn straight into eigendata by one real ``eigh``:
 the kick's factors S = A B come from ``zeno._factor_kick``, the one per-process memo that
-also serves ``zeno_evolution`` and ``dd_evolution``, and each n costs one real product in
-Hermitian coordinates of H's eigenbasis (the phases of the d(d-1)/2 energy gaps on the rows)
-and one small real power P_n = (B W A)^{n-1}. What no Hamiltonian enters is planned once
+also serves ``zeno_evolution`` and ``dd_evolution``; one product of the kick's planned real
+planes takes a chunk to H's eigenbasis, and each n costs one real product there (the phases
+of the d(d-1)/2 energy gaps on the rows) and one real power P_n = (B W A)^{n-1}. Planned once
 per process: a zoo kick's superoperator bytes (``_zoo_kick``, keyed by the spec and the exact
-params), per (kick bytes, d1) the factors with the bath-traced rows and columns in the
-Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the Choi state of a zeno
+params), per (kick bytes, d1) the factors and planes, with the bath-traced rows and columns in
+the Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the Choi state of a zeno
 target (``_target``), each bounded at ``spectral._CACHE_SIZE`` entries and read-only.
 Chunks and their blocks of n, each block one stacked step and one score call, are sized so
 that no per-pair stack passes 64 KiB (``_STACK_BYTES``). Mode "dd" kicks the bath of a
@@ -36,7 +36,7 @@ from .channel import (KrausChannel, Superoperator, _hermitian_coordinates, _inte
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
 from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
-from .zeno import _eigensystem, _factor_kick, _kicked_evolutions
+from .zeno import _eigensystem, _factor_kick, _kicked_evolutions, _planes
 from .zoo import builtin, pauli
 
 __all__ = [
@@ -176,9 +176,11 @@ FIXTURE_HAMILTONIANS = {
 
 
 def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
-    """Resolve "zoo:NAME" or a JSON file path to a Kraus channel."""
+    """Resolve "zoo:NAME" or a JSON file path to a Kraus channel; a file takes no params."""
     if spec.startswith("zoo:"):
         return builtin(spec[4:], **(params or {})).channel
+    if params:
+        raise ValueError(f"channel_params {sorted(params)} apply to zoo: channels, not a file")
     return load_channel(spec)
 
 
@@ -222,16 +224,15 @@ def _kick(spec: str, params: dict) -> tuple[int, bytes]:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _plan(dim: int, data: bytes, d1: int):
     """The part of a dd sweep that no Hamiltonian enters, memoised per process and read-only:
-    (A, B, Q^dag T A, T^T Q), A B the kick of these bytes lifted to d1 (``zeno._factor_kick``),
-    T the bath trace and Q the orthonormal Hermitian basis of M_d1, so that Q^dag T A is real
-    and the columns of T^T Q are Hermitian."""
-    a, b = _factor_kick(dim, data, d1)
+    ((A, B, planes, None), Q^dag T A), A B the kick of these bytes lifted to d1 by
+    ``zeno._factor_kick``, T the bath trace and Q the orthonormal Hermitian basis of M_d1, so
+    that Q^dag T A is real, and the planes those of B and of the Hermitian [A | T^T Q]."""
+    a, b = _factor_kick(dim, data, d1)[:2]
     q = _hermitian_coordinates(d1)[1]
     q = q / np.linalg.norm(q, axis=0)
-    kept = (q.conj().T @ _trace_bath(a, d1, dim)).real, _trace_bath(np.eye(len(a)), d1, dim).T @ q
-    for x in kept:
-        x.flags.writeable = False  # shared by every sweep of this kick
-    return a, b, *kept
+    kept = (q.conj().T @ _trace_bath(a, d1, dim)).real
+    kept.flags.writeable = False  # shared by every sweep of this kick
+    return (a, b, _planes(b, a.T, q.T @ _trace_bath(np.eye(len(a)), d1, dim)), None), kept
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -270,11 +271,11 @@ def _hamiltonian_chunks(cfg: SweepConfig, total_dim: int, size: int):
 
 
 def sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the configured metric on every (Hamiltonian, n) pair, plus
-    min/max/mean aggregate rows per n (seeds "min", "max", "mean"), ordered by
-    str(seed) and then n. What no Hamiltonian enters is planned once per process: a zoo
-    kick's superoperator (``_zoo_kick``, keyed by the exact params), its factors A B, lifted
-    to I_1 kron E_2 in mode "dd", with the bath-traced rows and columns in the Hermitian basis
+    """Evaluate the configured metric on every (Hamiltonian, n) pair, plus min/max/mean
+    aggregate rows per n (seeds "min", "max", "mean", three reductions of the (n, H) values),
+    ordered by str(seed) and then n. Planned once per process: a zoo kick's superoperator
+    (``_zoo_kick``, keyed by the exact params), its factors A B and planes, lifted to
+    I_1 kron E_2 in mode "dd", with the bath-traced rows and columns in the Hermitian basis
     Q of M_d1 (``_plan``), or the Choi states of the targets E_phi^n ("zeno", ``_target``);
     a channel file is read on every call. A random chunk of Hamiltonians is drawn as its
     eigendata, one real ``eigh`` that also normalises it (a fixture: ``zeno._eigensystem``);
@@ -286,8 +287,9 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     dd = cfg.mode == "dd"
     dim, data = _kick(cfg.channel, cfg.channel_params)
     ns = tuple(sorted(cfg.n_values))
-    # "dd": kept the rows Q^dag T A, rt the columns T^T Q; "zeno": both None
-    a, b, kept, rt = _plan(dim, data, cfg.d1) if dd else (*_factor_kick(dim, data, 1), None, None)
+    # "dd": kept the rows Q^dag T A, the planes those of the columns T^T Q; "zeno": R = I
+    factors, kept = _plan(dim, data, cfg.d1) if dd else (_factor_kick(dim, data, 1), None)
+    a = factors[0]
     big_n, r = a.shape
     # per (n, H) pair of a block: the real r x N rows and r x (r + c) output, c the d1^2
     # columns T^T Q ("dd") or the real and imaginary parts of the N columns of I ("zeno")
@@ -310,18 +312,17 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     for seeds, h_label, eigen in _hamiltonian_chunks(cfg, dim, pairs):
         per = max(1, pairs // len(eigen[0]))
         blocks = [ns[i:i + per] for i in range(0, len(ns), per)]
-        steps = _kicked_evolutions((a, b), eigen, cfg.t, blocks, rt)
+        steps = _kicked_evolutions(factors, eigen, cfg.t, blocks)
         parts.append(np.concatenate([score(p, y, block) for block, (p, y) in zip(blocks, steps)])
                      .reshape(len(ns), -1))
         labels += seeds
     values = np.concatenate(parts, axis=1)  # (n, H)
-
-    aggregates = {tag: f(values, axis=1).tolist()
-                  for tag, f in (("min", np.min), ("max", np.max), ("mean", np.mean))}
-    series = {**dict(zip(labels, values.T.tolist())), **aggregates}
-    return [SweepRecord(n, metric, v, label, cfg.channel,
-                        "aggregate" if label in aggregates else h_label, cfg.t)
-            for label in sorted(series, key=str) for n, v in zip(ns, series[label])]
+    table = np.concatenate([values.T, [np.minimum.reduce(values, 1), np.maximum.reduce(values, 1),
+                                       np.add.reduce(values, 1) / len(labels)]]).tolist()
+    rows = sorted(zip([*labels, "min", "max", "mean"], [h_label] * len(labels) + ["aggregate"] * 3,
+                      table), key=lambda row: str(row[0]))
+    return [SweepRecord._make((n, metric, v, label, cfg.channel, name, cfg.t))
+            for label, name, vs in rows for n, v in zip(ns, vs)]
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -330,7 +331,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def write_records_csv(records: list[SweepRecord], path: Path) -> None:
     _write_csv(path, "n,metric,value,seed,channel,hamiltonian,t", (
-        f"{r.n},{r.metric_name},{r.value:.12g},{r.seed},{r.channel},{r.hamiltonian},{r.t:g}"
+        f"{r.n},{r.metric_name},{r.value:.12g},{r.seed},{r.channel},{r.hamiltonian},{r.t!r}"
         for r in records))
 
 

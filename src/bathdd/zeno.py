@@ -63,12 +63,13 @@ def _zeno_generator(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperato
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _factor_kick(dim: int, data: bytes, d1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only factors, memoised per process, of I_d1 kron S for the kick S with these
-    bytes: S = A B = (T^-1 A_R)(B_R T) from one real SVD of ``spectral._real_form``'s
-    T S T^-1, which refuses a non-HP S; ``_lift`` lifts them to rank d1^2 r. Columns of A
-    are Hermitian, rows of B real on Hermitian input; r keeps sigma > sigma_max N eps
-    (numpy's ``matrix_rank`` rule), so only round-off is cut, and the zero map is refused."""
+def _factor_kick(dim: int, data: bytes, d1: int):
+    """The read-only plan (A, B, planes, parts), memoised per process, of I_d1 kron S for the
+    kick S of these bytes: S = A B = (T^-1 A_R)(B_R T) from one real SVD of T S T^-1
+    (``spectral._real_form``, which refuses a non-HP S); ``_lift`` lifts them to rank d1^2 r.
+    Columns of A are Hermitian, rows of B real on Hermitian input; r keeps sigma > sigma_max N
+    eps (numpy's ``matrix_rank`` rule), so only round-off is cut, and the zero map is refused.
+    The planes are those of B and [A | T^-1], whose coordinates ``parts`` take to those of I."""
     t, t_inv, m = _real_form(dim, data)
     u, sigma, vh = np.linalg.svd(m)
     r = int(np.count_nonzero(sigma > sigma[0] * len(sigma) * np.finfo(sigma.dtype).eps))
@@ -76,15 +77,25 @@ def _factor_kick(dim: int, data: bytes, d1: int) -> tuple[np.ndarray, np.ndarray
         raise ValueError("the kick is the zero map: it has no kicked evolution")
     a, b = _lift(t_inv @ (u[:, :r] * sigma[:r]), vh[:r] @ t, d1)
     a.flags.writeable = b.flags.writeable = False  # shared by every caller of this kick
-    return a, b
+    *_, basis, parts = _coordinates(d1 * dim)
+    return a, b, _planes(b, a.T, basis.T), parts
 
 
-def _sandwich(ops: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(k, c, d d): vec(left_j X_i right_j) for the c rows X_i of ``ops`` read as d x d
-    operators, laid side by side once so that each side is one stacked product."""
+def _planes(*ops: np.ndarray) -> np.ndarray:
+    """Read-only (d, 2 m d) for ``_sandwich``: Re and then Im of the m rows of ``ops`` (B's, then
+    [A | R]'s columns), each read as a d x d operator, laid side by side."""
+    ops = np.concatenate(ops)
+    d = math.isqrt(ops.shape[-1])
+    planes = np.concatenate([ops.real, ops.imag]).reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1)
+    planes.flags.writeable = False
+    return planes
+
+
+def _sandwich(planes: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(k, c, d d): vec(left_j X_i right_j) for the c operators X_i laid side by side in the
+    (d, c d) ``planes``, so that each side is one stacked product."""
     k, d = len(left), left.shape[-1]
-    side = ops.reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1)
-    y = (left @ side).reshape(k, d, -1, d).swapaxes(1, 2).reshape(k, -1, d)
+    y = (left @ planes).reshape(k, d, -1, d).swapaxes(1, 2).reshape(k, -1, d)
     return (y @ right).reshape(k, -1, d * d)
 
 
@@ -96,6 +107,7 @@ def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     i, j = np.triu_indices(d, 1)
     t, t_inv = _hermitian_coordinates(d)
     parts = np.stack([t.real, t.imag], axis=-1).reshape(d * d, -1)
+    parts.flags.writeable = False  # shared by every plan of this d
     return i, j, np.concatenate([d * i + j, np.arange(d) * (d + 1)]), t_inv, parts
 
 
@@ -104,25 +116,27 @@ def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(assert_hermitian(h).reshape(-1, *np.shape(h)[-2:]))
 
 
-def _kicked_evolutions(factors, eigen, t: float, blocks, rt: np.ndarray | None = None):
+def _kicked_evolutions(factors, eigen, t: float, blocks):
     """(P, B W R^T) per block of n, on one flat (n, H) axis: row i k + j holds n = block[i]
     and H_j of the k Hamiltonians, with the real P = (B W A)^{n-1}, so (S W)^n = A P (B W).
 
-    With S = A B from the read-only memo ``_factor_kick``, the k Hamiltonians come as checked
-    eigendata (E, U), H = U E U^dag: complex from ``_eigensystem``, real from a sweep's draw.
-    W multiplies the (i, j) entry of U^dag Y U by phi_ij = exp(-i (t/n) (E_i - E_j)). The
-    rows X of B, the columns Y of A and those of R^T (the bath trace of a dd sweep) are
+    ``factors`` is a read-only plan (A, B, planes, parts), S = A B: ``_factor_kick``'s for R = I,
+    or a dd sweep's (``harness._plan``, parts None) for the bath trace R^T = T^T Q. The k
+    Hamiltonians come as checked eigendata (E, U), H = U E U^dag: complex from ``_eigensystem``,
+    real from a sweep's draw. W multiplies the (i, j) entry of U^dag Y U by
+    phi_ij = exp(-i (t/n) (E_i - E_j)). The rows X of B and the columns Y of [A | R^T] are
     Hermitian, so B W Y is real: sum_i Z_ii Y_ii + sum_{i<j} 2 Re(conj(Z_ij phi_ji) Y_ij) with
-    Z = U^dag conj(X) U and Y read as U^dag Y U, each side one stacked product. So each (n, H)
-    pair costs one complex product of the d(d-1)/2 phases phi_ji into 2 Z_ij and one real
-    product of those r x (N - d) rows, as Re and Im, with the matching coordinates of
-    [A | R^T]; the diagonal part, free of n, is formed once. R = I by default: its columns
-    are not Hermitian and take the complex coordinates of T^-1 T (``_coordinates``), so B W
-    comes out complex. The phases of the whole n grid are one call; a block's first r columns,
-    the step B W A, are powered once per n. ``harness.sweep`` sizes a block (``_STACK_BYTES``).
+    Z = U^dag conj(X) U and Y read as U^dag Y U = P_r + i P_i, Z = P_r - i P_i, from one stacked
+    product of the real planes (Re and Im of each X and Y). So each (n, H) pair costs one
+    complex product of the d(d-1)/2 phases phi_ji into 2 Z_ij and one real product of those
+    r x (N - d) rows, as Re and Im, with the matching coordinates of [A | R^T]; the diagonal
+    part, free of n, is formed once. I's columns are not Hermitian: the plan holds the basis
+    T^-1, whose coordinates ``parts`` (``_coordinates``) take to I's, so B W comes out complex.
+    The phases of the whole n grid are one call; a block's first r columns, the step B W A,
+    are powered once per n. ``harness.sweep`` sizes a block (``_STACK_BYTES``).
     Phases past the float range, (t/n) (E_max - E_min) not finite, raise ``ValueError``.
     """
-    (a, b), (energies, u) = factors, eigen
+    (_, b, planes, parts), (energies, u) = factors, eigen
     ns = [n for block in blocks for n in block]
     if min(ns) < 1:
         raise ValueError("n must be at least 1")
@@ -130,13 +144,13 @@ def _kicked_evolutions(factors, eigen, t: float, blocks, rt: np.ndarray | None =
     if not math.isfinite(abs(float(t)) / min(ns) * span):  # Python floats: no warning
         raise ValueError(f"the phases (t/n) (E_i - E_j) overflow at t={t:g}, n={min(ns)}")
     (k, d), r = energies.shape, len(b)
-    i, j, kept, basis, t_parts = _coordinates(d)
+    i, j, kept = _coordinates(d)[:3]
     pairs = len(i)
-    z = _sandwich(b.conj(), dagger(u), u).take(kept, -1)
-    y = _sandwich(np.hstack([a, basis if rt is None else rt]).T, dagger(u), u).take(kept, -1)
+    p = _sandwich(planes, dagger(u), u).take(kept, -1).reshape(k, 2, -1, len(kept))  # Re, Im
+    z, y = p[:, 0, :r] - 1j * p[:, 1, :r], p[:, 0, r:] + 1j * p[:, 1, r:]
     cols = np.concatenate([y[..., :pairs].view(float), y[..., pairs:].real], -1).swapaxes(-1, -2)
-    if rt is None:  # I's columns: Re and Im of their coordinates, interleaved
-        cols = np.concatenate([cols[..., :r], cols[..., r:] @ t_parts], -1)
+    if parts is not None:  # I's columns: Re and Im of their coordinates, interleaved
+        cols = np.concatenate([cols[..., :r], cols[..., r:] @ parts], -1)
     fixed = z[..., pairs:].real @ cols[:, 2 * pairs:]  # sum_i Z_ii Y_ii
     z, cols = 2 * z[..., :pairs], np.ascontiguousarray(cols[:, :2 * pairs])
     phases = np.exp(np.array([-1j * (t / n) for n in ns])[:, None, None]
@@ -149,7 +163,7 @@ def _kicked_evolutions(factors, eigen, t: float, blocks, rt: np.ndarray | None =
         start += len(block)
         steps = out[:, :, :r].reshape(len(block), k, r, r)
         powers = [np.linalg.matrix_power(step, n - 1) for step, n in zip(steps, block)]
-        bw = out[:, :, r:] if rt is not None else out[:, :, r:].view(complex)
+        bw = out[:, :, r:] if parts is None else out[:, :, r:].view(complex)
         yield np.concatenate(powers), bw
 
 
@@ -164,8 +178,8 @@ def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Su
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:
     """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n, from
     the factors of E alone, lifted and memoised by ``_factor_kick`` as in a bath-DD sweep."""
-    a, b = _factor_kick(s2.dim, s2.matrix.tobytes(), d1)
-    p, bw = next(_kicked_evolutions((a, b), _eigensystem(h), t, [(n,)]))
+    a, *_ = factors = _factor_kick(s2.dim, s2.matrix.tobytes(), d1)
+    p, bw = next(_kicked_evolutions(factors, _eigensystem(h), t, [(n,)]))
     return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bathdd.channel import KrausChannel, _matrix_to_pairs
 from bathdd.cli import build_parser, main
+from bathdd.harness import SweepConfig, sweep
 from bathdd.spectral import PERIPHERAL_TOL
 from bathdd.zoo import builtin, names
 from test_channel import channel_dict, save_channel
@@ -213,6 +214,26 @@ def test_sweep_command(tmp_path, capsys):
     assert len(csv) > 4
 
 
+@pytest.mark.parametrize("t", [0.123456789, 1 / 3])
+def test_sweep_csv_rows_parse_back_to_their_records(t, tmp_path, capsys):
+    # every row of sweep.csv is its record: the value to 12 significant digits, t exactly
+    for cfg in ({**SWEEP_BASE, "mode": "dd", "t": t, "n_values": [1, 3, 20]},
+                {**SWEEP_BASE, "channel": "zoo:E_omega", "t": t, "hamiltonians": {"fixture": "ZI"}}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path))
+        assert code == 0
+        header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        records = sweep(SweepConfig.from_dict(cfg))
+        assert header == "n,metric,value,seed,channel,hamiltonian,t" and len(rows) == len(records)
+        for row, r in zip(rows, records):
+            n, metric, value, seed, channel, hamiltonian, t_cell = row.split(",")
+            assert (int(n), metric, seed, channel, hamiltonian) == (
+                r.n, r.metric_name, str(r.seed), r.channel, r.hamiltonian)
+            assert float(value) == float(f"{r.value:.12g}")
+            assert float(t_cell) == r.t == t
+
+
 def test_sweep_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mode": "zeno"}))
@@ -292,6 +313,9 @@ BAD_FILES = {
     "plus_reset": {"dim": 2, "kraus": [[[[0.5**0.5, 0.0], [0.0, 0.0]], [[0.5**0.5, 0.0], [0.0, 0.0]]],
                                        [[[0.0, 0.0], [0.5**0.5, 0.0]], [[0.0, 0.0], [0.5**0.5, 0.0]]]]},
     "huge_xj": {"matrix": [[[1.7e308 * (i // 2 != j // 2), 0.0] for j in range(4)] for i in range(4)]},
+    # a channel file takes no params: they are refused, not dropped
+    "file_params": {**SWEEP_BASE, "channel": "{tmp}/plus_reset.json",
+                    "channel_params": {"p": 0.3, "anything": "x"}},
 }
 
 
@@ -360,13 +384,14 @@ BAD_FILES = {
     ["zeno-check", "zoo:E_updown", "--hamiltonian", "{tiny_h2}"],
     ["dd-check", "zoo:E_updown", "--hamiltonian", "{tiny_h4}"],
     ["dd-check", "{plus_reset}", "--hamiltonian", "{huge_xj}"],
+    ["sweep", "--config", "{file_params}", "--out", "{out}"],
 ], ids=" ".join)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     paths = {"out": str(tmp_path / "out")}
     for key, data in BAD_FILES.items():
         paths[key] = str(tmp_path / f"{key}.json")
-        (tmp_path / f"{key}.json").write_text(json.dumps(data))
+        (tmp_path / f"{key}.json").write_text(json.dumps(data).replace("{tmp}", str(tmp_path)))
     try:
         code = main([arg.format(**paths) for arg in argv])
     except SystemExit as exc:

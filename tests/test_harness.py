@@ -21,6 +21,7 @@ from bathdd.harness import (
     FIXTURE_HAMILTONIANS,
     MAX_N,
     SweepConfig,
+    SweepRecord,
     choi_distance,
     reduced_choi_purity,
     reproduce,
@@ -356,8 +357,8 @@ def test_sweep_blocks_stay_within_the_byte_cap(cfg, monkeypatch):
 
     calls = []
 
-    def record(factors, eigen, t, blocks, rt):
-        yielded = list(bathdd.zeno._kicked_evolutions(factors, eigen, t, blocks, rt))
+    def record(factors, eigen, t, blocks):
+        yielded = list(bathdd.zeno._kicked_evolutions(factors, eigen, t, blocks))
         calls.append((len(eigen[0]), blocks, factors[1].shape, [y for _, y in yielded]))
         return iter(yielded)
 
@@ -566,14 +567,121 @@ def test_planned_kicks_are_read_only():
         sweep(cfg)
         kick, memo = _kick(cfg.channel, cfg.channel_params), _plan if mode == "dd" else _target
         misses = memo.cache_info().misses
-        arrays = (_plan(*kick, d1) if mode == "dd" else
-                  [*_factor_kick(*kick, d1), *(_target(*kick, n) for n in cfg.n_values)])
+        if mode == "dd":  # A, B, the planes of [A | T^T Q] and Q^dag T A
+            (*arrays, parts), kept = _plan(*kick, d1)
+            arrays.append(kept)
+            assert parts is None
+        else:  # A, B, the planes of [A | T^-1], the parts of T, and the targets
+            arrays = [*_factor_kick(*kick, d1), *(_target(*kick, n) for n in cfg.n_values)]
         assert memo.cache_info().misses == misses  # the sweep's own plan and targets
-        assert len(arrays) == (4 if mode == "dd" else 2 + len(cfg.n_values))
+        assert len(arrays) == 4 + (0 if mode == "dd" else len(cfg.n_values))
         for x in arrays:
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x[0, 0] = 0
+
+
+def counted_planes(monkeypatch):
+    """The kick planes built from here on: ``zeno._planes``, wherever it is called from."""
+    import bathdd.harness
+    import bathdd.zeno
+
+    built, planes_of = [], bathdd.zeno._planes
+
+    def planes(*ops):
+        built.append(planes_of(*ops))
+        return built[-1]
+
+    for module in (bathdd.zeno, bathdd.harness):
+        monkeypatch.setattr(module, "_planes", planes)
+    return built
+
+
+def test_kick_planes_are_read_only_and_built_once_per_kick_and_d1(tmp_path, monkeypatch):
+    from test_channel import save_channel
+
+    built = counted_planes(monkeypatch)
+    _factor_kick.cache_clear()
+    _plan.cache_clear()
+    for fig, new in (("fig3a", 2), ("fig1a", 2), ("fig3b", 1)):  # dd: those of I and T^T Q
+        cfg = with_hamiltonians(FIGURES[fig].config, random=2, seed=0)
+        count = len(built)
+        first = sweep(cfg)
+        assert len(built) - count == new
+        assert sweep(cfg) == first and sweep(with_hamiltonians(cfg, random=3, seed=4)) != first
+        assert len(built) - count == new  # a second sweep of the kick builds none
+    for planes in built:
+        assert not planes.flags.writeable
+        with pytest.raises(ValueError):
+            planes[0, 0] = 0
+    # a channel file rewritten between two sweeps is a new kick, with new planes
+    path = tmp_path / "kick.json"
+    cfg = SweepConfig(str(path), "dd", (1, 2, 7), {"random": 2, "seed": 0})
+    for name, new in (("E_hook", 2), ("E_hook", 0), ("E_triangle", 2)):
+        save_channel(builtin(name).channel, path)
+        count = len(built)
+        sweep(cfg)
+        assert len(built) - count == new, name
+
+
+@pytest.mark.parametrize("cfg,chunks", [
+    (with_hamiltonians(FIGURES["fig3a"].config, random=37, seed=0), 5),  # 8 H a chunk
+    (with_hamiltonians(FIGURES["fig1b"].config, random=4, seed=0), 1),
+    (STACKED_CASES["fig3b:ZI"], 1),
+], ids=["fig3a:37", "fig1b:4", "fig3b:ZI"])
+def test_a_sweep_chunk_takes_one_sandwich(cfg, chunks, monkeypatch):
+    # one product of the planned planes takes a chunk's rows and columns to H's eigenbasis,
+    # whatever its blocks of n; a planned kick stacks no operators again
+    import bathdd.harness
+    import bathdd.zeno
+
+    sweep(cfg)  # plans the kick
+    calls = {"_sandwich": 0, "hstack": 0, "chunks": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bathdd.zeno, "_sandwich", counted("_sandwich", bathdd.zeno._sandwich))
+    monkeypatch.setattr(bathdd.harness, "_kicked_evolutions",
+                        counted("chunks", bathdd.harness._kicked_evolutions))
+    monkeypatch.setattr(np, "hstack", counted("hstack", np.hstack))
+    sweep(cfg)
+    assert calls == {"_sandwich": chunks, "hstack": 0, "chunks": chunks}
+
+
+def head_records(cfg, records):
+    """The records of a sweep rebuilt from its per-Hamiltonian values as they were built before
+    the three reductions: one dict of series, np.min/np.max/np.mean and sorted(..., key=str)."""
+    ns = sorted(cfg.n_values)
+    plain = [r for r in records if r.hamiltonian != "aggregate"]
+    series = {}
+    for r in sorted(plain, key=lambda r: (r.seed if r.hamiltonian == "random" else 0, r.n)):
+        series.setdefault(r.seed, []).append(r.value)
+    values = np.ascontiguousarray(np.array(list(series.values())).T)  # (n, H), in draw order
+    aggregates = {tag: f(values, axis=1).tolist()
+                  for tag, f in (("min", np.min), ("max", np.max), ("mean", np.mean))}
+    series = {**dict(zip(series, values.T.tolist())), **aggregates}
+    return [SweepRecord(n, plain[0].metric_name, v, label, cfg.channel,
+                        "aggregate" if label in aggregates else plain[0].hamiltonian, cfg.t)
+            for label in sorted(series, key=str) for n, v in zip(ns, series[label])]
+
+
+@pytest.mark.parametrize("fig_id", FIGURES)
+def test_sweep_records_equal_those_built_per_record(fig_id):
+    fig = FIGURES[fig_id]
+    configs = [with_hamiltonians(fig.config, random=count, seed=3) for count in (2, 4, 10, 37)]
+    if fig.fixture is not None:
+        configs.append(with_hamiltonians(fig.config, fixture=fig.fixture))
+    for cfg in configs:
+        records = sweep(cfg)
+        want = head_records(cfg, records)
+        assert records == want
+        for got, ref in zip(records, want, strict=True):
+            assert type(got) is SweepRecord
+            assert [type(x) for x in got] == [type(x) for x in ref]
 
 
 def test_zeno_figure_grids_build_no_target_after_their_first_sweep():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bathdd.channel import (
     KrausChannel,
     Superoperator,
+    _hermitian_coordinates,
     _lift,
     extend_with_identity,
     to_superoperator,
@@ -409,7 +410,7 @@ FACTORED_KICKS = {
 @pytest.mark.parametrize("name", FACTORED_KICKS)
 def test_factored_kicked_evolution_matches_plain_product(name):
     kick, rank = FACTORED_KICKS[name]
-    a, b = factor_kick(kick)
+    a, b = factor_kick(kick)[:2]
     assert a.shape == (kick.dim**2, rank) and b.shape == (rank, kick.dim**2)
     hs = np.array([random_hamiltonian(kick.dim, seed) for seed in range(3)])
     for n in (1, 100):
@@ -458,7 +459,7 @@ BATH_KICKS = {**{name: (builtin(name).channel, None) for name in names()},
 def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
     ch, rank = BATH_KICKS[name]
     s2 = to_superoperator(ch)
-    a2, b2 = factor_kick(s2)
+    a2, b2 = factor_kick(s2)[:2]
     if rank is not None:
         assert a2.shape[1] == rank
     a, b = _lift(a2, b2, d1)
@@ -481,10 +482,11 @@ def test_kicked_step_is_real(name):
     # expm free step, is round-off, and P is the real power of that step
     s2 = sup(name)
     for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
-        a, b = _lift(*factor_kick(s2), d1)
+        factors = _factor_kick(s2.dim, s2.matrix.tobytes(), d1)  # factor_kick(s2) lifted
+        a, b = factors[:2]
         hs = np.array([random_hamiltonian(d1 * s2.dim, seed) for seed in range(3)])
         for n in (1, 2, 7, 100):
-            p, _ = next(_kicked_evolutions((a, b), _eigensystem(hs), 0.7, [(n,)]))
+            p, _ = next(_kicked_evolutions(factors, _eigensystem(hs), 0.7, [(n,)]))
             assert p.dtype == np.float64
             for h, p_h in zip(hs, p):
                 v = scipy.linalg.expm(-0.7j / n * h)
@@ -500,6 +502,18 @@ def gue(d, seed):
     return (re + re.T) / 2 + 1j * (im - im.T) / 2
 
 
+def planned(s2, d1, columns):
+    """The kernel's planned factors of the kick lifted to d1, and their columns R^T: the dd
+    sweep's bath trace T^T Q, built here as vec(Q_m kron I) of the orthonormal Hermitian basis
+    Q_m of M_d1, or None for the identity of the zeno factors."""
+    if columns == "zeno":
+        return _factor_kick(s2.dim, s2.matrix.tobytes(), d1), None
+    q = _hermitian_coordinates(d1)[1]
+    q = q / np.linalg.norm(q, axis=0)
+    rt = np.stack([kron(x.reshape(d1, d1), np.eye(s2.dim)).reshape(-1) for x in q.T], axis=1)
+    return _plan(s2.dim, s2.matrix.tobytes(), d1)[0], rt
+
+
 @pytest.mark.parametrize("columns", ["dd", "zeno"])
 @pytest.mark.parametrize("name", names())
 def test_kicked_evolutions_match_expm_on_complex_hamiltonians(name, columns):
@@ -507,11 +521,11 @@ def test_kicked_evolutions_match_expm_on_complex_hamiltonians(name, columns):
     # sweep's planned bath-trace columns, or the identity whose complex B W is returned
     s2 = sup(name)
     for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
-        a, b, _, rt = _plan(s2.dim, s2.matrix.tobytes(), d1)
-        rt = rt if columns == "dd" else None
+        factors, rt = planned(s2, d1, columns)
+        a, b = factors[:2]
         hs = np.array([gue(d1 * s2.dim, seed) for seed in range(3)])
         for n in (1, 7, 100):
-            p, y = next(_kicked_evolutions((a, b), _eigensystem(hs), 0.7, [(n,)], rt))
+            p, y = next(_kicked_evolutions(factors, _eigensystem(hs), 0.7, [(n,)]))
             for h, p_h, y_h in zip(hs, p, y):
                 v = scipy.linalg.expm(-0.7j / n * h)
                 bw = b @ kron(v, v.conj())
@@ -528,13 +542,12 @@ def test_kicked_evolutions_agree_on_real_and_complex_eigendata(name, columns):
     # the same H, complex U, give the same P and B W R^T
     s2 = sup(name)
     for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
-        a, b, _, rt = _plan(s2.dim, s2.matrix.tobytes(), d1)
-        rt = rt if columns == "dd" else None
+        factors = planned(s2, d1, columns)[0]
         energies, u, hs = _random_hamiltonians(d1 * s2.dim, range(3))
         assert u.dtype == np.float64 and _eigensystem(hs)[1].dtype == complex
         for n in (1, 7, 100):
-            real = next(_kicked_evolutions((a, b), (energies, u), 0.7, [(n,)], rt))
-            general = next(_kicked_evolutions((a, b), _eigensystem(hs), 0.7, [(n,)], rt))
+            real = next(_kicked_evolutions(factors, (energies, u), 0.7, [(n,)]))
+            general = next(_kicked_evolutions(factors, _eigensystem(hs), 0.7, [(n,)]))
             for x, y in zip(real, general, strict=True):
                 assert x.shape == y.shape and x.dtype == y.dtype
                 assert np.max(np.abs(x - y)) <= 1e-12
@@ -560,9 +573,10 @@ def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
     s2 = to_superoperator(ch)
     hs = np.array([random_hamiltonian(d1 * ch.dim, seed) for seed in range(3)])
     # zeno_evolution of the Kraus-built I kron E at each n, from one factorisation
-    a, b = factor_kick(kraus_lift(ch, d1))
+    factors = factor_kick(kraus_lift(ch, d1))
+    a = factors[0]
     blocks = [(1,), (7,), (100,)]
-    steps = _kicked_evolutions((a, b), _eigensystem(hs), 1.0, blocks)
+    steps = _kicked_evolutions(factors, _eigensystem(hs), 1.0, blocks)
     want = {n: a @ (p @ bw) for (n,), (p, bw) in zip(blocks, steps)}
 
     def refuse(*args):
