@@ -9,14 +9,15 @@ planes takes a chunk to H's eigenbasis, and each n costs one real product there 
 of the d(d-1)/2 energy gaps on the rows) and one real power P_n = (B W A)^{n-1}. Planned once
 per process: a zoo kick's superoperator bytes (``_zoo_kick``, keyed by the spec and the exact
 params), per (kick bytes, d1) the factors and planes, with the bath-traced rows and columns in
-the Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the Choi state of a zeno
+the Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the superoperator of a zeno
 target (``_target``), each bounded at ``spectral._CACHE_SIZE`` entries and read-only.
 Chunks and their blocks of n, each block one stacked step and one score call, are sized so
-that no per-pair stack passes 64 KiB (``_STACK_BYTES``). Mode "dd" kicks the bath of a
-bipartite system with I_1 kron E_2, the lift of E_2's own factors, and records the purity of
-the system legs of the Choi state from the real (Q^dag T A) P_n (B W T^T Q); mode "zeno"
+that no per-pair stack of a block passes 64 KiB (``_STACK_BYTES``). Mode "dd" kicks the bath
+of a bipartite system with I_1 kron E_2, the lift of E_2's own factors, and records the purity
+of the system legs of the Choi state from the real (Q^dag T A) P_n (B W T^T Q); mode "zeno"
 kicks with E and records the trace-norm distance between the Choi states of A P_n (B W) and
-of E_phi^n (full suppression), which saturates at a nonzero constant when suppression fails.
+of E_phi^n (full suppression), which saturates at a nonzero constant when suppression fails:
+one Choi reshuffle of the superoperator difference, checked Hermitian, its Sum |lambda| / d.
 ``FIGURES`` holds each reference panel as a ``SweepConfig`` row, which ``reproduce`` runs
 through ``sweep``.
 """
@@ -31,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, _hermitian_coordinates, _integer, _real, choi,
-                      load_channel, to_superoperator)
+from .channel import (KrausChannel, Superoperator, _hermitian_coordinates, _integer, _lift, _real,
+                      choi, load_channel, to_superoperator)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
 from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
@@ -225,9 +226,11 @@ def _kick(spec: str, params: dict) -> tuple[int, bytes]:
 def _plan(dim: int, data: bytes, d1: int):
     """The part of a dd sweep that no Hamiltonian enters, memoised per process and read-only:
     ((A, B, planes, None), Q^dag T A), A B the kick of these bytes lifted to d1 by
-    ``zeno._factor_kick``, T the bath trace and Q the orthonormal Hermitian basis of M_d1, so
+    ``channel._lift`` from the kick's own factors (``zeno._factor_kick`` at d1 = 1, which reads
+    no lifted identity), T the bath trace and Q the orthonormal Hermitian basis of M_d1, so
     that Q^dag T A is real, and the planes those of B and of the Hermitian [A | T^T Q]."""
-    a, b = _factor_kick(dim, data, d1)[:2]
+    a, b = _lift(*_factor_kick(dim, data, 1)[:2], d1)  # R = I's planes are never read here
+    a.flags.writeable = b.flags.writeable = False
     q = _hermitian_coordinates(d1)[1]
     q = q / np.linalg.norm(q, axis=0)
     kept = (q.conj().T @ _trace_bath(a, d1, dim)).real
@@ -237,11 +240,11 @@ def _plan(dim: int, data: bytes, d1: int):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _target(dim: int, data: bytes, n: int) -> np.ndarray:
-    """The read-only Choi state of E_phi^n for the kick of these bytes, memoised per (kick, n):
+    """The read-only superoperator E_phi^n of the kick of these bytes, memoised per (kick, n):
     a process holds at most ``_CACHE_SIZE`` targets, and a block's score stacks those of its n."""
     dec = analyze_peripheral(Superoperator(dim, np.frombuffer(data, dtype=complex)
                                            .reshape(dim * dim, -1)))
-    x = choi(peripheral_power(dec, n))
+    x = peripheral_power(dec, n).matrix
     x.flags.writeable = False
     return x
 
@@ -249,9 +252,12 @@ def _target(dim: int, data: bytes, n: int) -> np.ndarray:
 # A sweep's chunks of Hamiltonians and blocks of n keep their largest per-pair stack within
 # _STACK_BYTES: the real r x N rows of the kicked step and its real r x (r + c) output, and in
 # zeno mode the N x N maps when larger, which also bound the stacks that score the block.
-# glibc serves an allocation above its mmap threshold (128 KiB) from a fresh mapping whose
-# pages fault in on every use, so 64 KiB keeps each temporary in the heap:
-# fig3a's 64 x 64 sweeps take chunks of 8 H, and a 4-H sweep blocks of 2 n.
+# glibc serves an allocation above its mmap threshold (128 KiB by default) from a fresh
+# mapping whose pages fault in on use, and 64 KiB keeps a block's temporaries below it:
+# fig3a's 64 x 64 sweeps take chunks of 8 H, and a 4-H sweep blocks of 2 n. The rule does not
+# bound a chunk's ``zeno._sandwich`` stacks, three (k, d, 2 m d) float arrays for k H and m
+# planed operators: on fig3a 147,456 B each at 4 H and 294,912 B at 8 H, which may fault in
+# (warm 8-H fig3a sweeps took 112 minor faults a call in one loop, 4-H ones none).
 _STACK_BYTES = 1 << 16
 
 
@@ -276,14 +282,16 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     ordered by str(seed) and then n. Planned once per process: a zoo kick's superoperator
     (``_zoo_kick``, keyed by the exact params), its factors A B and planes, lifted to
     I_1 kron E_2 in mode "dd", with the bath-traced rows and columns in the Hermitian basis
-    Q of M_d1 (``_plan``), or the Choi states of the targets E_phi^n ("zeno", ``_target``);
+    Q of M_d1 (``_plan``), or the target superoperators E_phi^n ("zeno", ``_target``);
     a channel file is read on every call. A random chunk of Hamiltonians is drawn as its
     eigendata, one real ``eigh`` that also normalises it (a fixture: ``zeno._eigensystem``);
     each block of n of a chunk is one stacked real product of ``_kicked_evolutions``, and one
     score call as soon as it is yielded: the purity of the real d1^2 x d1^2
     (Q^dag T A) P_n (B W T^T Q) / d, T the bath trace, which is that of T S T^T as Q is unitary
-    ("dd"), or the Choi distance of A P_n (B W) to E_phi^n, the maps broadcast against the
-    block's stacked targets ("zeno")."""
+    ("dd"), or the Choi distance of A P_n (B W) to E_phi^n ("zeno"): P_n B W is one real
+    product on B W's float view, the block's stacked targets are subtracted from its maps, and
+    the one difference, reshuffled to Choi order and checked Hermitian, gives Sum |lambda| / d,
+    the 1/d of both Choi states taken once per value."""
     dd = cfg.mode == "dd"
     dim, data = _kick(cfg.channel, cfg.channel_params)
     ns = tuple(sorted(cfg.n_values))
@@ -299,13 +307,14 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
         score = lambda p, y, _: _reduced_purity(kept @ p @ y, dim)
     else:
         metric = "choi_distance"
-        pair = max(pair, 16 * big_n**2)  # and the N x N maps and their Choi states
+        pair = max(pair, 16 * big_n**2)  # and the N x N maps and their difference
 
         def score(p, bw, block):
-            maps = choi(Superoperator(dim, a @ (p @ bw)))
-            targets = np.array([_target(dim, data, n) for n in block])
-            return _hermitian_trace_norm(maps.reshape(len(targets), -1, big_n, big_n)
-                                         - targets[:, None]).reshape(-1)
+            maps = a @ (p @ bw.view(float)).view(complex)
+            diff = (maps.reshape(len(block), -1, big_n, big_n)
+                    - np.array([_target(dim, data, n) for n in block])[:, None])
+            diff = diff.reshape(-1, dim, dim, dim, dim).swapaxes(-3, -2).reshape(-1, big_n, big_n)
+            return _hermitian_trace_norm(diff) / dim
 
     pairs = max(1, _STACK_BYTES // pair)  # (n, H) pairs per block
     labels, parts = [], []

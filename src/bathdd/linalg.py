@@ -54,9 +54,19 @@ def _hermitian_rule(m: np.ndarray, c) -> bool:
 
 def is_hermitian(m: np.ndarray) -> bool:
     """True when the matrix, or every matrix of a (k, d, d) stack, is finite and Hermitian
-    entrywise within 1e-12 times max(1, its own Frobenius norm)."""
-    m = np.asarray(m, dtype=complex)
-    return bool(np.isfinite(m).all()) and _hermitian_rule(*_unit(m))  # no overflow on M / c
+    entrywise within 1e-12 times max(1, its own Frobenius norm).
+
+    One pass reads each matrix's largest |Re| or |Im|, NaN or inf when it is not finite. When
+    every one lies in [2^-400, 2^400], ``_unit``'s power-of-two rescale is exact and cannot
+    change the decision, so the rule runs on M itself; otherwise it runs on M / c, so that no
+    norm or difference overflows or underflows."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    big = np.abs(m.view(float)).max(axis=(-2, -1))
+    if not np.isfinite(big).all():
+        return False
+    if 2.0**-400 <= big.min() and big.max() <= 2.0**400:
+        return _hermitian_rule(m, 1.0)
+    return _hermitian_rule(*_unit(m))
 
 
 def assert_hermitian(m: np.ndarray) -> np.ndarray:

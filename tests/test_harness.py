@@ -428,6 +428,89 @@ def test_choi_distance_refuses_maps_of_different_dimensions():
         choi_distance(Superoperator(2, np.eye(4)), Superoperator(3, np.eye(9)))
 
 
+@pytest.mark.parametrize("fig_id", ["fig1b", "fig3b"])
+def test_a_zeno_sweep_refuses_block_maps_that_break_hermiticity(fig_id, monkeypatch):
+    # the score checks each block's Choi difference, which is Hermitian only for HP maps
+    import bathdd.harness
+
+    kernel = bathdd.harness._kicked_evolutions
+
+    def perturbed(*args):
+        steps = kernel(*args)
+        p, bw = next(steps)
+        bw = bw.copy()
+        bw[-1, 0, 0] += 1e-6j  # one entry of one pair's B W: i times a Hermitian column of A P
+        yield p, bw
+        yield from steps
+
+    cfg = with_hamiltonians(FIGURES[fig_id].config, random=2, seed=0)
+    sweep(cfg)
+    monkeypatch.setattr(bathdd.harness, "_kicked_evolutions", perturbed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sweep(cfg)
+
+
+def recorded_chunks(monkeypatch):
+    """Per chunk of each sweep from here on: (A, k Hamiltonians, [(block, P, B W), ...])."""
+    import bathdd.harness
+
+    chunks, kernel = [], bathdd.harness._kicked_evolutions
+
+    def record(factors, eigen, t, blocks):
+        chunks.append((factors[0], len(eigen[0]), []))
+        for block, (p, bw) in zip(blocks, kernel(factors, eigen, t, blocks)):
+            chunks[-1][2].append((block, p, bw))
+            yield p, bw
+
+    monkeypatch.setattr(bathdd.harness, "_kicked_evolutions", record)
+    return chunks
+
+
+def choi_difference_values(cfg, chunks):
+    """{(seed, n): value} of a zeno sweep scored from its kernel's blocks as before: the Choi
+    states of the maps A (P B W), as a complex product, minus that of E_phi^n, then eigvalsh
+    (``choi_distance``)."""
+    s = to_superoperator(resolve_channel(cfg.channel, cfg.channel_params))
+    dec = analyze_peripheral(s)
+    src = cfg.hamiltonians
+    labels = ([src["fixture"]] if "fixture" in src
+              else list(range(src["seed"], src["seed"] + src["random"])))
+    values = {}
+    for a, k, blocks in chunks:
+        chunk, labels = labels[:k], labels[k:]
+        for block, p, bw in blocks:
+            maps = (a @ (p @ bw)).reshape(len(block), k, len(a), len(a))
+            for n, m in zip(block, maps):
+                distances = choi_distance(Superoperator(s.dim, m), peripheral_power(dec, n))
+                values.update(((label, n), v) for label, v in zip(chunk, distances.tolist()))
+    assert not labels
+    return values
+
+
+ZENO_FIGURE_CONFIGS = {
+    **{fig_id: fig.config for fig_id, fig in FIGURES.items() if fig.config.mode == "zeno"},
+    "fig3b:ZI": STACKED_CASES["fig3b:ZI"],
+}
+
+
+@pytest.mark.parametrize("cfg,exact", [
+    *((cfg, True) for cfg in ZENO_FIGURE_CONFIGS.values()),
+    # d = 3 is no power of two: dividing by d after the eigvalsh rounds otherwise
+    *((SweepConfig(f"zoo:{name}", "zeno", FIGURES["fig1b"].config.n_values,
+                   {"random": 37, "seed": 0}), False)
+      for name in ("E_hook", "E_triangle", "E_square")),
+], ids=[*ZENO_FIGURE_CONFIGS, "E_hook:37", "E_triangle:37", "E_square:37"])
+def test_zeno_sweep_values_are_the_choi_distances_of_their_maps(cfg, exact, monkeypatch):
+    chunks = recorded_chunks(monkeypatch)
+    got = {(r.seed, r.n): r.value for r in sweep(cfg) if r.hamiltonian != "aggregate"}
+    want = choi_difference_values(cfg, chunks)
+    assert got.keys() == want.keys()
+    if exact:
+        assert got == want
+    else:
+        assert max(abs(got[key] - want[key]) for key in want) <= 1e-14
+
+
 def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
     import bathdd.channel
     import bathdd.harness
@@ -446,9 +529,19 @@ def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
         records = sweep(with_hamiltonians(cfg, random=2, seed=0))
         assert len(records) == 5 * len(cfg.n_values)
         assert _factor_kick.cache_info().misses == 1
-        # the one entry is the bath kick's factors at the sweep's d1
-        _factor_kick(kick.dim, kick.matrix.tobytes(), cfg.d1)
+        # the one entry is the bath kick's own factors, d1 = 1, which the plan lifts
+        _factor_kick(kick.dim, kick.matrix.tobytes(), 1)
         assert _factor_kick.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_a_dd_plan_lifts_the_kicks_own_factors_bitwise(name):
+    # the plan lifts the d1 = 1 factors: bitwise those the d1 entry of _factor_kick holds
+    s = sup(name)
+    for d1 in (1, 2, 3):
+        (a, b, *_), _ = _plan(s.dim, s.matrix.tobytes(), d1)
+        lifted = _factor_kick(s.dim, s.matrix.tobytes(), d1)[:2]
+        assert np.array_equal(a, lifted[0]) and np.array_equal(b, lifted[1])
 
 
 def test_second_sweep_of_a_kick_factors_nothing():
@@ -461,20 +554,22 @@ def test_second_sweep_of_a_kick_factors_nothing():
     sweep(with_hamiltonians(cfg, random=2, seed=5))
     assert sweep(cfg) == first and _factor_kick.cache_info().misses == 1
     s = sup("E_omega")
-    for f in _factor_kick(4, s.matrix.tobytes(), 2):
+    for f in _factor_kick(4, s.matrix.tobytes(), 1):
         assert not f.flags.writeable
         with pytest.raises(ValueError):
             f[0, 0] = 0
     assert _factor_kick.cache_info().misses == 1
 
 
-def test_sweep_then_dd_evolution_of_its_kick_factors_nothing_more():
+def test_dd_evolution_after_a_dd_sweep_adds_only_its_lifted_factors():
     _factor_kick.cache_clear()
+    _plan.cache_clear()
     cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
     sweep(cfg)
+    assert _factor_kick.cache_info().misses == 1  # the kick's own factors, d1 = 1
     hs = np.array([random_hamiltonian(8, seed) for seed in range(2)])
     got = dd_evolution(sup("E_omega"), hs, cfg.t, 5, cfg.d1)
-    assert _factor_kick.cache_info().misses == 1
+    assert _factor_kick.cache_info().misses == 2  # and its plan at d1 = 2, with R = I
     for h, m in zip(hs, got.matrix):
         want = plain_kicked_evolution(extend_with_identity(sup("E_omega"), 2), h, cfg.t, 5)
         assert np.max(np.abs(m - want.matrix)) <= 1e-12
@@ -603,7 +698,9 @@ def test_kick_planes_are_read_only_and_built_once_per_kick_and_d1(tmp_path, monk
     built = counted_planes(monkeypatch)
     _factor_kick.cache_clear()
     _plan.cache_clear()
-    for fig, new in (("fig3a", 2), ("fig1a", 2), ("fig3b", 1)):  # dd: those of I and T^T Q
+    # dd: those of the kick's own [A | T^-1] at d1 = 1 and of the plan's [A | T^T Q] at d1 = 2;
+    # fig3b's zeno sweep reads fig3a's d1 = 1 entry
+    for fig, new in (("fig3a", 2), ("fig1a", 2), ("fig3b", 0)):
         cfg = with_hamiltonians(FIGURES[fig].config, random=2, seed=0)
         count = len(built)
         first = sweep(cfg)

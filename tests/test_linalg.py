@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bathdd.linalg import (
+    _hermitian_rule,
+    _unit,
     dagger,
     eig,
     expm,
@@ -70,6 +72,63 @@ def test_is_hermitian_2d_answers_as_before_and_stack_per_matrix():
         assert True in answers and False in answers
         assert is_hermitian(np.stack(cases)) is False
         assert is_hermitian(np.stack([m for m, ok in zip(cases, answers) if ok])) is True
+
+
+def _scaled_rule(m):
+    """The check with the power-of-two rescale on every input: finite, then the rule on M / c."""
+    m = np.asarray(m, dtype=complex)
+    return bool(np.isfinite(m).all()) and _hermitian_rule(*_unit(m))
+
+
+# largest |Re| or |Im| of a corpus matrix: 2^e times a factor in [1, 2), from the least
+# subnormal to near the float range, on both sides of 2^-400 and 2^400
+CORPUS_EXPONENTS = (-1074, -1070, -1050, -1023, -1000, -900, -600, -401, -400, -399, -120, -40,
+                    -1, 0, 1, 40, 120, 399, 400, 401, 600, 900, 1000)
+# one entry off Hermitian by these times the tolerance 1e-12 max(1, ||M||_F)
+VIOLATIONS = (0.0, 0.999999, 1.0, 1.000001)
+
+
+def hermitian_corpus(d, rng):
+    """(violation, matrix) pairs at every corpus exponent; the violation is exact, in one
+    entry whose mirror is real."""
+    for e in (*CORPUS_EXPONENTS, *rng.integers(-1074, 1001, size=4)):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = g + g.conj().T
+        h[0, -1] = h[-1, 0] = h[0, -1].real
+        c = np.ldexp(1.0, int(e))
+        x = h.view(float)  # real arithmetic: no complex division's overflow at c = 2^-1074
+        h = (x / np.abs(x).max() * (c * rng.uniform(1, 2))).view(complex)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(h.view(float) / c)) * c)  # finite at 2^1000
+        for f in VIOLATIONS:
+            m = h.copy()
+            m[0, -1] += 1j * f * tol / (2 if d == 1 else 1)  # |M - M^dag| = f tol there
+            yield f, m
+
+
+def test_is_hermitian_decides_as_the_rescaled_rule_at_every_scale():
+    rng = np.random.default_rng(12)
+    for d in range(1, 9):
+        corpus = list(hermitian_corpus(d, rng))
+        answers = [is_hermitian(m) for _, m in corpus]
+        assert answers == [_scaled_rule(m) for _, m in corpus], d
+        # the corpus straddles the tolerance
+        assert all(ok for (f, _), ok in zip(corpus, answers) if f < 1)
+        assert not any(ok for (f, _), ok in zip(corpus, answers) if f > 1)
+        # stacks: mixed scales and answers, then Hermitian ones in range alone and with one
+        # matrix out of it
+        ms = np.stack([m for _, m in corpus])
+        inside = np.stack([m for (f, m), ok in zip(corpus, answers)
+                           if ok and 2.0**-400 <= np.abs(m.view(float)).max() <= 2.0**400])
+        for stack, want in ((ms, False), (inside, True), (np.concatenate([inside, ms[:1]]), True)):
+            assert is_hermitian(stack) is _scaled_rule(stack) is want, d
+        # NaN, inf and zero matrices, alone and in a stack
+        zero = np.zeros((d, d), dtype=complex)
+        assert is_hermitian(zero) and is_hermitian(np.stack([zero, inside[0]]))
+        for bad in (np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 0.0)):
+            m = inside[0].copy()
+            m[-1, 0] = bad
+            assert not is_hermitian(m) and not _scaled_rule(m)
+            assert not is_hermitian(np.stack([inside[0], m]))
 
 
 def test_trace_norm_stack_matches_single_calls():
