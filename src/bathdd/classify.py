@@ -104,19 +104,18 @@ def _cycle_lengths(dec: PeripheralDecomposition) -> tuple[int, ...]:
     return lengths
 
 
-def classify(s: Superoperator, name: str = "", tol: float = PERIPHERAL_TOL) -> Classification:
-    """Decide the spectral profile of a CPTP superoperator."""
-    dec = analyze_peripheral(s, tol)
+def _profile(dec: PeripheralDecomposition) -> tuple:
+    """Every ``Classification`` field but the name, in field order: a function of the
+    decomposition alone, so ``classify`` derives it once per decomposition."""
     ergodic = dec.dim_fixed == 1
     irreducible = ergodic and bool(np.min(np.linalg.eigvalsh(fixed_point_state(dec))) > RANK_TOL)
     dfs_free = _is_dfs_free(dec)
-    return Classification(
-        name=name,
-        dim_fixed=dec.dim_fixed,
-        dim_recurrent=dec.dim_recurrent,
-        ergodic=ergodic,
-        mixing=dec.dim_recurrent == 1,
-        irreducible=irreducible,
-        dfs_free=dfs_free,
-        cycle_lengths=_cycle_lengths(dec) if dfs_free else (),
-    )
+    return (dec.dim_fixed, dec.dim_recurrent, ergodic, dec.dim_recurrent == 1, irreducible,
+            dfs_free, _cycle_lengths(dec) if dfs_free else ())
+
+
+def classify(s: Superoperator, name: str = "", tol: float = PERIPHERAL_TOL) -> Classification:
+    """Decide the spectral profile of a CPTP superoperator: the profile is derived once per
+    memoised decomposition (``PeripheralDecomposition.derive``), so a kick already classified
+    at this tolerance costs only its name."""
+    return Classification(name, *analyze_peripheral(s, tol).derive(_profile))

@@ -15,15 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, _matrix_from_pairs, _matrix_to_pairs,
-                      to_superoperator, validate_cptp)
+from .channel import KrausChannel, Superoperator, _matrix_from_pairs, _matrix_to_pairs
 from .classify import classify
 from .hamiltonian import random_hamiltonian
-from .harness import FIGURE_IDS, SweepConfig, reproduce, resolve_channel, sweep, write_records_csv
+from .harness import FIGURE_IDS, SweepConfig, reproduce, sweep, write_records_csv
+from .harness import _kick as _load_kick
 from .linalg import LinalgError
 from .spectral import MAX_PERIPHERAL_TOL, PERIPHERAL_TOL, SpectralError, analyze_peripheral
 from .zeno import DD_TOL, SUPPRESSION_TOL, _zeno_residual, dd_check
-from .zoo import builtin, names
+from .zoo import names
 
 EXIT_OK = 0
 EXIT_NOT_CPTP = 1
@@ -36,16 +36,18 @@ class UsageError(Exception):
 
 
 def _kick(spec: str, params: dict | None = None) -> tuple[KrausChannel, Superoperator]:
-    """The channel named by ``spec``, refused unless CPTP, and its superoperator."""
+    """The channel named by ``spec`` and its read-only superoperator, refused unless CPTP, from
+    ``harness._kick``, the loader that sweeps use too: a zoo kick, with its CPTP report, is
+    memoised per process, so ``bathdd sweep`` loads it once; a channel file is read and
+    checked on every call."""
     try:
-        ch = resolve_channel(spec, params)
+        ch, s, _, report = _load_kick(spec, params)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load channel {spec!r}: {exc}") from exc
-    report = validate_cptp(ch)
     if not report.passed:
         print(f"channel is not CPTP: trace residual {report.trace_residual:.3e}", file=sys.stderr)
         raise SystemExit(EXIT_NOT_CPTP)
-    return ch, to_superoperator(ch)
+    return ch, s
 
 
 def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:

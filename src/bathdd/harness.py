@@ -7,8 +7,9 @@ the kick's factors S = A B come from ``zeno._factor_kick``, the one per-process 
 also serves ``zeno_evolution`` and ``dd_evolution``; one product of the kick's planned real
 planes takes a chunk to H's eigenbasis, and each n costs one real product there (the phases
 of the d(d-1)/2 energy gaps on the rows) and one real power P_n = (B W A)^{n-1}. Planned once
-per process: a zoo kick's superoperator bytes (``_zoo_kick``, keyed by the spec and the exact
-params), per (kick bytes, d1) the factors and planes, with the bath-traced rows and columns in
+per process: a zoo kick with its superoperator bytes and CPTP report (``_zoo_kick``, keyed by
+the spec and the exact params, read through ``_kick``, the loader the CLI uses too), per
+(kick bytes, d1) the factors and planes, with the bath-traced rows and columns in
 the Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the superoperator of a zeno
 target (``_target``), each bounded at ``spectral._CACHE_SIZE`` entries and read-only.
 Chunks and their blocks of n, each block one stacked step and one score call, are sized so
@@ -32,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (KrausChannel, Superoperator, _hermitian_coordinates, _integer, _lift, _real,
-                      choi, load_channel, to_superoperator)
+from .channel import (CptpReport, KrausChannel, Superoperator, _hermitian_coordinates, _integer,
+                      _lift, _real, choi, load_channel, to_superoperator, validate_cptp)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
 from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
@@ -205,21 +206,36 @@ class _ZooKick:
     params: dict = field(compare=False)
 
 
+# A loaded kick: (channel, superoperator, that matrix's bytes, which key every per-kick memo,
+# CPTP report); the matrix is read-only.
+_Loaded = tuple[KrausChannel, Superoperator, bytes, CptpReport]
+
+
+def _load(spec: str, params: dict) -> _Loaded:
+    """The kick of ``spec`` with ``params``, built afresh."""
+    ch = resolve_channel(spec, params)
+    report = validate_cptp(ch)
+    with np.errstate(over="ignore", invalid="ignore"):  # Kraus entries huge enough to overflow
+        s = to_superoperator(ch)                         # fail the report, which says so
+    s.matrix.flags.writeable = False  # shared by every caller of a memoised kick
+    return ch, s, s.matrix.tobytes(), report
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _zoo_kick(key: _ZooKick) -> tuple[int, bytes]:
-    """(dim, superoperator bytes) of a zoo kick, memoised per process; refused params raise."""
-    s = to_superoperator(resolve_channel(key.spec, key.params))
-    return s.dim, s.matrix.tobytes()
+def _zoo_kick(key: _ZooKick) -> _Loaded:
+    """``_load`` of a zoo spec and its params, memoised per process; refused params raise."""
+    return _load(key.spec, key.params)
 
 
-def _kick(spec: str, params: dict) -> tuple[int, bytes]:
-    """(dim, superoperator bytes) of a sweep's kick: a zoo kick from ``_zoo_kick`` when every
-    param has an ``_exact`` form, else built afresh; a channel file is read on every call."""
+def _kick(spec: str, params: dict | None = None) -> _Loaded:
+    """The kick of a sweep or a CLI command, from the one loader of both: a zoo kick from
+    ``_zoo_kick`` when every param has an ``_exact`` form, else from ``_load``, so a channel
+    file is read and checked on every call. Refused specs and params raise on every call."""
+    params = params or {}
     exact = frozenset((name, _exact(v)) for name, v in params.items())
     if spec.startswith("zoo:") and all(v is not None for _, v in exact):
         return _zoo_kick(_ZooKick(spec, exact, params))
-    s = to_superoperator(resolve_channel(spec, params))
-    return s.dim, s.matrix.tobytes()
+    return _load(spec, params)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -280,7 +296,7 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Evaluate the configured metric on every (Hamiltonian, n) pair, plus min/max/mean
     aggregate rows per n (seeds "min", "max", "mean", three reductions of the (n, H) values),
     ordered by str(seed) and then n. Planned once per process: a zoo kick's superoperator
-    (``_zoo_kick``, keyed by the exact params), its factors A B and planes, lifted to
+    (``_kick``, memoised in ``_zoo_kick`` by the exact params), its factors A B and planes, lifted to
     I_1 kron E_2 in mode "dd", with the bath-traced rows and columns in the Hermitian basis
     Q of M_d1 (``_plan``), or the target superoperators E_phi^n ("zeno", ``_target``);
     a channel file is read on every call. A random chunk of Hamiltonians is drawn as its
@@ -293,7 +309,8 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     the one difference, reshuffled to Choi order and checked Hermitian, gives Sum |lambda| / d,
     the 1/d of both Choi states taken once per value."""
     dd = cfg.mode == "dd"
-    dim, data = _kick(cfg.channel, cfg.channel_params)
+    ch, _, data, _ = _kick(cfg.channel, cfg.channel_params)
+    dim = ch.dim
     ns = tuple(sorted(cfg.n_values))
     # "dd": kept the rows Q^dag T A, the planes those of the columns T^T Q; "zeno": R = I
     factors, kept = _plan(dim, data, cfg.d1) if dd else (_factor_kick(dim, data, 1), None)

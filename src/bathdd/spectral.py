@@ -12,14 +12,18 @@ checked for defects.
 
 Analyses are memoised in-process by content: a kick with the same matrix
 bytes and tolerance is analysed once, in a cache bounded at ``_CACHE_SIZE``
-entries, and every caller shares that one read-only decomposition. Separate
-processes share nothing, so a single CLI verdict still takes one Schur form.
+entries, and every caller shares that one read-only decomposition. What the
+verdicts derive from a decomposition alone (``classify``'s profile, ``zeno``'s
+lifted eigendata and triangular factors per d1, the fixed state) is derived
+once too, by ``PeripheralDecomposition.derive``, and kept on the decomposition,
+so it lives and dies with its ``_analyze`` entry. Separate processes share
+nothing, so a single CLI verdict still takes one Schur form.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +82,7 @@ class PeripheralDecomposition:
     (d^2 x k) holds the k peripheral right eigenvectors as columns and
     ``left`` (k x d^2) their left adjoints as rows, with left @ right = I_k,
     both grouped by cluster in the order of ``peripheral_values``.
+    ``_derived`` holds what ``derive`` has built from this decomposition.
     """
 
     dim: int
@@ -85,6 +90,21 @@ class PeripheralDecomposition:
     multiplicities: np.ndarray
     right: np.ndarray
     left: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derive(self, build, *args):
+        """``build(self, *args)``, built once per decomposition and key (build, *args) and kept
+        here, so that it lives and dies with the decomposition's ``_analyze`` entry. It is shared
+        by every caller, so its arrays (the value, or each item of a tuple) are made read-only;
+        a build that raises keeps nothing."""
+        key = (build, *args)
+        if key not in self._derived:
+            value = build(self, *args)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
 
     @property
     def dim_fixed(self) -> int:

@@ -4,6 +4,12 @@ decoupling and Zeno Hamiltonian suppression.
 The Zeno Hamiltonian sum_l P_l [H, .] P_l of a kick, the generator surviving infinitely
 frequent kicks, is read from [H, X_b] on the kick's own peripheral eigenoperators X_b:
 for H on the kick's space (suppression) and on C^d1 kron C^d (bath DD, lifted eigendata).
+It is right (S o (left [H, X])) left, linear in H, and everything in it that no H enters is
+derived once per (decomposition, d1) by ``PeripheralDecomposition.derive`` (``_zeno_frame``):
+the lifted eigendata, the same-cluster mask S and the triangular factors of right = Q_R U_R
+and left^dag = Q_L U_L from QR, with the kick's fixed state for H_eff. Q_R and Q_L have
+orthonormal columns, so a verdict takes ||H_Z||_F = ||U_R core U_L^dag||_F from its k' x k'
+core alone, with no N x N generator.
 """
 
 from __future__ import annotations
@@ -48,18 +54,33 @@ class DdVerdict:
 def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
     """sum_l P_l [H, .] P_l = right (S o (left [H, X])) left, S the same-cluster mask and X_b
     column b of ``right`` as a d x d matrix; H on C^d1 kron C^d reads E's eigendata lifted."""
-    return _zeno_generator(dec, assert_hermitian(h))
+    h = assert_hermitian(h)
+    x, left, *_ = frame = _frame(dec, h)
+    return Superoperator(len(h), x.reshape(len(x), -1).T @ _core(frame, h) @ left)
 
 
-def _zeno_generator(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
-    """``zeno_hamiltonian`` of an H already checked, as ``_zeno_residual`` checks its H once."""
+def _zeno_frame(dec: PeripheralDecomposition, d1: int) -> tuple:
+    """What the Zeno Hamiltonian at d1 reads besides H: the lifted ``right`` as (k', D, D)
+    operators X_b, the lifted ``left`` (k' x D^2), the same-cluster mask S, and U_R and U_L^dag,
+    triangular, of right = Q_R U_R and left^dag = Q_L U_L from QR; not from a Cholesky factor
+    of right^dag right, whose condition number is that of right squared."""
+    right, left = _lift(dec.right, dec.left, d1)
+    return (right.T.reshape(-1, d1 * dec.dim, d1 * dec.dim), left, _same_cluster(dec, d1),
+            np.linalg.qr(right, mode="r"), dagger(np.linalg.qr(dagger(left), mode="r")))
+
+
+def _frame(dec: PeripheralDecomposition, h: np.ndarray) -> tuple:
+    """The read-only ``_zeno_frame`` of ``dec`` at d1 = dim H / d, derived once per d1."""
     d1, rest = divmod(len(h), dec.dim)
     if rest:
         raise ValueError(f"Hamiltonian dim {len(h)} is no multiple of kick dim {dec.dim}")
-    right, left = _lift(dec.right, dec.left, d1)
-    x = right.T.reshape(-1, *h.shape)
-    core = _same_cluster(dec, d1) * (left @ (h @ x - x @ h).reshape(len(x), -1).T)
-    return Superoperator(len(h), right @ core @ left)
+    return dec.derive(_zeno_frame, d1)
+
+
+def _core(frame: tuple, h: np.ndarray) -> np.ndarray:
+    """The k' x k' core S o (left vec[H, X_b]) of the Zeno Hamiltonian of H."""
+    x, left, mask, *_ = frame
+    return mask * (left @ (h @ x - x @ h).reshape(len(x), -1).T)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -188,7 +209,9 @@ def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int | None =
     once, by ``is_hermitian``'s rule on H / c, so the check is relative, and H0, its traceless
     part, is scaled again; 0 when H0 = 0.
     With d1 (bath DD), H is on C^d1 kron C^d and K = H0 - H_eff kron I (H0 at d1 = 1); without
-    (suppression), K = H0 on C^(dim H / d) kron C^d, as ``zeno_hamiltonian`` reads it."""
+    (suppression), K = H0 on C^(dim H / d) kron C^d, as ``zeno_hamiltonian`` reads it.
+    ||H_Z(K)||_F is ||U_R core U_L^dag||_F, with U_R, U_L and the fixed state derived once per
+    (kick, d1) (``_zeno_frame``): H_Z itself, N x N, is never formed."""
     h = np.asarray(h, dtype=complex)
     finite = bool(np.isfinite(h).all())
     h, c = _unit(h) if finite else (h, 1.0)
@@ -199,12 +222,14 @@ def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int | None =
     if d1 is not None and len(h) != d1 * dec.dim:
         raise ValueError(f"dim(H)={len(h)} does not factor as {d1}*{dec.dim}")
     if d1 is not None and d1 > 1:
-        h_eff = np.einsum("axby,yx->ab", h0.reshape((d1, dec.dim) * 2), fixed_point_state(dec))
+        h_eff = np.einsum("axby,yx->ab", h0.reshape((d1, dec.dim) * 2),
+                          dec.derive(fixed_point_state))
         h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
         k = h0 - kron(h_eff, np.eye(dec.dim))
         with np.errstate(over="ignore"):  # an H_eff past the float range is inf: dd_check refuses it
             h_eff = h_eff * c0 * c
-    h_z = _zeno_generator(dec, k).matrix
+    *_, u_r, u_l_dag = frame = _frame(dec, k)
+    h_z = u_r @ _core(frame, k) @ u_l_dag
     return float(np.linalg.norm(h_z) / max(np.linalg.norm(h0), 1.0)), h_eff
 
 

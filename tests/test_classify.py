@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bathdd.channel import KrausChannel, Superoperator, to_superoperator
-from bathdd.classify import _cycle_lengths, classify
+from bathdd.classify import _cycle_lengths, _is_dfs_free, classify
 from bathdd.spectral import SpectralError, analyze_peripheral
 from bathdd.zeno import suppression_check
 from bathdd.zoo import DF_RHO0, DF_RHO1, builtin, names
@@ -239,3 +240,25 @@ def test_every_verdict_is_invariant_under_unitary_conjugation(kraus, seed):
     conjugated = tuple(v @ k @ v.conj().T for k in kraus)
     a, b = (classify(to_superoperator(KrausChannel(d, ks))) for ks in (kraus, conjugated))
     assert a.to_record() == b.to_record()
+
+
+def test_classify_derives_its_profile_once_per_decomposition(monkeypatch):
+    from bathdd.spectral import _analyze
+
+    calls = []
+
+    def is_dfs_free(dec):
+        calls.append(dec)
+        return _is_dfs_free(dec)
+
+    monkeypatch.setattr(importlib.import_module("bathdd.classify"), "_is_dfs_free", is_dfs_free)
+    s = random_stinespring(4, 2, seed=7201)  # a kick no other test classifies
+    first = classify(s, name="a")
+    second = classify(s, name="b")
+    assert len(calls) == 1
+    assert (first.name, second.name) == ("a", "b")
+    assert dataclasses.replace(first, name="b") == second
+    classify(s, tol=1e-6)  # another tolerance is another decomposition
+    assert len(calls) == 2
+    _analyze.cache_clear()
+    assert classify(s, name="a") == first and len(calls) == 3

@@ -234,6 +234,46 @@ def test_sweep_csv_rows_parse_back_to_their_records(t, tmp_path, capsys):
             assert float(t_cell) == r.t == t
 
 
+def test_a_zoo_kick_is_loaded_once_per_process(tmp_path, capsys, monkeypatch):
+    # classify twice, then a sweep, of one zoo kick: one load, one CPTP check, one memo miss;
+    # the sweep's own load of the kick it has just checked is a memo hit
+    import bathdd.harness
+    from bathdd.harness import _zoo_kick
+
+    counts = {"builtin": 0, "to_superoperator": 0, "validate_cptp": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(bathdd.harness, name, counted(name, getattr(bathdd.harness, name)))
+    _zoo_kick.cache_clear()
+    first = run(capsys, "classify", "zoo:E_df")
+    assert first[0] == 0 and run(capsys, "classify", "zoo:E_df") == first
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SWEEP_BASE, "channel": "zoo:E_df", "n_values": [1, 2]}))
+    assert run(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path))[0] == 0
+    assert counts == {"builtin": 1, "to_superoperator": 1, "validate_cptp": 1}
+    assert _zoo_kick.cache_info().misses == 1
+
+
+def test_refused_zoo_params_exit_2_on_every_cli_sweep(tmp_path, capsys):
+    from bathdd.harness import _zoo_kick
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BAD_FILES["bad_params"]))  # E_square with p = 3
+    size = _zoo_kick.cache_info().currsize
+    results = [run(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path))
+               for _ in range(3)]
+    code, out, err = results[0]
+    assert code == 2 and out == "" and len(err.strip().splitlines()) == 1 and "p in" in err
+    assert results == [results[0]] * 3
+    assert _zoo_kick.cache_info().currsize == size
+
+
 def test_sweep_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mode": "zeno"}))

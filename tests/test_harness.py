@@ -578,7 +578,7 @@ def test_dd_evolution_after_a_dd_sweep_adds_only_its_lifted_factors():
 def test_second_sweep_of_a_zoo_kick_builds_nothing(monkeypatch):
     import bathdd.harness
 
-    counts = {"builtin": 0, "to_superoperator": 0}
+    counts = {"builtin": 0, "to_superoperator": 0, "validate_cptp": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -591,9 +591,9 @@ def test_second_sweep_of_a_zoo_kick_builds_nothing(monkeypatch):
     _zoo_kick.cache_clear()
     cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
     first = sweep(cfg)
-    assert counts == {"builtin": 1, "to_superoperator": 1}
+    assert counts == {"builtin": 1, "to_superoperator": 1, "validate_cptp": 1}
     assert sweep(cfg) == first and sweep(with_hamiltonians(cfg, random=2, seed=3)) != first
-    assert counts == {"builtin": 1, "to_superoperator": 1}
+    assert counts == {"builtin": 1, "to_superoperator": 1, "validate_cptp": 1}
 
 
 def test_a_channel_file_is_read_on_every_sweep(tmp_path):
@@ -660,7 +660,8 @@ def test_planned_kicks_are_read_only():
     for fig, mode, d1 in (("fig3a", "dd", 2), ("fig3b", "zeno", 1)):
         cfg = with_hamiltonians(FIGURES[fig].config, random=1, seed=0)
         sweep(cfg)
-        kick, memo = _kick(cfg.channel, cfg.channel_params), _plan if mode == "dd" else _target
+        ch, _, data, _ = _kick(cfg.channel, cfg.channel_params)
+        kick, memo = (ch.dim, data), _plan if mode == "dd" else _target
         misses = memo.cache_info().misses
         if mode == "dd":  # A, B, the planes of [A | T^T Q] and Q^dag T A
             (*arrays, parts), kept = _plan(*kick, d1)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from bathdd.channel import (
     Superoperator,
     _hermitian_coordinates,
     _lift,
+    _matrix_to_pairs,
     extend_with_identity,
     to_superoperator,
 )
@@ -22,6 +25,8 @@ from bathdd.zeno import (
     _eigensystem,
     _factor_kick,
     _kicked_evolutions,
+    _zeno_frame,
+    _zeno_residual,
     dd_check,
     dd_evolution,
     suppression_check,
@@ -695,3 +700,130 @@ def test_suppression_check_reads_a_lifted_hamiltonian(name):
         assert suppression_check(s, h) == (norm <= SUPPRESSION_TOL * np.linalg.norm(h0))
     assert suppression_check(s, cases[1]) == suppression_check(s, h2)
     assert suppression_check(s, cases[2]) is False
+
+
+# --- the Zeno residual from derived factors ----------------------------------
+
+
+def reference_zeno_norm(dec, k):
+    """||sum_l P_l [K, .] P_l||_F from the N x N generator, built here from the kick's eigendata
+    lifted to d1 = dim K / d: right (S o (left vec[K, X_b])) left, S read off the multiplicities."""
+    d1 = len(k) // dec.dim
+    right, left = _lift(dec.right, dec.left, d1)
+    labels = np.repeat(np.arange(len(dec.multiplicities)), dec.multiplicities * d1 * d1)
+    x = right.T.reshape(-1, len(k), len(k))
+    core = (labels[:, None] == labels) * (left @ (k @ x - x @ k).reshape(len(x), -1).T)
+    return np.linalg.norm(right @ core @ left)
+
+
+def reference_h_eff(dec, h0, d1):
+    """tr_2[(I_1 kron rho_*) H0], traceless, H0 on C^d1 kron C^d."""
+    d = dec.dim
+    h_eff = np.trace((h0 @ kron(np.eye(d1), fixed_point_state(dec))).reshape(d1, d, d1, d),
+                     axis1=1, axis2=3)
+    return h_eff - np.trace(h_eff) / d1 * np.eye(d1)
+
+
+VALUE_KICKS = [*names(), *(f"stinespring:{d}:{rank}" for d in range(2, 7) for rank in (1, 2, 3))]
+
+
+def value_kick(name):
+    if name.startswith("stinespring:"):
+        d, rank = map(int, name.split(":")[1:])
+        return random_stinespring(d, rank, seed=7000 + 10 * d + rank)
+    return sup(name)
+
+
+@pytest.mark.parametrize("name", VALUE_KICKS)
+def test_zeno_residuals_match_the_n_by_n_reference(name, capsys, tmp_path):
+    # the residuals from U_R core U_L^dag, with no N x N generator, are those of the generator
+    # itself within 1e-12 ||H0||_F, with no verdict flip; H_eff within 1e-14
+    from bathdd.cli import main
+
+    s = value_kick(name)
+    d = s.dim
+    dec = analyze_peripheral(s)
+    rng = np.random.default_rng(len(name))
+    for d1 in (1, 2, 3):
+        # the triangular factors hold the Gram matrices of the lifted eigendata: right's is
+        # complex on E_df, and a conjugated U_R, whose residuals there agree, fails here
+        right, left = _lift(dec.right, dec.left, d1)
+        *_, u_r, u_l_dag = dec.derive(_zeno_frame, d1)
+        for u, gram in ((u_r.conj().T @ u_r, right.conj().T @ right),
+                        (u_l_dag @ u_l_dag.conj().T, left @ left.conj().T)):
+            assert np.max(np.abs(u - gram)) <= 1e-12 * np.max(np.abs(gram))
+        h = random_hermitian(d1 * d, rng)
+        h0 = h - np.trace(h) / len(h) * np.eye(len(h))
+        norm = np.linalg.norm(h0)
+        want = reference_zeno_norm(dec, h0) / norm
+        assert want == pytest.approx(np.linalg.norm(zeno_hamiltonian(dec, h0).matrix) / norm,
+                                     abs=1e-12)
+        got = _zeno_residual(dec, h)[0]  # suppression: H0 on C^d1 kron C^d, lifted at d1 > 1
+        assert abs(got - want) <= 1e-12
+        assert suppression_check(s, h) == (want <= SUPPRESSION_TOL)
+        v = dd_check(s, h, d1)
+        k = h0
+        if d1 > 1:
+            h_eff = reference_h_eff(dec, h0, d1)
+            k = h0 - kron(h_eff, np.eye(d))
+            if v.kick_ergodic:
+                assert np.max(np.abs(v.effective_hamiltonian - h_eff)) <= 1e-14
+        want = reference_zeno_norm(dec, k) / norm
+        assert abs(v.residual - want) <= 1e-12 and v.works == (want <= DD_TOL)
+    if d == 1 or name.startswith("stinespring:"):
+        return
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"matrix": _matrix_to_pairs(h[:d, :d])}))
+    assert main(["zeno-check", f"zoo:{name}", "--hamiltonian", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    h0 = h[:d, :d] - np.trace(h[:d, :d]) / d * np.eye(d)
+    want = reference_zeno_norm(dec, h0) / np.linalg.norm(h0)
+    assert abs(out["zeno_hamiltonian_norm"] - want) <= 1e-12
+    assert out["suppressed"] == (want <= SUPPRESSION_TOL)
+
+
+def counted_derivations(monkeypatch):
+    """The QR factorizations and lifts of eigendata made from here on, by kind."""
+    import bathdd.zeno
+
+    counts = {"qr": 0, "lift": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(bathdd.zeno, "_lift", counted("lift", bathdd.zeno._lift))
+    return counts
+
+
+def test_a_second_verdict_on_a_kick_derives_nothing(monkeypatch):
+    from bathdd.spectral import _analyze
+
+    s = random_stinespring(3, 2, seed=7101)  # a kick no other test analyses
+    counts = counted_derivations(monkeypatch)
+    rng = np.random.default_rng(0)
+    assert suppression_check(s, random_hermitian(3, rng))
+    assert counts == {"qr": 2, "lift": 1}  # U_R and U_L, and the eigendata at d1 = 1
+    dd_check(s, random_hermitian(6, rng), 2)
+    assert counts == {"qr": 4, "lift": 2}  # and at d1 = 2
+    for _ in range(2):  # verdicts on a known kick, at either d1, derive nothing
+        assert suppression_check(s, random_hermitian(3, rng))
+        suppression_check(s, random_hermitian(6, rng))  # H lifted: the d1 = 2 data
+        assert dd_check(s, random_hermitian(6, rng), 2).works
+        zeno_hamiltonian(analyze_peripheral(s), random_hermitian(3, rng))
+    assert counts == {"qr": 4, "lift": 2}
+    dec = analyze_peripheral(s)
+    derived = [*dec.derive(_zeno_frame, 1), *dec.derive(_zeno_frame, 2),
+               dec.derive(fixed_point_state)]
+    assert counts == {"qr": 4, "lift": 2}
+    for x in derived:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[(0,) * x.ndim] = 0
+    _analyze.cache_clear()  # a new decomposition derives its own data
+    assert suppression_check(s, random_hermitian(3, rng))
+    assert counts == {"qr": 6, "lift": 3}
+    assert analyze_peripheral(s) is not dec and dec.derive(_zeno_frame, 1)[0] is derived[0]
