@@ -103,12 +103,13 @@ def choi(s: Superoperator) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j) and its exact inverse.
+def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j), its exact inverse, and Q.
 
     X is Hermitian exactly when T vec(X) is real, so a Hermiticity-preserving S is the real
     T S T^-1. Every entry of T and T^-1 is 0, 1, 1/2, +-i/2 or +-i, so both are exact and
-    each entry of T S T^-1 is a sum of at most four entries of S."""
+    each entry of T S T^-1 is a sum of at most four entries of S. Q, T^-1 with unit columns, is
+    the package's one HS-orthonormal Hermitian basis of M_d (``_plan``, ``schmidt``)."""
     n = d * d
     units = np.eye(n).reshape(n, d, d)
     i, j = np.triu_indices(d, 1)
@@ -117,8 +118,9 @@ def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
     t_inv = basis.reshape(n, n).T
     # T = D T^-1^dag with D = diag(1 on the X_ii rows, 1/2 on the others)
     t = t_inv.conj().T / np.where(np.arange(n) < d, 1.0, 2.0)[:, None]
-    t.flags.writeable = t_inv.flags.writeable = False  # shared by every caller
-    return t, t_inv
+    q = t_inv / np.linalg.norm(t_inv, axis=0)
+    t.flags.writeable = t_inv.flags.writeable = q.flags.writeable = False  # shared by every caller
+    return t, t_inv, q
 
 
 def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +135,7 @@ def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, n
     if d1 == 1:
         return columns, rows
     d, k = isqrt(columns.shape[0]), columns.shape[1]
-    t, t_inv = _hermitian_coordinates(d1)
+    t, t_inv, _ = _hermitian_coordinates(d1)
     basis, dual = t_inv.T.reshape(-1, d1, d1), t.reshape(-1, d1, d1)
     lifted_columns = np.einsum("mkl,ijb->kiljbm", basis, columns.reshape(d, d, k))
     lifted_rows = np.einsum("mkl,bij->bmkilj", dual, rows.reshape(k, d, d))

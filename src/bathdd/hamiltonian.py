@@ -8,43 +8,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Superoperator
-from .linalg import assert_hermitian, kron
+from .channel import Superoperator, _hermitian_coordinates
+from .linalg import _hamiltonian, kron
 
 __all__ = ["random_hamiltonian"]
 
 
 def adjoint_rep(h: np.ndarray) -> Superoperator:
     """Superoperator of the commutator map [H, .] in row-vec convention:
-    H kron I - I kron H^T.
+    H kron I - I kron H^T, for an H that meets ``linalg._hamiltonian``'s relative rule.
     """
-    h = assert_hermitian(h)
+    h = _hamiltonian(h)[0]
     d = h.shape[0]
     eye = np.eye(d)
     return Superoperator(d, kron(h, eye) - kron(eye, h.T))
-
-
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """HS-orthonormal Hermitian basis of B(C^d); first element is 1/sqrt(d),
-    all others traceless (generalized Gell-Mann matrices).
-    """
-    basis = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[i, j] = sym[j, i] = 1 / np.sqrt(2)
-            basis.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[i, j] = -1j / np.sqrt(2)
-            asym[j, i] = 1j / np.sqrt(2)
-            basis.append(asym)
-    for l in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        for m in range(l):
-            diag[m, m] = 1
-        diag[l, l] = -l
-        basis.append(diag / np.sqrt(l * (l + 1)))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -62,36 +39,34 @@ class SchmidtDecomposition:
 
 
 def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecomposition:
-    """Operator Schmidt decomposition of a bipartite Hermitian operator.
+    """Operator Schmidt decomposition of a bipartite H, checked by ``linalg._hamiltonian``.
 
-    Expands H in a product Hermitian operator basis, which makes the
-    coefficient matrix real and the factors automatically Hermitian, then SVDs
-    the interaction block. Gauge: each singular value is split symmetrically
-    (equal Frobenius norms) and the first nonzero entry of the factor on the
-    first subsystem is made real positive.
+    The identity coefficient and the local parts are read off H's partial traces. The rest, K,
+    has a real coefficient matrix in the products Q_m kron Q_n of the package's Hermitian basis
+    (``channel._hermitian_coordinates``), whose SVD gives Hermitian factors; K's partial traces
+    vanish, so (tr Q_m) lies in both null spaces of that matrix and the factors are traceless.
+    Gauge: each singular value is split symmetrically (equal Frobenius norms) and the first
+    nonzero entry of the factor on the first subsystem is made real positive.
     """
-    h = assert_hermitian(h)
+    h = _hamiltonian(h)[0]
     if h.shape[0] != d1 * d2:
         raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
-    hr = h.reshape(d1, d2, d1, d2)
-    # real coefficients c[m, n] = tr((G_m kron G_n) H)
-    g1s = np.stack(_hermitian_basis(d1))
-    g2s = np.stack(_hermitian_basis(d2))
-    coeff = np.real(np.einsum("mji,nlk,ikjl->mn", g1s, g2s, hr))
-
-    ident = float(coeff[0, 0] / np.sqrt(d1 * d2))
-    h1 = np.tensordot(coeff[1:, 0], g1s[1:], axes=(0, 0)) / np.sqrt(d2)
-    h2 = np.tensordot(coeff[0, 1:], g2s[1:], axes=(0, 0)) / np.sqrt(d1)
-
-    inter = coeff[1:, 1:]
-    u, s, vt = np.linalg.svd(inter)
+    # H = sum r[ij, kl] E_ij kron E_kl, so tr_2 H = r vec(I_2) and tr_1 H = vec(I_1)^T r
+    r = h.reshape(d1, d2, d1, d2).swapaxes(1, 2).reshape(d1 * d1, d2 * d2)
+    e1, e2 = np.eye(d1).reshape(-1), np.eye(d2).reshape(-1)
+    ident = float(np.trace(h).real) / (d1 * d2)
+    h1, h2 = r @ e2 / d2 - ident * e1, e1 @ r / d1 - ident * e2
+    q1, q2 = _hermitian_coordinates(d1)[2], _hermitian_coordinates(d2)[2]
+    # real coefficients c[m, n] = tr((Q_m kron Q_n) K), K = H - ident I - h1 kron I - I kron h2
+    k = r - np.outer(h1 + ident * e1, e2) - np.outer(e1, h2)
+    u, s, vt = np.linalg.svd((q1.conj().T @ k @ q2.conj()).real)
     terms = []
     scale = max(1.0, float(np.linalg.norm(h)))
     for a in range(s.size):
         if s[a] <= tol * scale:
             break
-        f1 = np.sqrt(s[a]) * np.tensordot(u[:, a], g1s[1:], axes=(0, 0))
-        f2 = np.sqrt(s[a]) * np.tensordot(vt[a, :], g2s[1:], axes=(0, 0))
+        f1 = np.sqrt(s[a]) * (q1 @ u[:, a]).reshape(d1, d1)
+        f2 = np.sqrt(s[a]) * (q2 @ vt[a]).reshape(d2, d2)
         flat = f1.reshape(-1)
         lead = flat[np.argmax(np.abs(flat) > 1e-12 * np.max(np.abs(flat)))]
         # leading entries are real up to roundoff; fix the overall sign pair
@@ -99,9 +74,8 @@ def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecom
             f1, f2 = -f1, -f2
         terms.append((f1, f2))
 
-    return SchmidtDecomposition(
-        d1=d1, d2=d2, identity_coefficient=ident, h1=h1, h2=h2, terms=tuple(terms)
-    )
+    return SchmidtDecomposition(d1=d1, d2=d2, identity_coefficient=ident, h1=h1.reshape(d1, d1),
+                                h2=h2.reshape(d2, d2), terms=tuple(terms))
 
 
 def _random_hamiltonians(d: int, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

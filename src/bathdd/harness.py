@@ -37,7 +37,7 @@ from .channel import (CptpReport, KrausChannel, Superoperator, _hermitian_coordi
                       _lift, _real, choi, load_channel, to_superoperator, validate_cptp)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
-from .spectral import _CACHE_SIZE, analyze_peripheral, peripheral_power
+from .spectral import _CACHE_SIZE, PERIPHERAL_TOL, _analyze, peripheral_power
 from .zeno import _eigensystem, _factor_kick, _kicked_evolutions, _planes
 from .zoo import builtin, pauli
 
@@ -243,12 +243,12 @@ def _plan(dim: int, data: bytes, d1: int):
     """The part of a dd sweep that no Hamiltonian enters, memoised per process and read-only:
     ((A, B, planes, None), Q^dag T A), A B the kick of these bytes lifted to d1 by
     ``channel._lift`` from the kick's own factors (``zeno._factor_kick`` at d1 = 1, which reads
-    no lifted identity), T the bath trace and Q the orthonormal Hermitian basis of M_d1, so
-    that Q^dag T A is real, and the planes those of B and of the Hermitian [A | T^T Q]."""
+    no lifted identity), T the bath trace and Q the package's orthonormal Hermitian basis of
+    M_d1 (``channel._hermitian_coordinates``), so that Q^dag T A is real, and the planes those
+    of B and of the Hermitian [A | T^T Q]."""
     a, b = _lift(*_factor_kick(dim, data, 1)[:2], d1)  # R = I's planes are never read here
     a.flags.writeable = b.flags.writeable = False
-    q = _hermitian_coordinates(d1)[1]
-    q = q / np.linalg.norm(q, axis=0)
+    q = _hermitian_coordinates(d1)[2]
     kept = (q.conj().T @ _trace_bath(a, d1, dim)).real
     kept.flags.writeable = False  # shared by every sweep of this kick
     return (a, b, _planes(b, a.T, q.T @ _trace_bath(np.eye(len(a)), d1, dim)), None), kept
@@ -256,11 +256,9 @@ def _plan(dim: int, data: bytes, d1: int):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _target(dim: int, data: bytes, n: int) -> np.ndarray:
-    """The read-only superoperator E_phi^n of the kick of these bytes, memoised per (kick, n):
-    a process holds at most ``_CACHE_SIZE`` targets, and a block's score stacks those of its n."""
-    dec = analyze_peripheral(Superoperator(dim, np.frombuffer(data, dtype=complex)
-                                           .reshape(dim * dim, -1)))
-    x = peripheral_power(dec, n).matrix
+    """The read-only E_phi^n of the kick of these bytes (``spectral._analyze``), memoised per
+    (kick, n), at most ``_CACHE_SIZE`` per process; a block's score stacks those of its n."""
+    x = peripheral_power(_analyze(dim, data, PERIPHERAL_TOL), n).matrix
     x.flags.writeable = False
     return x
 
@@ -307,9 +305,12 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     ("dd"), or the Choi distance of A P_n (B W) to E_phi^n ("zeno"): P_n B W is one real
     product on B W's float view, the block's stacked targets are subtracted from its maps, and
     the one difference, reshuffled to Choi order and checked Hermitian, gives Sum |lambda| / d,
-    the 1/d of both Choi states taken once per value."""
+    the 1/d of both Choi states taken once per value. A kick that is not CPTP raises
+    ``ValueError`` with the CLI's wording."""
     dd = cfg.mode == "dd"
-    ch, _, data, _ = _kick(cfg.channel, cfg.channel_params)
+    ch, _, data, report = _kick(cfg.channel, cfg.channel_params)
+    if not report.passed:
+        raise ValueError(f"channel is not CPTP: trace residual {report.trace_residual:.3e}")
     dim = ch.dim
     ns = tuple(sorted(cfg.n_values))
     # "dd": kept the rows Q^dag T A, the planes those of the columns T^T Q; "zeno": R = I

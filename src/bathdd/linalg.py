@@ -70,10 +70,23 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 
 def assert_hermitian(m: np.ndarray) -> np.ndarray:
+    """M as complex if ``is_hermitian``, the floored rule of computed maps and states."""
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
+
+
+def _hamiltonian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, H / c, c), ``_unit``'s exact scale, for a Hamiltonian H or each of a stack, else
+    ``ValueError``: the package's one rule for every H, finite and Hermitian by ``_hermitian_rule``
+    on H / c itself, so that it is relative and c H meets it with H for each power of two c."""
+    h = np.asarray(h, dtype=complex)
+    if np.isfinite(h).all():
+        m, c = _unit(h)
+        if _hermitian_rule(m, 1.0):
+            return h, m, c
+    raise ValueError("matrix is not Hermitian within tolerance")
 
 
 def vec(m: np.ndarray) -> np.ndarray:

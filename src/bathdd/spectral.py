@@ -60,7 +60,7 @@ def _real_form(d: int, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     x = np.frombuffer(data, dtype=complex).reshape(d, d, d, d)  # F S F swaps axes 0, 1 and 2, 3
     if np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2)) > HP_RTOL * np.linalg.norm(x):
         raise ValueError("superoperator is not Hermiticity-preserving: not a channel")
-    t, t_inv = _hermitian_coordinates(d)
+    t, t_inv, _ = _hermitian_coordinates(d)
     return t, t_inv, (t @ x.reshape(d * d, d * d) @ t_inv).real
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Superoperator, _hermitian_coordinates, _lift
-from .linalg import _hermitian_rule, _unit, assert_hermitian, dagger, kron
+from .linalg import _hamiltonian, _unit, dagger, kron
 from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, _same_cluster,
                        analyze_peripheral, fixed_point_state)
 
@@ -53,8 +53,9 @@ class DdVerdict:
 
 def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
     """sum_l P_l [H, .] P_l = right (S o (left [H, X])) left, S the same-cluster mask and X_b
-    column b of ``right`` as a d x d matrix; H on C^d1 kron C^d reads E's eigendata lifted."""
-    h = assert_hermitian(h)
+    column b of ``right`` as a d x d matrix; H on C^d1 kron C^d reads E's eigendata lifted.
+    H meets ``linalg._hamiltonian``'s relative rule, as in every verdict."""
+    h = _hamiltonian(h)[0]
     x, left, *_ = frame = _frame(dec, h)
     return Superoperator(len(h), x.reshape(len(x), -1).T @ _core(frame, h) @ left)
 
@@ -126,15 +127,16 @@ def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     and then of each (i, i); the Hermitian basis T^-1 of ``_hermitian_coordinates``; and Re T and
     Im T interleaved column by column, so that y T = (y @ them).view(complex) for a real y."""
     i, j = np.triu_indices(d, 1)
-    t, t_inv = _hermitian_coordinates(d)
+    t, t_inv, _ = _hermitian_coordinates(d)
     parts = np.stack([t.real, t.imag], axis=-1).reshape(d * d, -1)
     parts.flags.writeable = False  # shared by every plan of this d
     return i, j, np.concatenate([d * i + j, np.arange(d) * (d + 1)]), t_inv, parts
 
 
 def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, U), (k, d) and (k, d, d), of H or a stack of k, checked, from one complex ``eigh``."""
-    return np.linalg.eigh(assert_hermitian(h).reshape(-1, *np.shape(h)[-2:]))
+    """(E, U), (k, d) and (k, d, d), of H or a stack of k, each checked on its own by
+    ``linalg._hamiltonian``'s relative rule, from one complex ``eigh`` of H itself."""
+    return np.linalg.eigh(_hamiltonian(h)[0].reshape(-1, *np.shape(h)[-2:]))
 
 
 def _kicked_evolutions(factors, eigen, t: float, blocks):
@@ -205,18 +207,14 @@ def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) ->
 
 
 def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int | None = None):
-    """(||H_Z(K)||_F / ||H0||_F, H_eff): a finite H is scaled exactly by ``_unit`` and checked
-    once, by ``is_hermitian``'s rule on H / c, so the check is relative, and H0, its traceless
-    part, is scaled again; 0 when H0 = 0.
+    """(||H_Z(K)||_F / ||H0||_F, H_eff): H is checked and scaled exactly to H / c by
+    ``linalg._hamiltonian``, the rule of every H, and H0, its traceless part, is scaled again;
+    0 when H0 = 0.
     With d1 (bath DD), H is on C^d1 kron C^d and K = H0 - H_eff kron I (H0 at d1 = 1); without
     (suppression), K = H0 on C^(dim H / d) kron C^d, as ``zeno_hamiltonian`` reads it.
     ||H_Z(K)||_F is ||U_R core U_L^dag||_F, with U_R, U_L and the fixed state derived once per
     (kick, d1) (``_zeno_frame``): H_Z itself, N x N, is never formed."""
-    h = np.asarray(h, dtype=complex)
-    finite = bool(np.isfinite(h).all())
-    h, c = _unit(h) if finite else (h, 1.0)
-    if not finite or not _hermitian_rule(h, 1.0):  # the rule on H / c itself: relative
-        raise ValueError("matrix is not Hermitian within tolerance")
+    _, h, c = _hamiltonian(h)
     h0, c0 = _unit(h - np.trace(h) / len(h) * np.eye(len(h)))
     k, h_eff = h0, np.zeros((1, 1))  # at d1 = 1 the traceless 1 x 1 H_eff is 0, and K = H0
     if d1 is not None and len(h) != d1 * dec.dim:

@@ -111,6 +111,21 @@ def test_not_cptp_exit_code(bad, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("mode", ["dd", "zeno"])
+def test_sweep_of_a_kick_that_is_not_cptp_exits_1(mode, tmp_path, capsys):
+    # the CLI checks the kick before ``sweep`` does, so the exit code stays 1
+    from test_harness import NOT_CPTP
+
+    kick, config = tmp_path / "kick.json", tmp_path / "sweep.json"
+    kick.write_text(json.dumps(NOT_CPTP))
+    config.write_text(json.dumps({"channel": str(kick), "mode": mode, "n_values": [1, 2],
+                                  "hamiltonians": {"random": 2, "seed": 0}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "channel is not CPTP: trace residual 2.687e-01\n"
+
+
 def test_usage_error_missing_file(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/channel.json")
     assert code == 2

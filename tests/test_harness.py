@@ -610,6 +610,21 @@ def test_a_channel_file_is_read_on_every_sweep(tmp_path):
     assert values["E_updown"] != values["E_dephase"]
 
 
+# 0.9 I as a channel file: completely positive, but its trace residual ||0.81 I - I||_F is 0.269
+NOT_CPTP = {"dim": 2, "kraus": [[[[0.9, 0], [0, 0]], [[0, 0], [0.9, 0]]]]}
+
+
+@pytest.mark.parametrize("mode", ["dd", "zeno"])
+def test_a_sweep_refuses_a_kick_that_is_not_cptp(mode, tmp_path):
+    # with the CPTP report unread, a dd sweep returned purities and a zeno sweep failed in the
+    # spectral analysis; both now raise with the CLI's wording
+    path = tmp_path / "kick.json"
+    path.write_text(json.dumps(NOT_CPTP))
+    cfg = SweepConfig(str(path), mode, (1, 2), {"random": 2, "seed": 0})
+    with pytest.raises(ValueError, match=r"^channel is not CPTP: trace residual 2\.687e-01$"):
+        sweep(cfg)
+
+
 def test_refused_zoo_params_raise_on_every_sweep():
     cfg = SweepConfig("zoo:E_square", "zeno", (1, 2), {"random": 2, "seed": 0},
                       channel_params={"p": 3.0})

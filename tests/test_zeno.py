@@ -17,6 +17,7 @@ from bathdd.channel import (
 )
 from bathdd.hamiltonian import _random_hamiltonians, adjoint_rep, random_hamiltonian, schmidt
 from bathdd.harness import _plan, choi_distance
+from bathdd.cli import main as cli_main
 from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral, fixed_point_state
 from bathdd.zeno import (
@@ -513,8 +514,7 @@ def planned(s2, d1, columns):
     Q_m of M_d1, or None for the identity of the zeno factors."""
     if columns == "zeno":
         return _factor_kick(s2.dim, s2.matrix.tobytes(), d1), None
-    q = _hermitian_coordinates(d1)[1]
-    q = q / np.linalg.norm(q, axis=0)
+    q = _hermitian_coordinates(d1)[2]
     rt = np.stack([kron(x.reshape(d1, d1), np.eye(s2.dim)).reshape(-1) for x in q.T], axis=1)
     return _plan(s2.dim, s2.matrix.tobytes(), d1)[0], rt
 
@@ -683,6 +683,64 @@ def test_verdicts_refuse_a_tiny_non_hermitian_h():
         suppression_check(sup("E_updown"), tiny)
     with pytest.raises(ValueError, match="not Hermitian"):
         dd_check(sup("E_updown"), kron(tiny, EYE2), 2)
+
+
+def hamiltonian_corpus(d):
+    """(label, H, accepted) on C^d, d = 2 or 4: the matrices every Hamiltonian entry point must
+    refuse (one non-Hermitian 1e-13 [[0, 1], [0, 0]], as kron(., I_2) at d = 4; NaN; +-inf;
+    a non-Hermitian H of norm 1) and accept (2^k H for an exactly Hermitian H, |k| <= 40)."""
+    step = np.array([[0, 1], [0, 0]], dtype=complex)
+    step = step if d == 2 else kron(step, EYE2) / np.sqrt(2)
+    h = random_hermitian(d, np.random.default_rng(d))
+    assert np.array_equal(h, h.conj().T)
+    corpus = [("tiny", 1e-13 * step, False), ("step", step, False)]
+    for bad in (np.nan, np.inf, -np.inf):
+        m = h.copy()
+        m[0, 0] = bad
+        corpus.append((str(bad), m, False))
+    return corpus + [(f"2^{k} H", h * 2.0**k, True) for k in range(-40, 41)]
+
+
+def cli_accepts(capsys, tmp_path, command, h, *extra):
+    """True when the CLI command decides on H (exit 0); False when it refuses H (exit 2)."""
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"matrix": _matrix_to_pairs(h)}))
+    code = cli_main([command, "zoo:E_updown", "--hamiltonian", str(path), *extra])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    return code == 0
+
+
+HAMILTONIAN_ENTRY_POINTS = {  # name: (dimension of H, call on H)
+    "suppression_check": (2, lambda h, **_: suppression_check(sup("E_updown"), h)),
+    "dd_check": (4, lambda h, **_: dd_check(sup("E_updown"), h, 2)),
+    "cli zeno-check": (2, lambda h, **kw: cli_accepts(h=h, command="zeno-check", **kw)),
+    "cli dd-check": (4, lambda h, **kw: cli_accepts(h=h, command="dd-check", **kw)),
+    "zeno_hamiltonian": (2, lambda h, **_: zeno_hamiltonian(analyze_peripheral(sup("E_updown")),
+                                                            h)),
+    "zeno_evolution": (2, lambda h, **_: zeno_evolution(sup("E_updown"), h, 1.0, 3)),
+    "dd_evolution": (4, lambda h, **_: dd_evolution(sup("E_updown"), h, 1.0, 3, 2)),
+    "adjoint_rep": (2, lambda h, **_: adjoint_rep(h)),
+    "schmidt": (4, lambda h, **_: schmidt(h, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", HAMILTONIAN_ENTRY_POINTS)
+def test_every_hamiltonian_entry_point_gives_one_answer_per_h(entry, capsys, tmp_path):
+    # one rule, ``linalg._hamiltonian``, relative to H's own scale: every entry point refuses the
+    # tiny non-Hermitian H that the absolute floor of ``is_hermitian`` would pass, and accepts
+    # an exactly Hermitian H at every power-of-two scale
+    d, call = HAMILTONIAN_ENTRY_POINTS[entry]
+    answers, wanted = [], []
+    for label, h, accepted in hamiltonian_corpus(d):
+        try:
+            answer = call(h, capsys=capsys, tmp_path=tmp_path) is not False
+        except ValueError as exc:
+            assert "not Hermitian" in str(exc), (label, exc)
+            answer = False
+        answers.append((label, answer))
+        wanted.append((label, accepted))
+    assert answers == wanted
 
 
 @pytest.mark.parametrize("name", [name for name in names() if builtin(name).channel.dim <= 4])
