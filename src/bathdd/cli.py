@@ -22,7 +22,7 @@ from .harness import FIGURE_IDS, SweepConfig, reproduce, sweep, write_records_cs
 from .harness import _kick as _load_kick
 from .linalg import LinalgError
 from .spectral import MAX_PERIPHERAL_TOL, PERIPHERAL_TOL, SpectralError, analyze_peripheral
-from .zeno import DD_TOL, SUPPRESSION_TOL, _zeno_residual, dd_check
+from .zeno import DD_TOL, DdVerdict, dd_check
 from .zoo import names
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
         raise UsageError(f"cannot load Hamiltonian {spec!r}: {exc}") from exc
     if h.shape != (dim, dim):
         raise UsageError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
-    return h  # its Hermiticity is checked, relative, by the verdict's ``_zeno_residual``
+    return h  # its Hermiticity is checked, relative, by ``dd_check``
 
 
 def _cmd_classify(args) -> int:
@@ -91,36 +91,28 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dd_check(args) -> int:
-    ch, s2 = _kick(args.channel)
-    h = _load_hamiltonian(args.hamiltonian, args.d1 * ch.dim)
+def _verdict(args, d1: int) -> DdVerdict:
+    """``dd_check`` on the kick and Hamiltonian of ``args`` at d1, a ``ValueError`` (an H that is
+    not Hermitian, or an H_eff past the floats) exiting 2: zeno-check decides at d1 = 1."""
+    ch, s = _kick(args.channel)
+    h = _load_hamiltonian(args.hamiltonian, d1 * ch.dim)
     try:
-        verdict = dd_check(s2, h, args.d1, tol=args.tol)
-    except ValueError as exc:  # a Hamiltonian that is not Hermitian, or an H_eff past the floats
+        return dd_check(s, h, d1, tol=args.tol)
+    except ValueError as exc:
         raise UsageError(f"cannot decide on Hamiltonian {args.hamiltonian!r}: {exc}") from exc
-    h_eff = verdict.effective_hamiltonian
-    out = {
-        "works": verdict.works,
-        "residual": verdict.residual,
-        "kick_ergodic": verdict.kick_ergodic,
-        "effective_hamiltonian": None if h_eff is None else _matrix_to_pairs(h_eff),
-    }
-    print(json.dumps(out, indent=1))
+
+
+def _cmd_dd_check(args) -> int:
+    v = _verdict(args, args.d1)
+    h_eff = None if v.effective_hamiltonian is None else _matrix_to_pairs(v.effective_hamiltonian)
+    print(json.dumps({"works": v.works, "residual": v.residual, "kick_ergodic": v.kick_ergodic,
+                      "effective_hamiltonian": h_eff}, indent=1))
     return EXIT_OK
 
 
 def _cmd_zeno_check(args) -> int:
-    ch, s = _kick(args.channel)
-    h = _load_hamiltonian(args.hamiltonian, ch.dim)
-    try:
-        norm = _zeno_residual(analyze_peripheral(s), h)[0]
-    except ValueError as exc:  # a Hamiltonian that is not Hermitian
-        raise UsageError(f"cannot decide on Hamiltonian {args.hamiltonian!r}: {exc}") from exc
-    out = {
-        "suppressed": norm <= args.tol,
-        "zeno_hamiltonian_norm": norm,
-    }
-    print(json.dumps(out, indent=1))
+    v = _verdict(args, 1)
+    print(json.dumps({"suppressed": v.works, "zeno_hamiltonian_norm": v.residual}, indent=1))
     return EXIT_OK
 
 
@@ -206,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeno-check", help="is the Zeno Hamiltonian suppressed?")
     add_channel(p)
     p.add_argument("--hamiltonian", required=True, help="JSON file or random:SEED")
-    p.add_argument("--tol", type=_positive(float), default=SUPPRESSION_TOL)
+    p.add_argument("--tol", type=_positive(float), default=DD_TOL)
     p.set_defaults(func=_cmd_zeno_check)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

@@ -45,10 +45,11 @@ def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecom
     has a real coefficient matrix in the products Q_m kron Q_n of the package's Hermitian basis
     (``channel._hermitian_coordinates``), whose SVD gives Hermitian factors; K's partial traces
     vanish, so (tr Q_m) lies in both null spaces of that matrix and the factors are traceless.
+    A singular value at most tol ||H||_F is cut as round-off.
     Gauge: each singular value is split symmetrically (equal Frobenius norms) and the first
     nonzero entry of the factor on the first subsystem is made real positive.
     """
-    h = _hamiltonian(h)[0]
+    h, m, c = _hamiltonian(h)
     if h.shape[0] != d1 * d2:
         raise ValueError(f"dim(H)={h.shape[0]} does not factor as {d1}*{d2}")
     # H = sum r[ij, kl] E_ij kron E_kl, so tr_2 H = r vec(I_2) and tr_1 H = vec(I_1)^T r
@@ -60,10 +61,9 @@ def schmidt(h: np.ndarray, d1: int, d2: int, tol: float = 1e-12) -> SchmidtDecom
     # real coefficients c[m, n] = tr((Q_m kron Q_n) K), K = H - ident I - h1 kron I - I kron h2
     k = r - np.outer(h1 + ident * e1, e2) - np.outer(e1, h2)
     u, s, vt = np.linalg.svd((q1.conj().T @ k @ q2.conj()).real)
-    terms = []
-    scale = max(1.0, float(np.linalg.norm(h)))
+    terms, cut = [], tol * c * np.linalg.norm(m)  # tol ||H||_F, with no square out of range
     for a in range(s.size):
-        if s[a] <= tol * scale:
+        if s[a] <= cut:
             break
         f1 = np.sqrt(s[a]) * (q1 @ u[:, a]).reshape(d1, d1)
         f2 = np.sqrt(s[a]) * (q2 @ vt[a]).reshape(d2, d2)

@@ -24,8 +24,6 @@ __all__ = [
     "is_hermitian",
     "kron",
     "trace_norm",
-    "unvec",
-    "vec",
 ]
 
 
@@ -87,20 +85,6 @@ def _hamiltonian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if _hermitian_rule(m, 1.0):
             return h, m, c
     raise ValueError("matrix is not Hermitian within tolerance")
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Row vectorization: vec(|i><j|) is the (d*i+j)-th basis vector."""
-    return np.asarray(m, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape(d, d)
 
 
 def trace_norm(m: np.ndarray) -> float | np.ndarray:

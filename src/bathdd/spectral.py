@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import Superoperator, _hermitian_coordinates
-from .linalg import LinalgError, dagger, eig, unvec, vec
+from .linalg import LinalgError, dagger, eig
 
 __all__ = [
     "PeripheralDecomposition",
@@ -193,7 +193,7 @@ def fixed_point_state(dec: PeripheralDecomposition) -> np.ndarray:
     unique fixed-point state of an ergodic channel, and among the many
     invariant states of a larger fixed space the one I/d relaxes to."""
     d, k = dec.dim, dec.dim_fixed
-    rho = unvec(dec.right[:, :k] @ (dec.left[:k] @ vec(np.eye(d) / d)), d)
+    rho = (dec.right[:, :k] @ (dec.left[:k] @ (np.eye(d) / d).reshape(-1))).reshape(d, d)
     rho = (rho + dagger(rho)) / 2
     tr = np.trace(rho)
     if abs(tr) < 1e-12:

@@ -2,8 +2,9 @@
 decoupling and Zeno Hamiltonian suppression.
 
 The Zeno Hamiltonian sum_l P_l [H, .] P_l of a kick, the generator surviving infinitely
-frequent kicks, is read from [H, X_b] on the kick's own peripheral eigenoperators X_b:
-for H on the kick's space (suppression) and on C^d1 kron C^d (bath DD, lifted eigendata).
+frequent kicks, is read from [H, X_b] on the kick's own peripheral eigenoperators X_b, lifted
+to C^d1 kron C^d. Both verdicts are one residual at an explicit d1 (``_zeno_residual``): bath DD
+at the system's d1, and Zeno suppression at d1 = 1, where H_eff = 0 and K = H0.
 It is right (S o (left [H, X])) left, linear in H, and everything in it that no H enters is
 derived once per (decomposition, d1) by ``PeripheralDecomposition.derive`` (``_zeno_frame``):
 the lifted eigendata, the same-cluster mask S and the triangular factors of right = Q_R U_R
@@ -32,8 +33,7 @@ __all__ = [
     "zeno_hamiltonian",
 ]
 
-DD_TOL = 1e-8
-SUPPRESSION_TOL = 1e-8
+DD_TOL = 1e-8  # both verdicts: suppression is the bath-DD residual at d1 = 1
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,10 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
     column b of ``right`` as a d x d matrix; H on C^d1 kron C^d reads E's eigendata lifted.
     H meets ``linalg._hamiltonian``'s relative rule, as in every verdict."""
     h = _hamiltonian(h)[0]
-    x, left, *_ = frame = _frame(dec, h)
+    d1, rest = divmod(len(h), dec.dim)
+    if rest:
+        raise ValueError(f"Hamiltonian dim {len(h)} is no multiple of kick dim {dec.dim}")
+    x, left, *_ = frame = dec.derive(_zeno_frame, d1)
     return Superoperator(len(h), x.reshape(len(x), -1).T @ _core(frame, h) @ left)
 
 
@@ -68,14 +71,6 @@ def _zeno_frame(dec: PeripheralDecomposition, d1: int) -> tuple:
     right, left = _lift(dec.right, dec.left, d1)
     return (right.T.reshape(-1, d1 * dec.dim, d1 * dec.dim), left, _same_cluster(dec, d1),
             np.linalg.qr(right, mode="r"), dagger(np.linalg.qr(dagger(left), mode="r")))
-
-
-def _frame(dec: PeripheralDecomposition, h: np.ndarray) -> tuple:
-    """The read-only ``_zeno_frame`` of ``dec`` at d1 = dim H / d, derived once per d1."""
-    d1, rest = divmod(len(h), dec.dim)
-    if rest:
-        raise ValueError(f"Hamiltonian dim {len(h)} is no multiple of kick dim {dec.dim}")
-    return dec.derive(_zeno_frame, d1)
 
 
 def _core(frame: tuple, h: np.ndarray) -> np.ndarray:
@@ -206,34 +201,34 @@ def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) ->
     return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 
 
-def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int | None = None):
-    """(||H_Z(K)||_F / ||H0||_F, H_eff): H is checked and scaled exactly to H / c by
-    ``linalg._hamiltonian``, the rule of every H, and H0, its traceless part, is scaled again;
-    0 when H0 = 0.
-    With d1 (bath DD), H is on C^d1 kron C^d and K = H0 - H_eff kron I (H0 at d1 = 1); without
-    (suppression), K = H0 on C^(dim H / d) kron C^d, as ``zeno_hamiltonian`` reads it.
+def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int):
+    """(||H_Z(K)||_F / ||H0||_F, H_eff) for H on C^d1 kron C^d, K = H0 - H_eff kron I: H is
+    checked and scaled exactly to H / c by ``linalg._hamiltonian``, the rule of every H, and H0,
+    its traceless part, is scaled again; 0 when H0 = 0. At d1 = 1 (suppression) the traceless
+    1 x 1 H_eff is 0 and K = H0.
     ||H_Z(K)||_F is ||U_R core U_L^dag||_F, with U_R, U_L and the fixed state derived once per
     (kick, d1) (``_zeno_frame``): H_Z itself, N x N, is never formed."""
     _, h, c = _hamiltonian(h)
-    h0, c0 = _unit(h - np.trace(h) / len(h) * np.eye(len(h)))
-    k, h_eff = h0, np.zeros((1, 1))  # at d1 = 1 the traceless 1 x 1 H_eff is 0, and K = H0
-    if d1 is not None and len(h) != d1 * dec.dim:
+    if len(h) != d1 * dec.dim:
         raise ValueError(f"dim(H)={len(h)} does not factor as {d1}*{dec.dim}")
-    if d1 is not None and d1 > 1:
+    h0, c0 = _unit(h - np.trace(h) / len(h) * np.eye(len(h)))
+    k, h_eff = h0, np.zeros((1, 1))
+    if d1 > 1:
         h_eff = np.einsum("axby,yx->ab", h0.reshape((d1, dec.dim) * 2),
                           dec.derive(fixed_point_state))
         h_eff -= np.trace(h_eff) / d1 * np.eye(d1)
         k = h0 - kron(h_eff, np.eye(dec.dim))
         with np.errstate(over="ignore"):  # an H_eff past the float range is inf: dd_check refuses it
             h_eff = h_eff * c0 * c
-    *_, u_r, u_l_dag = frame = _frame(dec, k)
+    *_, u_r, u_l_dag = frame = dec.derive(_zeno_frame, d1)
     h_z = u_r @ _core(frame, k) @ u_l_dag
     return float(np.linalg.norm(h_z) / max(np.linalg.norm(h0), 1.0)), h_eff
 
 
-def suppression_check(s: Superoperator, h: np.ndarray, tol: float = SUPPRESSION_TOL) -> bool:
-    """True when the kick nullifies the Zeno Hamiltonian of H, within tol ||H0||_F."""
-    return _zeno_residual(analyze_peripheral(s), h)[0] <= tol
+def suppression_check(s: Superoperator, h: np.ndarray, tol: float = DD_TOL) -> bool:
+    """True when the kick nullifies the Zeno Hamiltonian of H on C^d, within tol ||H0||_F: the
+    bath-DD residual at d1 = 1, so an H of another dimension raises ``ValueError``."""
+    return _zeno_residual(analyze_peripheral(s), h, 1)[0] <= tol
 
 
 def dd_check(

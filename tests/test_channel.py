@@ -18,7 +18,7 @@ from bathdd.channel import (
     to_superoperator,
     validate_cptp,
 )
-from bathdd.linalg import dagger, kron, unvec, vec
+from bathdd.linalg import dagger, kron
 from bathdd.zoo import builtin
 
 
@@ -29,6 +29,11 @@ def channel_dict(ch):
 
 def save_channel(ch, path):
     path.write_text(json.dumps(channel_dict(ch)))
+
+
+def apply(s, x):
+    """S(X) in the row vectorization: vec(|i><j|) is the (d i + j)-th basis vector."""
+    return (s.matrix @ np.reshape(x, -1)).reshape(np.shape(x))
 
 
 def unit(d, i, j):
@@ -101,8 +106,8 @@ def test_superoperator_matrix_unit_oracle_updown():
     s = to_superoperator(ch)
     assert np.allclose(s.matrix, matrix_unit_oracle(ch))
     # populations swap, coherences die
-    assert np.allclose(unvec(s.matrix @ vec(unit(2, 1, 1))), unit(2, 0, 0))
-    assert np.allclose(unvec(s.matrix @ vec(unit(2, 0, 1))), 0)
+    assert np.allclose(apply(s, unit(2, 1, 1)), unit(2, 0, 0))
+    assert np.allclose(apply(s, unit(2, 0, 1)), 0)
 
 
 def test_superoperator_projection_channel_structure():
@@ -135,11 +140,11 @@ def test_cptp_spectrum_in_unit_disc(seed):
 
 def test_apply_examples():
     s_tri = to_superoperator(builtin("E_triangle").channel)
-    assert np.allclose(unvec(s_tri.matrix @ vec(unit(3, 0, 0))), unit(3, 2, 2))
+    assert np.allclose(apply(s_tri, unit(3, 0, 0)), unit(3, 2, 2))
     s_id = Superoperator(3, np.eye(9))
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3))
-    assert np.allclose(unvec(s_id.matrix @ vec(a)), a)
+    assert np.allclose(apply(s_id, a), a)
 
 
 # --- Choi --------------------------------------------------------------------
@@ -199,7 +204,7 @@ def test_extend_with_identity_product_action():
     big = extend_with_identity(s2, 2)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    got = unvec(big.matrix @ vec(kron(x, unit(2, 1, 1))))
+    got = apply(big, kron(x, unit(2, 1, 1)))
     assert np.allclose(got, kron(x, unit(2, 0, 0)))
 
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from bathdd.channel import _hermitian_coordinates
 from bathdd.hamiltonian import _random_hamiltonians, adjoint_rep, random_hamiltonian, schmidt
-from bathdd.linalg import dagger, expm, kron, unvec, vec
+from bathdd.linalg import dagger, expm, kron
+from test_channel import apply
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,7 +33,7 @@ def test_adjoint_rep_z():
 def test_adjoint_rep_commutator_oracle(seed):
     h = random_hermitian(3, seed)
     a = random_hermitian(3, seed + 1)
-    got = unvec(adjoint_rep(h).matrix @ vec(a))
+    got = apply(adjoint_rep(h), a)
     assert np.allclose(got, h @ a - a @ h)
 
 
@@ -80,6 +81,15 @@ def test_schmidt_zz():
     assert len(sd.terms) == 1
     a, b = sd.terms[0]
     assert np.allclose(kron(a, b), kron(Z, Z), atol=1e-12)
+    # the cut is relative to ||H||_F: 2^k (ZZ + XI) keeps its one term at every scale, and is
+    # rebuilt within 1e-12 of its own norm (an absolute floor dropped the term at k = -45)
+    for k in (0, -20, -38, -40, -45, 40, -900, 900):
+        h = 2.0**k * (kron(Z, Z) + kron(X, np.eye(2)))
+        sd = schmidt(h, 2, 2)
+        assert len(sd.terms) == 1, k
+        back = kron(sd.h1, np.eye(2)) + kron(np.eye(2), sd.h2) + kron(*sd.terms[0])
+        back = back + sd.identity_coefficient * np.eye(4)
+        assert np.linalg.norm((back - h) / 2.0**k) <= 1e-12 * np.linalg.norm(h / 2.0**k), k
 
 
 def test_schmidt_purely_local():
@@ -182,7 +192,7 @@ def test_schmidt_matches_the_gell_mann_expansion(d1, d2):
         ident, h1, h2, s, pairs = gell_mann_schmidt(h, d1, d2)
         assert abs(sd.identity_coefficient - ident) < 1e-12
         assert np.abs(sd.h1 - h1).max() < 1e-12 and np.abs(sd.h2 - h2).max() < 1e-12
-        assert len(sd.terms) == np.count_nonzero(s > 1e-12 * max(1, np.linalg.norm(h)))
+        assert len(sd.terms) == np.count_nonzero(s > 1e-12 * np.linalg.norm(h))
         gaps = np.abs(s[:, None] - s) + np.eye(s.size)
         for a, (f1, f2) in enumerate(sd.terms):
             if gaps[a].min() > 1e-6:

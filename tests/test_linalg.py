@@ -14,36 +14,21 @@ from bathdd.linalg import (
     is_hermitian,
     kron,
     trace_norm,
-    unvec,
-    vec,
 )
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
-def complex_matrices(n):
-    el = st.floats(-5, 5, allow_nan=False)
-    re = arrays(np.float64, (n, n), elements=el)
-    im = arrays(np.float64, (n, n), elements=el)
-    return st.builds(lambda a, b: a + 1j * b, re, im)
-
-
 def test_vec_convention():
-    # vec(|i><j|) must be the (d*i+j)-th basis vector
-    d = 3
-    for i in range(d):
-        for j in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0
-            v = vec(m)
-            expected = np.zeros(d * d)
-            expected[d * i + j] = 1.0
-            assert np.allclose(v, expected)
-
-
-@given(complex_matrices(3))
-def test_vec_unvec_roundtrip(m):
-    assert np.array_equal(unvec(vec(m), 3), m)
+    # the row vectorization X.reshape(-1), vec(|i><j|) the (d*i+j)-th basis vector, takes
+    # A X B to (A kron B^T) vec(X): the convention of every superoperator in the package
+    rng = np.random.default_rng(3)
+    a, b, x = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
+    assert np.allclose(kron(a, b.T) @ x.reshape(-1), (a @ x @ b).reshape(-1))
+    for i, j in np.ndindex(3, 3):
+        unit = np.zeros((3, 3))
+        unit[i, j] = 1.0
+        assert np.flatnonzero(unit.reshape(-1)).tolist() == [3 * i + j]
 
 
 def test_hermitian_check():

@@ -22,7 +22,6 @@ from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral, fixed_point_state
 from bathdd.zeno import (
     DD_TOL,
-    SUPPRESSION_TOL,
     _eigensystem,
     _factor_kick,
     _kicked_evolutions,
@@ -238,6 +237,9 @@ def test_zeno_hamiltonian_reads_a_lifted_hamiltonian_from_the_bath_kick(name, d1
 def test_dd_check_dim_mismatch():
     with pytest.raises(ValueError):
         dd_check(sup("E_updown"), np.eye(6, dtype=complex), 2)
+    # suppression is the residual at d1 = 1: an H on C^2 kron C^d is refused, not lifted
+    with pytest.raises(ValueError, match=r"dim\(H\)=4 does not factor as 1\*2"):
+        suppression_check(sup("E_updown"), kron(Z, EYE2))
 
 
 def stinespring_kraus(d, rank, rng):
@@ -743,23 +745,6 @@ def test_every_hamiltonian_entry_point_gives_one_answer_per_h(entry, capsys, tmp
     assert answers == wanted
 
 
-@pytest.mark.parametrize("name", [name for name in names() if builtin(name).channel.dim <= 4])
-def test_suppression_check_reads_a_lifted_hamiltonian(name):
-    # H on C^2 kron C^d: ||H_Z(H0)||_F <= tol ||H0||_F with the kick's eigendata lifted, as
-    # ``zeno_hamiltonian`` reads it; I kron H2 is suppressed exactly when H2 is, Z kron I never
-    s = sup(name)
-    d = s.dim
-    dec = analyze_peripheral(s)
-    h2 = random_hamiltonian(d, seed=4)
-    cases = [random_hamiltonian(2 * d, seed=4), kron(EYE2, h2), kron(Z, np.eye(d))]
-    for h in cases:
-        h0 = h - np.trace(h) / len(h) * np.eye(len(h))
-        norm = np.linalg.norm(zeno_hamiltonian(dec, h0).matrix)
-        assert suppression_check(s, h) == (norm <= SUPPRESSION_TOL * np.linalg.norm(h0))
-    assert suppression_check(s, cases[1]) == suppression_check(s, h2)
-    assert suppression_check(s, cases[2]) is False
-
-
 # --- the Zeno residual from derived factors ----------------------------------
 
 
@@ -816,10 +801,12 @@ def test_zeno_residuals_match_the_n_by_n_reference(name, capsys, tmp_path):
         want = reference_zeno_norm(dec, h0) / norm
         assert want == pytest.approx(np.linalg.norm(zeno_hamiltonian(dec, h0).matrix) / norm,
                                      abs=1e-12)
-        got = _zeno_residual(dec, h)[0]  # suppression: H0 on C^d1 kron C^d, lifted at d1 > 1
-        assert abs(got - want) <= 1e-12
-        assert suppression_check(s, h) == (want <= SUPPRESSION_TOL)
         v = dd_check(s, h, d1)
+        if d1 == 1:  # suppression: the bath-DD residual at d1 = 1, where K = H0
+            got = _zeno_residual(dec, h, 1)[0]
+            assert abs(got - want) <= 1e-12
+            assert suppression_check(s, h) == (want <= DD_TOL)
+            assert suppression_check(s, h) == v.works and v.residual == got
         k = h0
         if d1 > 1:
             h_eff = reference_h_eff(dec, h0, d1)
@@ -837,7 +824,7 @@ def test_zeno_residuals_match_the_n_by_n_reference(name, capsys, tmp_path):
     h0 = h[:d, :d] - np.trace(h[:d, :d]) / d * np.eye(d)
     want = reference_zeno_norm(dec, h0) / np.linalg.norm(h0)
     assert abs(out["zeno_hamiltonian_norm"] - want) <= 1e-12
-    assert out["suppressed"] == (want <= SUPPRESSION_TOL)
+    assert out["suppressed"] == (want <= DD_TOL)
 
 
 def counted_derivations(monkeypatch):
@@ -869,7 +856,7 @@ def test_a_second_verdict_on_a_kick_derives_nothing(monkeypatch):
     assert counts == {"qr": 4, "lift": 2}  # and at d1 = 2
     for _ in range(2):  # verdicts on a known kick, at either d1, derive nothing
         assert suppression_check(s, random_hermitian(3, rng))
-        suppression_check(s, random_hermitian(6, rng))  # H lifted: the d1 = 2 data
+        dd_check(s, random_hermitian(6, rng), 2)  # the d1 = 2 data
         assert dd_check(s, random_hermitian(6, rng), 2).works
         zeno_hamiltonian(analyze_peripheral(s), random_hermitian(3, rng))
     assert counts == {"qr": 4, "lift": 2}

@@ -5,8 +5,9 @@ import pytest
 
 from bathdd.channel import to_superoperator, validate_cptp
 from bathdd.cli import main
-from bathdd.linalg import kron, unvec, vec
+from bathdd.linalg import kron
 from bathdd.zoo import DF_RHO0, DF_RHO1, DF_U0, DF_U1, builtin, names, pauli
+from test_channel import apply
 
 
 @pytest.mark.parametrize("name", names())
@@ -35,7 +36,7 @@ def test_square_parameter_validation():
 
 def test_updown_action():
     s = to_superoperator(builtin("E_updown").channel)
-    assert np.allclose(unvec(s.matrix @ vec(np.diag([1.0, 0.0]))), np.diag([0.0, 1.0]))
+    assert np.allclose(apply(s, np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
 
 
 def test_p_rho_projects_onto_target():
@@ -43,7 +44,7 @@ def test_p_rho_projects_onto_target():
     s = to_superoperator(builtin("P_rho", rho=rho).channel)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(unvec(s.matrix @ vec(a)), np.trace(a) * rho)
+    assert np.allclose(apply(s, a), np.trace(a) * rho)
 
 
 def test_p_rho_rejects_non_state():
@@ -84,7 +85,7 @@ def test_omega_resets_bath():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     tr2 = a.reshape(2, 2, 2, 2)
     tr2 = np.einsum("ajbj->ab", tr2)
-    assert np.allclose(unvec(s.matrix @ vec(a)), kron(tr2, omega))
+    assert np.allclose(apply(s, a), kron(tr2, omega))
 
 
 def test_omega_idempotent():
@@ -102,16 +103,16 @@ def test_df_block_permutation():
     e00[0, 0] = 1
     e11 = np.zeros((2, 2), dtype=complex)
     e11[1, 1] = 1
-    got = unvec(s.matrix @ vec(kron(kron(e00, x), a)))
+    got = apply(s, kron(kron(e00, x), a))
     expected = np.trace(a) * kron(kron(e11, DF_U1 @ x @ DF_U1.conj().T), DF_RHO1)
     assert np.allclose(got, expected, atol=1e-12)
-    got = unvec(s.matrix @ vec(kron(kron(e11, x), a)))
+    got = apply(s, kron(kron(e11, x), a))
     expected = np.trace(a) * kron(kron(e00, DF_U0 @ x @ DF_U0.conj().T), DF_RHO0)
     assert np.allclose(got, expected, atol=1e-12)
     # inter-block coherences are destroyed
     e01 = np.zeros((2, 2), dtype=complex)
     e01[0, 1] = 1
-    assert np.allclose(unvec(s.matrix @ vec(kron(kron(e01, x), a))), 0, atol=1e-12)
+    assert np.allclose(apply(s, kron(kron(e01, x), a)), 0, atol=1e-12)
 
 
 def test_witness_hamiltonians_shapes():
