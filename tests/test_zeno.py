@@ -745,6 +745,28 @@ def test_every_hamiltonian_entry_point_gives_one_answer_per_h(entry, capsys, tmp
     assert answers == wanted
 
 
+@pytest.mark.parametrize("name", [name for name in names() if builtin(name).channel.dim <= 4])
+def test_suppression_check_reads_a_lifted_hamiltonian(name):
+    # H on C^2 kron C^d: suppression is the residual at d1 = 1, so the lifted H is refused; the
+    # N x N ``zeno_hamiltonian`` still reads it with the kick's eigendata lifted, and the lifted
+    # question on I kron H2 is answered by suppression of H2 and by ``dd_check`` at d1 = 2
+    s = sup(name)
+    d = s.dim
+    dec = analyze_peripheral(s)
+    h2 = random_hamiltonian(d, seed=4)
+    cases = [random_hamiltonian(2 * d, seed=4), kron(EYE2, h2), kron(Z, np.eye(d))]
+    for h in cases:
+        with pytest.raises(ValueError, match=rf"dim\(H\)={2 * d} does not factor as 1\*{d}"):
+            suppression_check(s, h)
+    h0 = cases[1] - np.trace(cases[1]) / (2 * d) * np.eye(2 * d)
+    lifted = np.linalg.norm(zeno_hamiltonian(dec, h0).matrix) <= DD_TOL * np.linalg.norm(h0)
+    assert lifted == suppression_check(s, h2) == dd_check(s, cases[1], 2).works
+    # Z kron I is never suppressed, but bath DD absorbs it into H_eff = Z
+    z_norm = np.linalg.norm(zeno_hamiltonian(dec, cases[2]).matrix)
+    assert z_norm > DD_TOL * np.linalg.norm(cases[2])
+    assert dd_check(s, cases[2], 2).works
+
+
 # --- the Zeno residual from derived factors ----------------------------------
 
 
