@@ -1,13 +1,13 @@
 """Peripheral spectral analysis of a CPTP superoperator.
 
-One ordered Schur form splits the peripheral eigenvalues (modulus 1) from
-the rest of the spectrum and gives their biorthonormal right and left
-eigenvectors; every spectral projection and power of the peripheral part is
-read from those, in the rank of that part. A channel preserves Hermiticity,
-so its superoperator is a real matrix in the coordinates (X_ii, Re X_ij,
-Im X_ij) and that Schur form is real; a matrix that is not
-Hermiticity-preserving to rounding is not a channel and is refused. Only the
-peripheral part, always diagonalizable for a channel, is clustered and
+One eigensolver call (``linalg.eig``, NumPy's LAPACK) splits the peripheral
+eigenvalues (modulus 1) from the rest of the spectrum and gives their
+biorthonormal right and left eigenvectors; every spectral projection and power
+of the peripheral part is read from those, in the rank of that part. A channel
+preserves Hermiticity, so its superoperator is a real matrix in the coordinates
+(X_ii, Re X_ij, Im X_ij) and the eigensolver runs in real arithmetic; a matrix
+that is not Hermiticity-preserving to rounding is not a channel and is refused.
+Only the peripheral part, always diagonalizable for a channel, is clustered and
 checked for defects.
 
 Analyses are memoised in-process by content: a kick with the same matrix
@@ -17,7 +17,7 @@ verdicts derive from a decomposition alone (``classify``'s profile, ``zeno``'s
 lifted eigendata and triangular factors per d1, the fixed state) is derived
 once too, by ``PeripheralDecomposition.derive``, and kept on the decomposition,
 so it lives and dies with its ``_analyze`` entry. Separate processes share
-nothing, so a single CLI verdict still takes one Schur form.
+nothing, so a single CLI verdict still takes one eigensolver call.
 """
 
 from __future__ import annotations
@@ -124,10 +124,12 @@ def _same_cluster(dec: PeripheralDecomposition, d1: int = 1) -> np.ndarray:
 def _cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:
     """Group indices of eigenvalues by single linkage at ``tol``: two share a cluster when a
     chain of steps of at most ``tol`` joins them, so the partition does not depend on the
-    order of ``values``. Clusters come in the order of their first member by descending |lambda|.
+    order of ``values``. Clusters come in the order of their first member by descending
+    |lambda|, the negative imaginary part first among equal moduli, so that the two halves of
+    a conjugate pair come in one order whatever the order of ``values``.
     """
     values = np.asarray(values)
-    order = np.argsort(-np.abs(values))
+    order = np.lexsort((values.imag, -np.abs(values)))
     near = (np.abs(values[order, None] - values[order]) <= tol) * 1.0  # float: BLAS squarings
     for _ in range((len(order) - 1).bit_length()):  # ceil(log2 k) squarings reach k - 1 steps
         near = np.minimum(near @ near, 1.0)
@@ -138,9 +140,10 @@ def _cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np
 def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> PeripheralDecomposition:
     """Decompose the peripheral part of a CPTP superoperator.
 
-    Eigenvalues with |lambda| >= 1 - tol count as peripheral. One ordered
-    Schur form (``linalg.eig``) gives them with biorthonormal right and left
-    eigenvectors, which are grouped by single linkage at ``tol``. S must
+    Eigenvalues with |lambda| >= 1 - tol count as peripheral. One
+    ``linalg.eig`` call gives them with biorthonormal right and left
+    eigenvectors, which are grouped by single linkage at ``tol``, in an order
+    that does not depend on the eigensolver's (``_cluster_indices``). S must
     preserve Hermiticity, as every channel does (``ValueError`` otherwise); it
     goes to ``eig`` as the real matrix T S T^-1 and its eigenvectors are
     mapped back. The peripheral part of a channel is always diagonalizable,
@@ -149,7 +152,7 @@ def analyze_peripheral(s: Superoperator, tol: float = PERIPHERAL_TOL) -> Periphe
 
     The result is memoised by content (dim, matrix bytes, tol) in a bounded
     in-process cache, so asking several questions of one kick costs one
-    Schur form; another process analyses afresh. It is shared between
+    eigensolver call; another process analyses afresh. It is shared between
     callers, so its arrays are read-only; refused input is not cached and
     raises on every call.
     """

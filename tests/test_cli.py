@@ -84,6 +84,17 @@ def test_spectrum_on_the_cut_exits_3(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "tol=" in err
 
 
+def test_spectrum_prints_conjugate_pairs_negative_imaginary_part_first(capsys):
+    # E_df's printed order: lambda = 1, then by distance from 1, each conjugate pair with its
+    # negative imaginary part first, whatever order the eigensolver returns
+    code, out, _ = run(capsys, "spectrum", "zoo:E_df")
+    assert code == 0
+    rec = json.loads(out)
+    assert [np.sign(re) for re, _ in rec["peripheral_values"]] == [1, 1, 1, -1, -1, -1]
+    assert [np.sign(im) for _, im in rec["peripheral_values"]] == [0, -1, 1, -1, 1, 0]
+    assert rec["multiplicities"] == [2, 1, 1, 1, 1, 2]
+
+
 def test_spectrum(capsys):
     code, out, _ = run(capsys, "spectrum", "zoo:E_triangle")
     assert code == 0

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from bathdd.linalg import (
     _hermitian_rule,
+    _lone_eigenvectors,
     _unit,
     dagger,
     eig,
@@ -301,6 +302,47 @@ def test_eig_real_input_selects_by_modulus():
     m = _hidden(_real_block_diagonal(spectrum), rng)
     spectrum = np.concatenate([spectrum, spectrum[spectrum.imag != 0].conj()])
     assert_selects_by_modulus(m, spectrum, (4, 6, 9, 10))
+
+
+def _stinespring_real_form(d, seed):
+    """The real form T S T^-1 (``spectral._real_form``) of a rank-2 Stinespring kick on C^d,
+    a mixing channel: its one eigenvalue of modulus 1 is 1."""
+    from bathdd.spectral import _real_form
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+    q, _ = np.linalg.qr(g)
+    s = sum(np.kron(k, k.conj()) for k in (q[:d], q[d:]))
+    return _real_form(d, s.tobytes())[2]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_eig_one_eigenvalue_route_on_stinespring_kicks(d):
+    # a single selected eigenvalue takes its vectors from the bordered solves, and they
+    # meet the contract of the general route
+    m = _stinespring_real_form(d, seed=d)
+    w = assert_eig_contract(m, 1 - 1e-8)
+    assert w.size == 1 and abs(w[0] - 1) <= 1e-13
+    lam = np.linalg.eigvals(m)
+    lone = _lone_eigenvectors(m, lam[np.argmax(np.abs(lam))].real)
+    assert lone is not None
+    assert all(np.array_equal(a, b) for a, b in zip(eig(m, 1 - 1e-8), lone))
+
+
+def test_eig_residual_guard_sends_a_lone_eigenvalue_to_the_general_route():
+    # eigenvalue 1 is simple, but its left eigenvector l is orthogonal to the all-ones
+    # border, so the bordered matrix is singular to rounding: its solution is no eigenvector,
+    # the residual guard rejects it, and the two eigenvector sets give the contract instead
+    rng = np.random.default_rng(5)
+    left, right = np.array([1.0, -1.0, 2.0, -2.0]), np.array([1.0, 0.3, -0.7, 0.2])
+    p = np.outer(right, left) / (left @ right)
+    a = rng.standard_normal((4, 4))
+    m = p + (np.eye(4) - p) @ (0.5 * a / np.linalg.norm(a, 2)) @ (np.eye(4) - p)
+    assert _lone_eigenvectors(m, 1.0) is None
+    w = assert_eig_contract(m, 0.9)
+    assert w.size == 1 and abs(w[0] - 1) <= 1e-14
+    _, r, lh = eig(m, 0.9)
+    assert np.max(np.abs(r @ lh - p)) <= 1e-13
 
 
 def test_eig_defective_selection_keeps_values():

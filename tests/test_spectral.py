@@ -50,6 +50,23 @@ def test_clusters_come_in_the_order_of_their_largest_member():
     assert [c.tolist() for c in clusters] == [[1, 3], [2], [0]]
 
 
+def test_conjugate_pairs_come_in_one_order_whatever_the_eigensolver_order():
+    # the halves of a conjugate pair tie in modulus and in distance from 1; the negative
+    # imaginary part comes first, so no order of the eigenvalues reaches the printed spectrum
+    phases = [0.0, 0.8, -0.8, 0.8 + 1e-10, -0.8 - 1e-10, 2.3, -2.3, np.pi]
+    values = np.exp(1j * np.array(phases))
+    rng = np.random.default_rng(0)
+    orders = set()
+    for _ in range(20):
+        shuffled = values[rng.permutation(values.size)]
+        orders.add(tuple(tuple(np.sort_complex(shuffled[c])) for c in _cluster_indices(shuffled)))
+    assert len(orders) == 1
+    (clusters,) = orders
+    for first, second in zip(clusters, clusters[1:]):
+        if np.isclose(first[0], np.conj(second[0])):
+            assert first[0].imag < 0 < second[0].imag
+
+
 def diagonal_unitary_kick(phases):
     """The kick rho -> U rho U^dag of U = diag(e^{i phase_j})."""
     u = np.diag(np.exp(1j * np.asarray(phases)))
