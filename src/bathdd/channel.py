@@ -103,24 +103,30 @@ def choi(s: Superoperator) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T with T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j), its exact inverse, and Q.
+def _hermitian_coordinates(d: int) -> tuple[np.ndarray, ...]:
+    """The package's one read-only table of Hermitian coordinates on d x d operators: T with
+    T vec(X) = (X_ii; Re X_ij for i < j; Im X_ij for i < j), its exact inverse, Q, the pairs
+    i < j as two index arrays, the flat indices of each (i, j) and then of each (i, i), and
+    Re T and Im T interleaved column by column: y T = (y @ them).view(complex) for a real y.
 
     X is Hermitian exactly when T vec(X) is real, so a Hermiticity-preserving S is the real
-    T S T^-1. Every entry of T and T^-1 is 0, 1, 1/2, +-i/2 or +-i, so both are exact and
-    each entry of T S T^-1 is a sum of at most four entries of S. Q, T^-1 with unit columns, is
-    the package's one HS-orthonormal Hermitian basis of M_d (``_plan``, ``schmidt``)."""
-    n = d * d
+    T S T^-1, each entry a sum of at most four of S: T and T^-1 hold only 0, 1, 1/2, +-i/2, +-i.
+    Q, T^-1 with unit columns, is the one HS-orthonormal Hermitian basis of M_d (``_plan``,
+    ``schmidt``); ``_real_form`` and ``_lift`` read T and T^-1, and ``zeno`` the rest."""
+    n, diagonal = d * d, np.arange(d) * (d + 1)
     units = np.eye(n).reshape(n, d, d)
     i, j = np.triu_indices(d, 1)
     upper, lower = units[d * i + j], units[d * j + i]
-    basis = np.concatenate([units[np.arange(d) * (d + 1)], upper + lower, 1j * (upper - lower)])
+    basis = np.concatenate([units[diagonal], upper + lower, 1j * (upper - lower)])
     t_inv = basis.reshape(n, n).T
     # T = D T^-1^dag with D = diag(1 on the X_ii rows, 1/2 on the others)
     t = t_inv.conj().T / np.where(np.arange(n) < d, 1.0, 2.0)[:, None]
     q = t_inv / np.linalg.norm(t_inv, axis=0)
-    t.flags.writeable = t_inv.flags.writeable = q.flags.writeable = False  # shared by every caller
-    return t, t_inv, q
+    parts = np.stack([t.real, t.imag], axis=-1).reshape(n, -1)
+    table = t, t_inv, q, i, j, np.concatenate([d * i + j, diagonal]), parts
+    for a in table:
+        a.flags.writeable = False  # shared by every caller
+    return table
 
 
 def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +141,7 @@ def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, n
     if d1 == 1:
         return columns, rows
     d, k = isqrt(columns.shape[0]), columns.shape[1]
-    t, t_inv, _ = _hermitian_coordinates(d1)
+    t, t_inv = _hermitian_coordinates(d1)[:2]
     basis, dual = t_inv.T.reshape(-1, d1, d1), t.reshape(-1, d1, d1)
     lifted_columns = np.einsum("mkl,ijb->kiljbm", basis, columns.reshape(d, d, k))
     lifted_rows = np.einsum("mkl,bij->bmkilj", dual, rows.reshape(k, d, d))

@@ -25,10 +25,10 @@ from .spectral import (
     PERIPHERAL_TOL,
     PeripheralDecomposition,
     SpectralError,
-    _same_cluster,
     analyze_peripheral,
     fixed_point_state,
 )
+from .zeno import _zeno_frame
 
 __all__ = ["Classification", "classify"]
 
@@ -65,12 +65,12 @@ def _is_dfs_free(dec: PeripheralDecomposition) -> bool:
     <L_a, [H, X_b]> = tr(H [X_b, L_a^dag]). It vanishes for every H exactly
     when each X_b commutes with each L_a^dag of the same cluster, and the
     kick has no decoherence-free subsystem exactly when that holds on every
-    cluster. X_b is column b of ``right`` and L_a^dag row a of ``left``,
-    each read as a d x d matrix, the latter transposed.
+    cluster. X_b, ``left`` and the same-cluster mask are the verdicts' frame at
+    d1 = 1 (``zeno._zeno_frame``); L_a^dag is row a of ``left``, d x d, transposed.
     """
-    a, b = np.nonzero(_same_cluster(dec))
-    x = dec.right.T.reshape(-1, dec.dim, dec.dim)[b]
-    l_dag = dec.left.reshape(-1, dec.dim, dec.dim)[a].swapaxes(-1, -2)
+    x, left, mask, *_ = dec.derive(_zeno_frame, 1)
+    a, b = np.nonzero(mask)
+    x, l_dag = x[b], left.reshape(-1, dec.dim, dec.dim)[a].swapaxes(-1, -2)
     return bool(np.max(np.linalg.norm(x @ l_dag - l_dag @ x, axis=(-2, -1))) <= COMMUTE_TOL)
 
 
@@ -108,7 +108,7 @@ def _profile(dec: PeripheralDecomposition) -> tuple:
     """Every ``Classification`` field but the name, in field order: a function of the
     decomposition alone, so ``classify`` derives it once per decomposition."""
     ergodic = dec.dim_fixed == 1
-    irreducible = ergodic and bool(np.min(np.linalg.eigvalsh(fixed_point_state(dec))) > RANK_TOL)
+    irreducible = ergodic and bool(np.linalg.eigvalsh(dec.derive(fixed_point_state))[0] > RANK_TOL)
     dfs_free = _is_dfs_free(dec)
     return (dec.dim_fixed, dec.dim_recurrent, ergodic, dec.dim_recurrent == 1, irreducible,
             dfs_free, _cycle_lengths(dec) if dfs_free else ())

@@ -60,7 +60,7 @@ def _real_form(d: int, data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     x = np.frombuffer(data, dtype=complex).reshape(d, d, d, d)  # F S F swaps axes 0, 1 and 2, 3
     if np.linalg.norm(x.conj() - x.transpose(1, 0, 3, 2)) > HP_RTOL * np.linalg.norm(x):
         raise ValueError("superoperator is not Hermiticity-preserving: not a channel")
-    t, t_inv, _ = _hermitian_coordinates(d)
+    t, t_inv = _hermitian_coordinates(d)[:2]
     return t, t_inv, (t @ x.reshape(d * d, d * d) @ t_inv).real
 
 
@@ -113,12 +113,6 @@ class PeripheralDecomposition:
     @property
     def dim_recurrent(self) -> int:
         return int(np.sum(self.multiplicities))
-
-
-def _same_cluster(dec: PeripheralDecomposition, d1: int = 1) -> np.ndarray:
-    """The mask of eigenvector pairs in one cluster, each repeated d1^2 times as ``_lift`` does."""
-    labels = np.repeat(np.arange(dec.multiplicities.size), dec.multiplicities * d1 * d1)
-    return labels[:, None] == labels
 
 
 def _cluster_indices(values: np.ndarray, tol: float = PERIPHERAL_TOL) -> list[np.ndarray]:

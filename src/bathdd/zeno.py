@@ -10,7 +10,7 @@ derived once per (decomposition, d1) by ``PeripheralDecomposition.derive`` (``_z
 the lifted eigendata, the same-cluster mask S and the triangular factors of right = Q_R U_R
 and left^dag = Q_L U_L from QR, with the kick's fixed state for H_eff. Q_R and Q_L have
 orthonormal columns, so a verdict takes ||H_Z||_F = ||U_R core U_L^dag||_F from its k' x k'
-core alone, with no N x N generator.
+core alone, with no N x N generator. The frame at d1 = 1 is ``classify``'s DFS test too.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .channel import Superoperator, _hermitian_coordinates, _lift
 from .linalg import _hamiltonian, _unit, dagger, kron
-from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, _same_cluster,
-                       analyze_peripheral, fixed_point_state)
+from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, analyze_peripheral,
+                       fixed_point_state)
 
 __all__ = [
     "DdVerdict",
@@ -64,12 +64,14 @@ def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperat
 
 
 def _zeno_frame(dec: PeripheralDecomposition, d1: int) -> tuple:
-    """What the Zeno Hamiltonian at d1 reads besides H: the lifted ``right`` as (k', D, D)
-    operators X_b, the lifted ``left`` (k' x D^2), the same-cluster mask S, and U_R and U_L^dag,
-    triangular, of right = Q_R U_R and left^dag = Q_L U_L from QR; not from a Cholesky factor
-    of right^dag right, whose condition number is that of right squared."""
+    """What the Zeno Hamiltonian at d1 reads besides H, and at d1 = 1 ``classify``'s DFS test:
+    the lifted ``right`` as (k', D, D) operators X_b, the lifted ``left`` (k' x D^2), the mask S
+    of lifted pairs in one cluster, and U_R and U_L^dag, triangular, of right = Q_R U_R and
+    left^dag = Q_L U_L from QR; not from a Cholesky factor of right^dag right, whose condition
+    number is that of right squared."""
     right, left = _lift(dec.right, dec.left, d1)
-    return (right.T.reshape(-1, d1 * dec.dim, d1 * dec.dim), left, _same_cluster(dec, d1),
+    labels = np.repeat(np.arange(dec.multiplicities.size), dec.multiplicities * d1 * d1)
+    return (right.T.reshape(-1, d1 * dec.dim, d1 * dec.dim), left, labels[:, None] == labels,
             np.linalg.qr(right, mode="r"), dagger(np.linalg.qr(dagger(left), mode="r")))
 
 
@@ -94,7 +96,7 @@ def _factor_kick(dim: int, data: bytes, d1: int):
         raise ValueError("the kick is the zero map: it has no kicked evolution")
     a, b = _lift(t_inv @ (u[:, :r] * sigma[:r]), vh[:r] @ t, d1)
     a.flags.writeable = b.flags.writeable = False  # shared by every caller of this kick
-    *_, basis, parts = _coordinates(d1 * dim)
+    _, basis, *_, parts = _hermitian_coordinates(d1 * dim)
     return a, b, _planes(b, a.T, basis.T), parts
 
 
@@ -114,18 +116,6 @@ def _sandwich(planes: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nda
     k, d = len(left), left.shape[-1]
     y = (left @ planes).reshape(k, d, -1, d).swapaxes(1, 2).reshape(k, -1, d)
     return (y @ right).reshape(k, -1, d * d)
-
-
-@functools.lru_cache(maxsize=None)
-def _coordinates(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For d x d operators: the pairs i < j as two index arrays; the flat indices of each (i, j)
-    and then of each (i, i); the Hermitian basis T^-1 of ``_hermitian_coordinates``; and Re T and
-    Im T interleaved column by column, so that y T = (y @ them).view(complex) for a real y."""
-    i, j = np.triu_indices(d, 1)
-    t, t_inv, _ = _hermitian_coordinates(d)
-    parts = np.stack([t.real, t.imag], axis=-1).reshape(d * d, -1)
-    parts.flags.writeable = False  # shared by every plan of this d
-    return i, j, np.concatenate([d * i + j, np.arange(d) * (d + 1)]), t_inv, parts
 
 
 def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +138,8 @@ def _kicked_evolutions(factors, eigen, t: float, blocks):
     product of the real planes (Re and Im of each X and Y). So each (n, H) pair costs one
     complex product of the d(d-1)/2 phases phi_ji into 2 Z_ij and one real product of those
     r x (N - d) rows, as Re and Im, with the matching coordinates of [A | R^T]; the diagonal
-    part, free of n, is formed once. I's columns are not Hermitian: the plan holds the basis
-    T^-1, whose coordinates ``parts`` (``_coordinates``) take to I's, so B W comes out complex.
+    part, free of n, is formed once. I's columns are not Hermitian: the plan holds T^-1, whose
+    coordinates ``parts`` (Re and Im T, ``_hermitian_coordinates``) take to I's: B W is complex.
     The phases of the whole n grid are one call; a block's first r columns, the step B W A,
     are powered once per n. ``harness.sweep`` sizes a block (``_STACK_BYTES``).
     Phases past the float range, (t/n) (E_max - E_min) not finite, raise ``ValueError``.
@@ -162,7 +152,7 @@ def _kicked_evolutions(factors, eigen, t: float, blocks):
     if not math.isfinite(abs(float(t)) / min(ns) * span):  # Python floats: no warning
         raise ValueError(f"the phases (t/n) (E_i - E_j) overflow at t={t:g}, n={min(ns)}")
     (k, d), r = energies.shape, len(b)
-    i, j, kept = _coordinates(d)[:3]
+    i, j, kept = _hermitian_coordinates(d)[3:6]
     pairs = len(i)
     p = _sandwich(planes, dagger(u), u).take(kept, -1).reshape(k, 2, -1, len(kept))  # Re, Im
     z, y = p[:, 0, :r] - 1j * p[:, 1, :r], p[:, 0, r:] + 1j * p[:, 1, r:]

@@ -25,16 +25,13 @@ from bathdd.zeno import (
     zeno_hamiltonian,
 )
 from bathdd.zoo import builtin, names, pauli
+from helpers import sup
 
 Z = pauli("z")
 EYE2 = np.eye(2, dtype=complex)
 
 ERGODIC_ZOO = ("E_updown", "E_hook", "E_triangle", "E_square", "P_rho")
 DFS_FREE_ZOO = ERGODIC_ZOO + ("E_dephase",)
-
-
-def sup(name, **params):
-    return to_superoperator(builtin(name, **params).channel)
 
 
 def zeno_target(dec, h_z, t, n):

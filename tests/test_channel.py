@@ -10,7 +10,6 @@ from bathdd.channel import (
     KrausChannel,
     Superoperator,
     _lift,
-    _matrix_to_pairs,
     channel_from_dict,
     choi,
     extend_with_identity,
@@ -20,20 +19,7 @@ from bathdd.channel import (
 )
 from bathdd.linalg import dagger, kron
 from bathdd.zoo import builtin
-
-
-def channel_dict(ch):
-    """The channel file format: dim, Kraus operators as [re, im] pairs, name."""
-    return {"dim": ch.dim, "kraus": [_matrix_to_pairs(k) for k in ch.kraus], "name": ch.name}
-
-
-def save_channel(ch, path):
-    path.write_text(json.dumps(channel_dict(ch)))
-
-
-def apply(s, x):
-    """S(X) in the row vectorization: vec(|i><j|) is the (d i + j)-th basis vector."""
-    return (s.matrix @ np.reshape(x, -1)).reshape(np.shape(x))
+from helpers import apply, channel_dict, random_unitary, save_channel
 
 
 def unit(d, i, j):
@@ -52,13 +38,6 @@ def matrix_unit_oracle(ch):
             out = sum(k @ unit(d, i, j) @ dagger(k) for k in ch.kraus)
             s[:, d * i + j] = out.reshape(-1)
     return s
-
-
-def random_unitary(d, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # --- validation --------------------------------------------------------------

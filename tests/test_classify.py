@@ -11,7 +11,7 @@ from bathdd.classify import _cycle_lengths, _is_dfs_free, classify
 from bathdd.spectral import SpectralError, analyze_peripheral
 from bathdd.zeno import suppression_check
 from bathdd.zoo import DF_RHO0, DF_RHO1, builtin, names
-from test_zeno import STINESPRING_KRAUS, random_stinespring
+from helpers import STINESPRING_KRAUS, random_stinespring
 
 IDENTITY_2 = Superoperator(2, np.eye(4))
 

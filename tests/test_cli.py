@@ -15,8 +15,7 @@ from bathdd.cli import build_parser, main
 from bathdd.harness import SweepConfig, sweep
 from bathdd.spectral import PERIPHERAL_TOL
 from bathdd.zoo import builtin, names
-from test_channel import channel_dict, save_channel
-from test_zeno import random_hermitian, stinespring_kraus
+from helpers import NOT_CPTP, channel_dict, random_hermitian, save_channel, stinespring_kraus
 
 
 def run(capsys, *argv):
@@ -125,7 +124,6 @@ def test_not_cptp_exit_code(bad, tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["dd", "zeno"])
 def test_sweep_of_a_kick_that_is_not_cptp_exits_1(mode, tmp_path, capsys):
     # the CLI checks the kick before ``sweep`` does, so the exit code stays 1
-    from test_harness import NOT_CPTP
 
     kick, config = tmp_path / "kick.json", tmp_path / "sweep.json"
     kick.write_text(json.dumps(NOT_CPTP))

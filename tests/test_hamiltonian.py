@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bathdd.channel import _hermitian_coordinates
 from bathdd.hamiltonian import _random_hamiltonians, adjoint_rep, random_hamiltonian, schmidt
 from bathdd.linalg import dagger, expm, kron
-from test_channel import apply
+from helpers import apply
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from bathdd.channel import (KrausChannel, Superoperator, choi, extend_with_identity,
                             to_superoperator)
@@ -33,10 +32,7 @@ from bathdd.spectral import analyze_peripheral, peripheral_power
 from bathdd.zeno import _factor_kick, dd_evolution, zeno_evolution
 from bathdd.zoo import builtin, pauli
 from bathdd.zoo import names as builtin_names
-
-
-def sup(name, **params):
-    return to_superoperator(builtin(name, **params).channel)
+from helpers import NOT_CPTP, plain_kicked_evolution, save_channel, sup
 
 
 def test_reduced_choi_purity_decoupled_unitary():
@@ -118,8 +114,6 @@ def test_choi_distance_reset_fixture():
 def test_resolve_channel(tmp_path):
     ch = resolve_channel("zoo:E_square", {"p": 0.25})
     assert ch.dim == 3
-    from test_channel import save_channel
-
     p = tmp_path / "c.json"
     save_channel(ch, p)
     back = resolve_channel(str(p))
@@ -245,13 +239,6 @@ def test_zeno_sweep_of_a_kick_with_a_dfs_saturates_at_large_n():
         assert err[seed, ns[0]] > 1e-2
         for n in ns[1:]:
             assert err[seed, n] == pytest.approx(err[seed, ns[0]], rel=1e-2)
-
-
-def plain_kicked_evolution(kick, h, t, n):
-    """(S W)^n with W = V kron conj(V) and V = expm(-i (t/n) H): the unfactored
-    n-fold product, built without bathdd's kicked-evolution code."""
-    v = scipy.linalg.expm(-1j * t / n * h)
-    return Superoperator(kick.dim, np.linalg.matrix_power(kick.matrix @ kron(v, v.conj()), n))
 
 
 def per_pair_reference(cfg):
@@ -597,8 +584,6 @@ def test_second_sweep_of_a_zoo_kick_builds_nothing(monkeypatch):
 
 
 def test_a_channel_file_is_read_on_every_sweep(tmp_path):
-    from test_channel import save_channel
-
     path = tmp_path / "kick.json"
     cfg = SweepConfig(str(path), "zeno", (1, 2, 7), {"random": 2, "seed": 0})
     values = {}
@@ -608,10 +593,6 @@ def test_a_channel_file_is_read_on_every_sweep(tmp_path):
         fresh = sweep(replace(cfg, channel=f"zoo:{name}"))
         assert [r.value for r in values[name]] == [r.value for r in fresh]
     assert values["E_updown"] != values["E_dephase"]
-
-
-# 0.9 I as a channel file: completely positive, but its trace residual ||0.81 I - I||_F is 0.269
-NOT_CPTP = {"dim": 2, "kraus": [[[[0.9, 0], [0, 0]], [[0, 0], [0.9, 0]]]]}
 
 
 @pytest.mark.parametrize("mode", ["dd", "zeno"])
@@ -709,8 +690,6 @@ def counted_planes(monkeypatch):
 
 
 def test_kick_planes_are_read_only_and_built_once_per_kick_and_d1(tmp_path, monkeypatch):
-    from test_channel import save_channel
-
     built = counted_planes(monkeypatch)
     _factor_kick.cache_clear()
     _plan.cache_clear()

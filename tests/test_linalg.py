@@ -16,6 +16,7 @@ from bathdd.linalg import (
     kron,
     trace_norm,
 )
+from helpers import stinespring_kraus
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -309,10 +310,7 @@ def _stinespring_real_form(d, seed):
     a mixing channel: its one eigenvalue of modulus 1 is 1."""
     from bathdd.spectral import _real_form
 
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
-    q, _ = np.linalg.qr(g)
-    s = sum(np.kron(k, k.conj()) for k in (q[:d], q[d:]))
+    s = sum(np.kron(k, k.conj()) for k in stinespring_kraus(d, 2, np.random.default_rng(seed)))
     return _real_form(d, s.tobytes())[2]
 
 

@@ -18,6 +18,7 @@ from bathdd.spectral import (
 )
 from bathdd.zeno import dd_check, suppression_check, zeno_hamiltonian
 from bathdd.zoo import builtin, names
+from helpers import projections, stinespring_kraus
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -29,12 +30,6 @@ def dec_of(name, **params):
 def peripheral_projection(dec):
     """P_phi = sum_l P_l, from the peripheral eigenvectors."""
     return dec.right @ dec.left
-
-
-def projections(dec):
-    """The spectral projection right[:, c] @ left[c] of each cluster c."""
-    ends = np.cumsum(dec.multiplicities)
-    return [dec.right[:, e - m:e] @ dec.left[e - m:e] for m, e in zip(dec.multiplicities, ends)]
 
 
 def test_cluster_indices():
@@ -341,16 +336,9 @@ def test_non_channel_input_is_refused():
         eig(m, 0.5)
 
 
-def _stinespring(d, rank, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d * rank, d)) + 1j * rng.standard_normal((d * rank, d))
-    q, _ = np.linalg.qr(g)
-    return [q[k * d:(k + 1) * d] for k in range(rank)]
-
-
 KICKS = {
     **{name: builtin(name).channel.kraus for name in names()},
-    **{f"stinespring_d{d}_r{rank}": _stinespring(d, rank, seed=10 * d + rank)
+    **{f"stinespring_d{d}_r{rank}": stinespring_kraus(d, rank, np.random.default_rng(10 * d + rank))
        for d in range(2, 9) for rank in (1, 2, 3)},
 }
 
@@ -440,7 +428,7 @@ def test_tol_validation():
 
 def _fresh_kick(d, seed):
     """S of a Stinespring kick that no other test analyses (seeds >= 1000)."""
-    return sum(np.kron(k, k.conj()) for k in _stinespring(d, 2, seed))
+    return sum(np.kron(k, k.conj()) for k in stinespring_kraus(d, 2, np.random.default_rng(seed)))
 
 
 def test_equal_kick_is_analysed_once(eig_inputs):

@@ -17,6 +17,7 @@ from bathdd.channel import (
 )
 from bathdd.hamiltonian import _random_hamiltonians, adjoint_rep, random_hamiltonian, schmidt
 from bathdd.harness import _plan, choi_distance
+from bathdd.classify import classify
 from bathdd.cli import main as cli_main
 from bathdd.linalg import expm, kron
 from bathdd.spectral import analyze_peripheral, fixed_point_state
@@ -34,17 +35,20 @@ from bathdd.zeno import (
     zeno_hamiltonian,
 )
 from bathdd.zoo import builtin, names, pauli
-from test_channel import random_unitary
-from test_harness import plain_kicked_evolution
-from test_spectral import projections
+from helpers import (
+    STINESPRING_KRAUS,
+    plain_kicked_evolution,
+    projections,
+    random_hermitian,
+    random_stinespring,
+    random_unitary,
+    stinespring_kraus,
+    sup,
+)
 
 Z = pauli("z")
 X = pauli("x")
 EYE2 = np.eye(2, dtype=complex)
-
-
-def sup(name, **params):
-    return to_superoperator(builtin(name, **params).channel)
 
 
 def factor_kick(s):
@@ -240,30 +244,6 @@ def test_dd_check_dim_mismatch():
     # suppression is the residual at d1 = 1: an H on C^2 kron C^d is refused, not lifted
     with pytest.raises(ValueError, match=r"dim\(H\)=4 does not factor as 1\*2"):
         suppression_check(sup("E_updown"), kron(Z, EYE2))
-
-
-def stinespring_kraus(d, rank, rng):
-    """Kraus operators of a random channel: the blocks of a Haar-like isometry."""
-    g = rng.standard_normal((d * rank, d)) + 1j * rng.standard_normal((d * rank, d))
-    v, _ = np.linalg.qr(g)
-    return [v[i * d:(i + 1) * d] for i in range(rank)]
-
-
-def random_stinespring(d, rank, seed):
-    kraus = stinespring_kraus(d, rank, np.random.default_rng(seed))
-    return to_superoperator(KrausChannel(d, tuple(kraus)))
-
-
-# Kraus lists of random channels with d <= 4 and Kraus rank 1 to 3, shared by the property
-# tests; rank 1 is a unitary channel, which has a DFS.
-STINESPRING_KRAUS = st.builds(
-    lambda d, rank, seed: tuple(stinespring_kraus(d, rank, np.random.default_rng(seed))),
-    st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
-
-
-def random_hermitian(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2
 
 
 def reference_dd_check(s2, h, d1):
@@ -894,3 +874,36 @@ def test_a_second_verdict_on_a_kick_derives_nothing(monkeypatch):
     assert suppression_check(s, random_hermitian(3, rng))
     assert counts == {"qr": 6, "lift": 3}
     assert analyze_peripheral(s) is not dec and dec.derive(_zeno_frame, 1)[0] is derived[0]
+
+
+def test_a_verdict_after_classify_derives_nothing(monkeypatch):
+    # classify's DFS test reads the verdicts' frame at d1 = 1, so the verdicts that follow
+    # it on the same kick reuse that frame instead of building their own
+    s = random_stinespring(4, 2, seed=7102)  # a kick no other test analyses
+    counts = counted_derivations(monkeypatch)
+    assert classify(s).dfs_free
+    assert counts == {"qr": 2, "lift": 1}  # U_R and U_L, and the eigendata at d1 = 1
+    rng = np.random.default_rng(0)
+    assert suppression_check(s, random_hermitian(4, rng))
+    assert dd_check(s, random_hermitian(4, rng), 1).works
+    assert counts == {"qr": 2, "lift": 1}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_the_one_coordinate_table_is_read_only_and_holds_the_kicked_indices(d):
+    # the pair indices, their flat indices then the diagonal's, and Re T and Im T interleaved
+    # column by column, as the kicked evolutions read them; no caller can write to them
+    table = _hermitian_coordinates(d)
+    t, _, _, i, j, kept, parts = table
+    want_i, want_j = np.triu_indices(d, 1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert np.array_equal(kept, np.concatenate([d * want_i + want_j, np.arange(d) * (d + 1)]))
+    assert np.array_equal(parts, np.stack([t.real, t.imag], axis=-1).reshape(d * d, -1))
+    y = np.random.default_rng(d).standard_normal((3, d * d))
+    assert np.array_equal((y @ parts).view(complex), y @ t)
+    for x in table:
+        assert not x.flags.writeable
+        if x.size:
+            with pytest.raises(ValueError):
+                x[(0,) * x.ndim] = 0
+    assert _hermitian_coordinates(d) is table

@@ -7,7 +7,7 @@ from bathdd.channel import to_superoperator, validate_cptp
 from bathdd.cli import main
 from bathdd.linalg import kron
 from bathdd.zoo import DF_RHO0, DF_RHO1, DF_U0, DF_U1, builtin, names, pauli
-from test_channel import apply
+from helpers import apply
 
 
 @pytest.mark.parametrize("name", names())
