@@ -68,7 +68,7 @@ def _is_dfs_free(dec: PeripheralDecomposition) -> bool:
     cluster. X_b, ``left`` and the same-cluster mask are the verdicts' frame at
     d1 = 1 (``zeno._zeno_frame``); L_a^dag is row a of ``left``, d x d, transposed.
     """
-    x, left, mask, *_ = dec.derive(_zeno_frame, 1)
+    x, left, mask = dec.derive(_zeno_frame, 1)
     a, b = np.nonzero(mask)
     x, l_dag = x[b], left.reshape(-1, dec.dim, dec.dim)[a].swapaxes(-1, -2)
     return bool(np.max(np.linalg.norm(x @ l_dag - l_dag @ x, axis=(-2, -1))) <= COMMUTE_TOL)

@@ -189,12 +189,13 @@ def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
 def _exact(value):
     """A hashable form of a zoo parameter, equal only for values that build the same kick: the
     dtype, shape and bytes of its array (so -0.0 is not 0.0, nor True 1). None for a ragged or
-    object value, which is then not memoised."""
+    object value or a 0-d ndarray, which is then not memoised."""
     try:
         x = np.asarray(value)
     except ValueError:  # ragged
         return None
-    return None if x.dtype.hasobject else (x.dtype.str, x.shape, x.tobytes())
+    zero_d = isinstance(value, np.ndarray) and not x.ndim  # the zoo refuses it as a number
+    return None if x.dtype.hasobject or zero_d else (x.dtype.str, x.shape, x.tobytes())
 
 
 @dataclass(frozen=True)

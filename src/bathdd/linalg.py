@@ -5,7 +5,7 @@ This module wraps the handful of primitives the rest of the package relies on:
 the eigenvalues of modulus above a radius of a real matrix with biorthonormal
 right and left eigenvectors (from NumPy's LAPACK, returning complex eigendata),
 matrix exponential, the SVD-based trace norm, and Kronecker products. Only
-``expm`` uses SciPy, imported on its first call, and no command calls it.
+``expm`` uses SciPy, a test dependency imported on its first call; no command calls it.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
+    """e^M from ``scipy.linalg.expm``, imported here: SciPy comes with the test extra only."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expm requires a square matrix")
@@ -107,30 +108,28 @@ def expm(m: np.ndarray) -> np.ndarray:
 
 
 # ``eig``'s route for one selected eigenvalue keeps its vectors when both residuals are at
-# most this times ||M||_F (the left one relative to ||lh||): two steps reach 1.6e-15 on the
-# Stinespring kicks up to d = 8, and a border orthogonal to an eigenvector misses by far.
+# most this times ||M||_F (the left one relative to ||lh||): one solve reaches 5.6e-15 on 560
+# mixing Stinespring kicks (d <= 8), and a border orthogonal to an eigenvector misses by far.
 _LONE_RTOL = 1e-13
 
 
 def _lone_eigenvectors(m: np.ndarray, lam: float) -> tuple[np.ndarray, ...] | None:
-    """``eig``'s (w, r, lh) for M's simple real eigenvalue near lam, refined to the two-sided
-    Rayleigh quotient, or None when a residual fails ``_LONE_RTOL``. Each of two steps solves
-    the bordered system [[M - lam I, b], [b^T, 0]], b the unit all-ones vector, on each side:
-    it is nonsingular when lam is simple and b meets both eigenvectors, even when lam is
+    """``eig``'s (w, r, lh) for M's simple real eigenvalue near lam, at the two-sided Rayleigh
+    quotient, or None when a residual fails ``_LONE_RTOL``. One stacked solve takes both vectors
+    from the bordered system [[M - lam I, b], [b^T, 0]] and its transpose, b the unit all-ones
+    vector: it is nonsingular when lam is simple and b meets both eigenvectors, even when lam is
     exact and M - lam I singular."""
     n = len(m)
     border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = m - lam * np.eye(n)
     border[:n, n] = border[n, :n] = 1 / math.sqrt(n)
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    with np.errstate(all="ignore"):  # a failed step ends in NaN, and the guard refuses it
+    e = np.eye(n + 1)[[n, n], :, None]  # e_n, the last unit vector, on both sides
+    with np.errstate(all="ignore"):  # a failed solve ends in NaN, and the guard refuses it
         try:
-            for _ in range(2):
-                border[:n, :n] = m - lam * np.eye(n)
-                x, y = np.linalg.solve(border, e)[:n], np.linalg.solve(border.T, e)[:n]
-                lam = (y @ m @ x) / (y @ x)
+            x, y = np.linalg.solve(np.stack([border, border.T]), e)[:, :n, 0]
         except np.linalg.LinAlgError:
             return None
+        lam = (y @ m @ x) / (y @ x)
         r = x / np.linalg.norm(x)
         lh = y / (y @ r)
         bound = _LONE_RTOL * np.linalg.norm(m)
@@ -149,8 +148,8 @@ def eig(m: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     NumPy's LAPACK alone: ``eigvals`` gives the spectrum and the selection. A
     selected and an unselected eigenvalue within eps max|M| of each other raise
     ``LinalgError``, as no rounding-level split of them means anything. One
-    selected eigenvalue (a mixing channel's 1) takes its vectors from two bordered
-    solves on each side (``_lone_eigenvectors``); otherwise, or when their
+    selected eigenvalue (a mixing channel's 1) takes its vectors from one stacked
+    bordered solve (``_lone_eigenvectors``); otherwise, or when their
     residual fails, r and L are the selected right eigenvectors of M and of M^T.
     Those span the right and left invariant subspaces of the selection, so
     lh = (L^T r)^-1 L^T needs no pairing of the two (NaN where L^T r is singular:

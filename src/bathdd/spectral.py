@@ -14,7 +14,7 @@ Analyses are memoised in-process by content: a kick with the same matrix
 bytes and tolerance is analysed once, in a cache bounded at ``_CACHE_SIZE``
 entries, and every caller shares that one read-only decomposition. What the
 verdicts derive from a decomposition alone (``classify``'s profile, ``zeno``'s
-lifted eigendata and triangular factors per d1, the fixed state) is derived
+lifted eigendata and same-cluster mask per d1, the fixed state) is derived
 once too, by ``PeripheralDecomposition.derive``, and kept on the decomposition,
 so it lives and dies with its ``_analyze`` entry. Separate processes share
 nothing, so a single CLI verdict still takes one eigensolver call.

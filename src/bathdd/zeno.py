@@ -3,14 +3,12 @@ decoupling and Zeno Hamiltonian suppression.
 
 The Zeno Hamiltonian sum_l P_l [H, .] P_l of a kick, the generator surviving infinitely
 frequent kicks, is read from [H, X_b] on the kick's own peripheral eigenoperators X_b, lifted
-to C^d1 kron C^d. Both verdicts are one residual at an explicit d1 (``_zeno_residual``): bath DD
-at the system's d1, and Zeno suppression at d1 = 1, where H_eff = 0 and K = H0.
-It is right (S o (left [H, X])) left, linear in H, and everything in it that no H enters is
-derived once per (decomposition, d1) by ``PeripheralDecomposition.derive`` (``_zeno_frame``):
-the lifted eigendata, the same-cluster mask S and the triangular factors of right = Q_R U_R
-and left^dag = Q_L U_L from QR, with the kick's fixed state for H_eff. Q_R and Q_L have
-orthonormal columns, so a verdict takes ||H_Z||_F = ||U_R core U_L^dag||_F from its k' x k'
-core alone, with no N x N generator. The frame at d1 = 1 is ``classify``'s DFS test too.
+to C^d1 kron C^d: right (S o (left [H, X])) left, linear in H (``_generator``). Everything in it
+that no H enters is derived once per (decomposition, d1) by ``PeripheralDecomposition.derive``
+(``_zeno_frame``): the lifted eigendata and the same-cluster mask S, with the kick's fixed state
+for H_eff. Both verdicts are the residual ||zeno_hamiltonian(K)||_F / ||H0||_F at an explicit d1
+(``_zeno_residual``): bath DD at the system's d1, and Zeno suppression at d1 = 1, where
+H_eff = 0 and K = H0. The frame at d1 = 1 is ``classify``'s DFS test too.
 """
 
 from __future__ import annotations
@@ -52,33 +50,30 @@ class DdVerdict:
 
 
 def zeno_hamiltonian(dec: PeripheralDecomposition, h: np.ndarray) -> Superoperator:
-    """sum_l P_l [H, .] P_l = right (S o (left [H, X])) left, S the same-cluster mask and X_b
-    column b of ``right`` as a d x d matrix; H on C^d1 kron C^d reads E's eigendata lifted.
+    """sum_l P_l [H, .] P_l (``_generator``); H on C^d1 kron C^d reads E's eigendata lifted.
     H meets ``linalg._hamiltonian``'s relative rule, as in every verdict."""
     h = _hamiltonian(h)[0]
     d1, rest = divmod(len(h), dec.dim)
     if rest:
         raise ValueError(f"Hamiltonian dim {len(h)} is no multiple of kick dim {dec.dim}")
-    x, left, *_ = frame = dec.derive(_zeno_frame, d1)
-    return Superoperator(len(h), x.reshape(len(x), -1).T @ _core(frame, h) @ left)
+    return Superoperator(len(h), _generator(dec.derive(_zeno_frame, d1), h))
 
 
 def _zeno_frame(dec: PeripheralDecomposition, d1: int) -> tuple:
     """What the Zeno Hamiltonian at d1 reads besides H, and at d1 = 1 ``classify``'s DFS test:
-    the lifted ``right`` as (k', D, D) operators X_b, the lifted ``left`` (k' x D^2), the mask S
-    of lifted pairs in one cluster, and U_R and U_L^dag, triangular, of right = Q_R U_R and
-    left^dag = Q_L U_L from QR; not from a Cholesky factor of right^dag right, whose condition
-    number is that of right squared."""
+    the lifted ``right`` as (k', D, D) operators X_b, the lifted ``left`` (k' x D^2) and the mask
+    S of lifted pairs in one cluster."""
     right, left = _lift(dec.right, dec.left, d1)
     labels = np.repeat(np.arange(dec.multiplicities.size), dec.multiplicities * d1 * d1)
-    return (right.T.reshape(-1, d1 * dec.dim, d1 * dec.dim), left, labels[:, None] == labels,
-            np.linalg.qr(right, mode="r"), dagger(np.linalg.qr(dagger(left), mode="r")))
+    return right.T.reshape(-1, d1 * dec.dim, d1 * dec.dim), left, labels[:, None] == labels
 
 
-def _core(frame: tuple, h: np.ndarray) -> np.ndarray:
-    """The k' x k' core S o (left vec[H, X_b]) of the Zeno Hamiltonian of H."""
-    x, left, mask, *_ = frame
-    return mask * (left @ (h @ x - x @ h).reshape(len(x), -1).T)
+def _generator(frame: tuple, h: np.ndarray) -> np.ndarray:
+    """The N x N Zeno Hamiltonian right (S o (left vec[H, X_b])) left of H, ``right`` being the
+    X_b stack read as columns."""
+    x, left, mask = frame
+    core = mask * (left @ (h @ x - x @ h).reshape(len(x), -1).T)
+    return x.reshape(len(x), -1).T @ core @ left
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -195,9 +190,7 @@ def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int):
     """(||H_Z(K)||_F / ||H0||_F, H_eff) for H on C^d1 kron C^d, K = H0 - H_eff kron I: H is
     checked and scaled exactly to H / c by ``linalg._hamiltonian``, the rule of every H, and H0,
     its traceless part, is scaled again; 0 when H0 = 0. At d1 = 1 (suppression) the traceless
-    1 x 1 H_eff is 0 and K = H0.
-    ||H_Z(K)||_F is ||U_R core U_L^dag||_F, with U_R, U_L and the fixed state derived once per
-    (kick, d1) (``_zeno_frame``): H_Z itself, N x N, is never formed."""
+    1 x 1 H_eff is 0 and K = H0. H_Z is ``zeno_hamiltonian``'s ``_generator``."""
     _, h, c = _hamiltonian(h)
     if len(h) != d1 * dec.dim:
         raise ValueError(f"dim(H)={len(h)} does not factor as {d1}*{dec.dim}")
@@ -210,8 +203,7 @@ def _zeno_residual(dec: PeripheralDecomposition, h: np.ndarray, d1: int):
         k = h0 - kron(h_eff, np.eye(dec.dim))
         with np.errstate(over="ignore"):  # an H_eff past the float range is inf: dd_check refuses it
             h_eff = h_eff * c0 * c
-    *_, u_r, u_l_dag = frame = dec.derive(_zeno_frame, d1)
-    h_z = u_r @ _core(frame, k) @ u_l_dag
+    h_z = _generator(dec.derive(_zeno_frame, d1), k)
     return float(np.linalg.norm(h_z) / max(np.linalg.norm(h0), 1.0)), h_eff
 
 

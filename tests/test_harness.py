@@ -636,8 +636,19 @@ def test_zoo_kicks_are_memoised_by_exact_params():
     far = entry(omega=np.diag([0.3, 0.7]))
     assert near[0] == 1 and near[1] != far[1] != default[1]
     assert _zoo_kick.cache_info().currsize == 3
+
+    def refused_0d():
+        """A 0-d ndarray p has no exact form: the zoo refuses it and no entry is stored."""
+        size = _zoo_kick.cache_info().currsize
+        with pytest.raises(ValueError, match="p must be a real number"):
+            sweep(SweepConfig("zoo:E_square", "dd", (1, 2), {"random": 1, "seed": 0},
+                              channel_params={"p": np.array(0.3)}))
+        assert _zoo_kick.cache_info().currsize == size
+
+    refused_0d()
     # a numpy scalar shares the entry of the float it holds
     assert entry("E_square", p=0.3)[0] == 1 and entry("E_square", p=np.float64(0.3))[0] == 0
+    refused_0d()  # whatever was memoised before
     # -0.0 is not 0.0: an omega holding it gets its own entry
     assert entry(omega=[[0.3, -0.0], [-0.0, 0.7]])[0] == 1
     assert _zoo_kick.cache_info().currsize == 5
