@@ -23,7 +23,6 @@ __all__ = [
     "CptpReport",
     "KrausChannel",
     "Superoperator",
-    "channel_from_dict",
     "choi",
     "load_channel",
     "to_superoperator",
@@ -111,7 +110,7 @@ def _hermitian_coordinates(d: int) -> tuple[np.ndarray, ...]:
 
     X is Hermitian exactly when T vec(X) is real, so a Hermiticity-preserving S is the real
     T S T^-1, each entry a sum of at most four of S: T and T^-1 hold only 0, 1, 1/2, +-i/2, +-i.
-    Q, T^-1 with unit columns, is the one HS-orthonormal Hermitian basis of M_d (``_plan``,
+    Q, T^-1 with unit columns, is the one HS-orthonormal Hermitian basis of M_d (``zeno._plan``,
     ``schmidt``); ``_real_form`` and ``_lift`` read T and T^-1, and ``zeno`` the rest."""
     n, diagonal = d * d, np.arange(d) * (d + 1)
     units = np.eye(n).reshape(n, d, d)
@@ -147,6 +146,12 @@ def _lift(columns: np.ndarray, rows: np.ndarray, d1: int) -> tuple[np.ndarray, n
     lifted_rows = np.einsum("mkl,bij->bmkilj", dual, rows.reshape(k, d, d))
     n, k1 = (d1 * d) ** 2, k * d1 * d1
     return lifted_columns.reshape(n, k1), lifted_rows.reshape(k1, n)
+
+
+def _trace_bath(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """T m: rows (a x, c x) summed over the bath index x into the d1^2 rows (a, c)."""
+    m = m.reshape(*m.shape[:-2], d1, d2, d1, d2, m.shape[-1])
+    return np.einsum("...axcxk->...ack", m).reshape(*m.shape[:-5], d1 * d1, m.shape[-1])
 
 
 def extend_with_identity(s2: Superoperator, d1: int) -> Superoperator:
@@ -186,14 +191,11 @@ def _matrix_from_pairs(rows) -> np.ndarray:
     return m
 
 
-def channel_from_dict(data: dict) -> KrausChannel:
+def load_channel(path: str | Path) -> KrausChannel:
+    data = json.loads(Path(path).read_text())
     try:
         dim = _integer(data["dim"], "dim")
         kraus = tuple(_matrix_from_pairs(k) for k in data["kraus"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"bad channel specification: {exc}") from exc
     return KrausChannel(dim, kraus, name=str(data.get("name", "")))
-
-
-def load_channel(path: str | Path) -> KrausChannel:
-    return channel_from_dict(json.loads(Path(path).read_text()))

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 input channel fails the CPTP check, 2 usage error
-(an input too large for memory included), 3 numerical failure (defective
-peripheral cluster, ...).
+(an input too large for memory or a JSON file nested too deeply included), 3
+numerical failure (defective peripheral cluster, ...).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _kick(spec: str, params: dict | None = None) -> tuple[KrausChannel, Superope
     checked on every call."""
     try:
         ch, s, _, report = _load_kick(spec, params)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot load channel {spec!r}: {exc}") from exc
     if not report.passed:
         print(f"channel is not CPTP: trace residual {report.trace_residual:.3e}", file=sys.stderr)
@@ -64,7 +64,7 @@ def _load_hamiltonian(spec: str, dim: int) -> np.ndarray:
             raise UsageError(f"cannot draw Hamiltonian {spec!r} at dim {dim}: {exc}") from exc
     try:
         h = _matrix_from_pairs(json.loads(Path(spec).read_text())["matrix"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot load Hamiltonian {spec!r}: {exc}") from exc
     if h.shape != (dim, dim):
         raise UsageError(f"Hamiltonian shape {h.shape} does not match dim {dim}")
@@ -119,7 +119,7 @@ def _cmd_zeno_check(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         cfg = SweepConfig.from_dict(json.loads(Path(args.config).read_text()))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"bad sweep config {args.config!r}: {exc}") from exc
     _kick(cfg.channel, cfg.channel_params)
     out_path = Path(args.out) / "sweep.csv"

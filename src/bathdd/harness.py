@@ -3,15 +3,16 @@ decoupling/suppression curves.
 
 Every curve is the kicked evolution (S W)^n = A P_n (B W) of ``zeno._kicked_evolutions``
 on chunks of the Hamiltonian ensemble, drawn straight into eigendata by one real ``eigh``:
-the kick's factors S = A B come from ``zeno._factor_kick``, the one per-process memo that
-also serves ``zeno_evolution`` and ``dd_evolution``; one product of the kick's planned real
-planes takes a chunk to H's eigenbasis, and each n costs one real product there (the phases
-of the d(d-1)/2 energy gaps on the rows) and one real power P_n = (B W A)^{n-1}. Planned once
-per process: a zoo kick with its superoperator bytes and CPTP report (``_zoo_kick``, keyed by
-the spec and the exact params, read through ``_kick``, the loader the CLI uses too), per
-(kick bytes, d1) the factors and planes, with the bath-traced rows and columns in
-the Hermitian basis Q of M_d1 (``_plan``), and per (kick bytes, n) the superoperator of a zeno
-target (``_target``), each bounded at ``spectral._CACHE_SIZE`` entries and read-only.
+the kick's factors S = A B and planes come from ``zeno._plan``, the one per-process memo of
+kicked-evolution plans, which also serves ``zeno_evolution`` and ``dd_evolution``; one product
+of the kick's planned real planes takes a chunk to H's eigenbasis, and each n costs one real
+product there (the phases of the d(d-1)/2 energy gaps on the rows) and one real power
+P_n = (B W A)^{n-1}. Planned once per process: a zoo kick with its superoperator bytes and CPTP
+report (``_zoo_kick``, keyed by the spec and the exact params, read through ``_kick``, the
+loader the CLI uses too), per (kick bytes, d1, mode) the plan, traced in mode "dd" (the
+bath-traced rows and columns in the Hermitian basis Q of M_d1), and per (kick bytes, n) the
+superoperator of a zeno target (``_target``), each bounded at ``spectral._CACHE_SIZE`` entries
+and read-only; a zeno and a dd sweep of one kick hold two plans, so each takes its own SVD.
 Chunks and their blocks of n, each block one stacked step and one score call, are sized so
 that no per-pair stack of a block passes 64 KiB (``_STACK_BYTES``). Mode "dd" kicks the bath
 of a bipartite system with I_1 kron E_2, the lift of E_2's own factors, and records the purity
@@ -33,12 +34,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (CptpReport, KrausChannel, Superoperator, _hermitian_coordinates, _integer,
-                      _lift, _real, choi, load_channel, to_superoperator, validate_cptp)
+from .channel import (CptpReport, KrausChannel, Superoperator, _integer, _real, _trace_bath, choi,
+                      load_channel, to_superoperator, validate_cptp)
 from .hamiltonian import _random_hamiltonians
 from .linalg import assert_hermitian, kron
 from .spectral import _CACHE_SIZE, PERIPHERAL_TOL, _analyze, peripheral_power
-from .zeno import _eigensystem, _factor_kick, _kicked_evolutions, _planes
+from .zeno import _eigensystem, _kicked_evolutions, _plan
 from .zoo import builtin, pauli
 
 __all__ = [
@@ -46,15 +47,8 @@ __all__ = [
     "SweepRecord",
     "choi_distance",
     "reproduce",
-    "resolve_channel",
     "sweep",
 ]
-
-
-def _trace_bath(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """T m: rows (a x, c x) summed over the bath index x into the d1^2 rows (a, c)."""
-    m = m.reshape(*m.shape[:-2], d1, d2, d1, d2, m.shape[-1])
-    return np.einsum("...axcxk->...ack", m).reshape(*m.shape[:-5], d1 * d1, m.shape[-1])
 
 
 def _reduced_purity(lam: np.ndarray, d: int) -> float | np.ndarray:
@@ -177,15 +171,6 @@ FIXTURE_HAMILTONIANS = {
 }
 
 
-def resolve_channel(spec: str, params: dict | None = None) -> KrausChannel:
-    """Resolve "zoo:NAME" or a JSON file path to a Kraus channel; a file takes no params."""
-    if spec.startswith("zoo:"):
-        return builtin(spec[4:], **(params or {})).channel
-    if params:
-        raise ValueError(f"channel_params {sorted(params)} apply to zoo: channels, not a file")
-    return load_channel(spec)
-
-
 def _exact(value):
     """A hashable form of a zoo parameter, equal only for values that build the same kick: the
     dtype, shape and bytes of its array (so -0.0 is not 0.0, nor True 1). None for a ragged or
@@ -213,8 +198,14 @@ _Loaded = tuple[KrausChannel, Superoperator, bytes, CptpReport]
 
 
 def _load(spec: str, params: dict) -> _Loaded:
-    """The kick of ``spec`` with ``params``, built afresh."""
-    ch = resolve_channel(spec, params)
+    """The kick of ``spec`` with ``params``, built afresh: "zoo:NAME" or a channel JSON file
+    path, which takes no params."""
+    if spec.startswith("zoo:"):
+        ch = builtin(spec[4:], **params).channel
+    elif params:
+        raise ValueError(f"channel_params {sorted(params)} apply to zoo: channels, not a file")
+    else:
+        ch = load_channel(spec)
     report = validate_cptp(ch)
     with np.errstate(over="ignore", invalid="ignore"):  # Kraus entries huge enough to overflow
         s = to_superoperator(ch)                         # fail the report, which says so
@@ -237,22 +228,6 @@ def _kick(spec: str, params: dict | None = None) -> _Loaded:
     if spec.startswith("zoo:") and all(v is not None for _, v in exact):
         return _zoo_kick(_ZooKick(spec, exact, params))
     return _load(spec, params)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _plan(dim: int, data: bytes, d1: int):
-    """The part of a dd sweep that no Hamiltonian enters, memoised per process and read-only:
-    ((A, B, planes, None), Q^dag T A), A B the kick of these bytes lifted to d1 by
-    ``channel._lift`` from the kick's own factors (``zeno._factor_kick`` at d1 = 1, which reads
-    no lifted identity), T the bath trace and Q the package's orthonormal Hermitian basis of
-    M_d1 (``channel._hermitian_coordinates``), so that Q^dag T A is real, and the planes those
-    of B and of the Hermitian [A | T^T Q]."""
-    a, b = _lift(*_factor_kick(dim, data, 1)[:2], d1)  # R = I's planes are never read here
-    a.flags.writeable = b.flags.writeable = False
-    q = _hermitian_coordinates(d1)[2]
-    kept = (q.conj().T @ _trace_bath(a, d1, dim)).real
-    kept.flags.writeable = False  # shared by every sweep of this kick
-    return (a, b, _planes(b, a.T, q.T @ _trace_bath(np.eye(len(a)), d1, dim)), None), kept
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -297,7 +272,7 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     ordered by str(seed) and then n. Planned once per process: a zoo kick's superoperator
     (``_kick``, memoised in ``_zoo_kick`` by the exact params), its factors A B and planes, lifted to
     I_1 kron E_2 in mode "dd", with the bath-traced rows and columns in the Hermitian basis
-    Q of M_d1 (``_plan``), or the target superoperators E_phi^n ("zeno", ``_target``);
+    Q of M_d1 (``zeno._plan``), or the target superoperators E_phi^n ("zeno", ``_target``);
     a channel file is read on every call. A random chunk of Hamiltonians is drawn as its
     eigendata, one real ``eigh`` that also normalises it (a fixture: ``zeno._eigensystem``);
     each block of n of a chunk is one stacked real product of ``_kicked_evolutions``, and one
@@ -315,7 +290,7 @@ def sweep(cfg: SweepConfig) -> list[SweepRecord]:
     dim = ch.dim
     ns = tuple(sorted(cfg.n_values))
     # "dd": kept the rows Q^dag T A, the planes those of the columns T^T Q; "zeno": R = I
-    factors, kept = _plan(dim, data, cfg.d1) if dd else (_factor_kick(dim, data, 1), None)
+    factors, kept = _plan(dim, data, cfg.d1 if dd else 1, dd)
     a = factors[0]
     big_n, r = a.shape
     # per (n, H) pair of a block: the real r x N rows and r x (r + c) output, c the d1^2

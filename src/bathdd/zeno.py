@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Superoperator, _hermitian_coordinates, _lift
+from .channel import Superoperator, _hermitian_coordinates, _lift, _trace_bath
 from .linalg import _hamiltonian, _unit, dagger, kron
 from .spectral import (_CACHE_SIZE, PeripheralDecomposition, _real_form, analyze_peripheral,
                        fixed_point_state)
@@ -77,13 +77,17 @@ def _generator(frame: tuple, h: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _factor_kick(dim: int, data: bytes, d1: int):
-    """The read-only plan (A, B, planes, parts), memoised per process, of I_d1 kron S for the
-    kick S of these bytes: S = A B = (T^-1 A_R)(B_R T) from one real SVD of T S T^-1
+def _plan(dim: int, data: bytes, d1: int, traced: bool):
+    """The part of a kicked evolution of I_d1 kron S that no Hamiltonian enters, S the kick of
+    these bytes, memoised per process and read-only: ((A, B, planes, parts), kept) for
+    ``_kicked_evolutions``. S = A B = (T^-1 A_R)(B_R T) from one real SVD of T S T^-1
     (``spectral._real_form``, which refuses a non-HP S); ``_lift`` lifts them to rank d1^2 r.
     Columns of A are Hermitian, rows of B real on Hermitian input; r keeps sigma > sigma_max N
     eps (numpy's ``matrix_rank`` rule), so only round-off is cut, and the zero map is refused.
-    The planes are those of B and [A | T^-1], whose coordinates ``parts`` take to those of I."""
+    The planes are those of B and [A | R^T]. Untraced, R = I: the plan holds T^-1, whose
+    coordinates ``parts`` take to those of I, and kept is None. Traced (a dd sweep), R^T = T^T Q,
+    T the bath trace (``channel._trace_bath``) and Q the orthonormal Hermitian basis of M_d1
+    (``channel._hermitian_coordinates``), parts is None and kept the real rows Q^dag T A."""
     t, t_inv, m = _real_form(dim, data)
     u, sigma, vh = np.linalg.svd(m)
     r = int(np.count_nonzero(sigma > sigma[0] * len(sigma) * np.finfo(sigma.dtype).eps))
@@ -91,8 +95,13 @@ def _factor_kick(dim: int, data: bytes, d1: int):
         raise ValueError("the kick is the zero map: it has no kicked evolution")
     a, b = _lift(t_inv @ (u[:, :r] * sigma[:r]), vh[:r] @ t, d1)
     a.flags.writeable = b.flags.writeable = False  # shared by every caller of this kick
-    _, basis, *_, parts = _hermitian_coordinates(d1 * dim)
-    return a, b, _planes(b, a.T, basis.T), parts
+    if not traced:
+        _, basis, *_, parts = _hermitian_coordinates(d1 * dim)
+        return (a, b, _planes(b, a.T, basis.T), parts), None
+    q = _hermitian_coordinates(d1)[2]
+    kept = (q.conj().T @ _trace_bath(a, d1, dim)).real
+    kept.flags.writeable = False
+    return (a, b, _planes(b, a.T, q.T @ _trace_bath(np.eye(len(a)), d1, dim)), None), kept
 
 
 def _planes(*ops: np.ndarray) -> np.ndarray:
@@ -123,8 +132,8 @@ def _kicked_evolutions(factors, eigen, t: float, blocks):
     """(P, B W R^T) per block of n, on one flat (n, H) axis: row i k + j holds n = block[i]
     and H_j of the k Hamiltonians, with the real P = (B W A)^{n-1}, so (S W)^n = A P (B W).
 
-    ``factors`` is a read-only plan (A, B, planes, parts), S = A B: ``_factor_kick``'s for R = I,
-    or a dd sweep's (``harness._plan``, parts None) for the bath trace R^T = T^T Q. The k
+    ``factors`` is a read-only plan (A, B, planes, parts), S = A B, from ``_plan``: untraced for
+    R = I, or traced (a dd sweep, parts None) for the bath trace R^T = T^T Q. The k
     Hamiltonians come as checked eigendata (E, U), H = U E U^dag: complex from ``_eigensystem``,
     real from a sweep's draw. W multiplies the (i, j) entry of U^dag Y U by
     phi_ij = exp(-i (t/n) (E_i - E_j)). The rows X of B and the columns Y of [A | R^T] are
@@ -180,8 +189,8 @@ def zeno_evolution(s_kick: Superoperator, h: np.ndarray, t: float, n: int) -> Su
 
 def dd_evolution(s2: Superoperator, h: np.ndarray, t: float, n: int, d1: int) -> Superoperator:
     """Bath dynamical decoupling evolution ((I_1 kron E) e^{-i (t/n) [H,.]})^n, from
-    the factors of E alone, lifted and memoised by ``_factor_kick`` as in a bath-DD sweep."""
-    a, *_ = factors = _factor_kick(s2.dim, s2.matrix.tobytes(), d1)
+    the factors of E alone, lifted by ``_plan`` (untraced, so R = I) and memoised there."""
+    a, *_ = factors = _plan(s2.dim, s2.matrix.tobytes(), d1, False)[0]
     p, bw = next(_kicked_evolutions(factors, _eigensystem(h), t, [(n,)]))
     return Superoperator(d1 * s2.dim, (a @ (p @ bw)).reshape(*np.shape(h)[:-2], len(a), len(a)))
 

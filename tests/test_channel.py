@@ -10,7 +10,6 @@ from bathdd.channel import (
     KrausChannel,
     Superoperator,
     _lift,
-    channel_from_dict,
     choi,
     extend_with_identity,
     load_channel,
@@ -218,18 +217,25 @@ def test_json_roundtrip(tmp_path):
         assert np.allclose(a, b)
 
 
-def test_dict_format_pairs():
+def load_dict(data, tmp_path):
+    """``load_channel`` of a file holding ``data`` as JSON."""
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(data))
+    return load_channel(path)
+
+
+def test_dict_format_pairs(tmp_path):
     ch = KrausChannel(2, (np.array([[0, 1j], [1, 0]], dtype=complex) / np.sqrt(2),
                           np.eye(2) / np.sqrt(2)), name="x")
     data = channel_dict(ch)
     assert data["dim"] == 2
     assert data["kraus"][0][0][1] == [0.0, pytest.approx(1 / np.sqrt(2))]
-    back = channel_from_dict(json.loads(json.dumps(data)))
+    back = load_dict(data, tmp_path)
     assert np.allclose(back.kraus[0], ch.kraus[0])
 
 
-def test_bad_dict_raises():
+def test_bad_dict_raises(tmp_path):
     with pytest.raises(ChannelError):
-        channel_from_dict({"dim": 2})
+        load_dict({"dim": 2}, tmp_path)
     with pytest.raises(ChannelError):
-        channel_from_dict({"dim": "x", "kraus": []})
+        load_dict({"dim": "x", "kraus": []}, tmp_path)

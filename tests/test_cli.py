@@ -381,6 +381,8 @@ BAD_FILES = {
     "file_params": {**SWEEP_BASE, "channel": "{tmp}/plus_reset.json",
                     "channel_params": {"p": 0.3, "anything": "x"}},
 }
+# written as raw text: nested past the recursion limit of ``json``, which cannot encode it
+RAW_FILES = {"deep": "[" * 100000 + "]" * 100000}
 
 
 @pytest.mark.parametrize("argv", [
@@ -449,13 +451,18 @@ BAD_FILES = {
     ["dd-check", "zoo:E_updown", "--hamiltonian", "{tiny_h4}"],
     ["dd-check", "{plus_reset}", "--hamiltonian", "{huge_xj}"],
     ["sweep", "--config", "{file_params}", "--out", "{out}"],
+    ["classify", "{deep}"],
+    ["zeno-check", "zoo:E_updown", "--hamiltonian", "{deep}"],
+    ["sweep", "--config", "{deep}", "--out", "{out}"],
 ], ids=" ".join)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     paths = {"out": str(tmp_path / "out")}
-    for key, data in BAD_FILES.items():
+    texts = {key: json.dumps(data).replace("{tmp}", str(tmp_path))
+             for key, data in BAD_FILES.items()}
+    for key, text in {**texts, **RAW_FILES}.items():
         paths[key] = str(tmp_path / f"{key}.json")
-        (tmp_path / f"{key}.json").write_text(json.dumps(data).replace("{tmp}", str(tmp_path)))
+        (tmp_path / f"{key}.json").write_text(text)
     try:
         code = main([arg.format(**paths) for arg in argv])
     except SystemExit as exc:

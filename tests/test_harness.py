@@ -14,7 +14,7 @@ from bathdd.hamiltonian import random_hamiltonian
 from bathdd.harness import (
     _STACK_BYTES,
     _hamiltonian_chunks,
-    _plan,
+    _kick,
     _zoo_kick,
     FIGURES,
     FIXTURE_HAMILTONIANS,
@@ -24,12 +24,11 @@ from bathdd.harness import (
     choi_distance,
     reduced_choi_purity,
     reproduce,
-    resolve_channel,
     sweep,
 )
 from bathdd.linalg import kron
 from bathdd.spectral import analyze_peripheral, peripheral_power
-from bathdd.zeno import _factor_kick, dd_evolution, zeno_evolution
+from bathdd.zeno import _plan, dd_evolution, zeno_evolution
 from bathdd.zoo import builtin, pauli
 from bathdd.zoo import names as builtin_names
 from helpers import NOT_CPTP, plain_kicked_evolution, save_channel, sup
@@ -100,7 +99,7 @@ def test_choi_distance_basics():
 
 def test_choi_distance_reset_fixture():
     from bathdd.spectral import analyze_peripheral, peripheral_power
-    from bathdd.zeno import _factor_kick, dd_evolution, zeno_evolution
+    from bathdd.zeno import dd_evolution, zeno_evolution
 
     # the target of full suppression, H_Z = 0, is E_phi^n
     s = sup("E_omega")
@@ -111,12 +110,12 @@ def test_choi_distance_reset_fixture():
         assert dist == pytest.approx(1.68, abs=0.02)
 
 
-def test_resolve_channel(tmp_path):
-    ch = resolve_channel("zoo:E_square", {"p": 0.25})
+def test_kick_resolves_zoo_and_file_channels(tmp_path):
+    ch = _kick("zoo:E_square", {"p": 0.25})[0]
     assert ch.dim == 3
     p = tmp_path / "c.json"
     save_channel(ch, p)
-    back = resolve_channel(str(p))
+    back = _kick(str(p))[0]
     assert back.dim == 3
 
 
@@ -244,7 +243,7 @@ def test_zeno_sweep_of_a_kick_with_a_dfs_saturates_at_large_n():
 def per_pair_reference(cfg):
     """{(seed, n): value} from one plain kicked evolution and one metric
     call per (H, n), with the purity taken from the full Choi state."""
-    ch = resolve_channel(cfg.channel, cfg.channel_params)
+    ch = _kick(cfg.channel, cfg.channel_params)[0]
     s = to_superoperator(ch)
     if cfg.mode == "dd":
         kick = extend_with_identity(s, cfg.d1)
@@ -457,7 +456,7 @@ def choi_difference_values(cfg, chunks):
     """{(seed, n): value} of a zeno sweep scored from its kernel's blocks as before: the Choi
     states of the maps A (P B W), as a complex product, minus that of E_phi^n, then eigvalsh
     (``choi_distance``)."""
-    s = to_superoperator(resolve_channel(cfg.channel, cfg.channel_params))
+    s = to_superoperator(_kick(cfg.channel, cfg.channel_params)[0])
     dec = analyze_peripheral(s)
     src = cfg.hamiltonians
     labels = ([src["fixture"]] if "fixture" in src
@@ -511,52 +510,51 @@ def test_dd_sweep_factors_only_the_bath_kick(monkeypatch):
     monkeypatch.setattr(bathdd.harness, "extend_with_identity", refuse, raising=False)
     for cfg, kick in ((FIGURES["fig3a"].config, sup("E_omega")),
                       (STACKED_CASES["updown:d1=3"], sup("E_updown"))):
-        _factor_kick.cache_clear()  # factors memoised by earlier sweeps
-        _plan.cache_clear()  # and the plans that hold them
+        _plan.cache_clear()  # plans memoised by earlier sweeps
         records = sweep(with_hamiltonians(cfg, random=2, seed=0))
         assert len(records) == 5 * len(cfg.n_values)
-        assert _factor_kick.cache_info().misses == 1
-        # the one entry is the bath kick's own factors, d1 = 1, which the plan lifts
-        _factor_kick(kick.dim, kick.matrix.tobytes(), 1)
-        assert _factor_kick.cache_info()[:2] == (1, 1)
+        assert _plan.cache_info().misses == 1
+        # the one entry is the traced plan of the bath kick's own factors, lifted to the d1
+        _plan(kick.dim, kick.matrix.tobytes(), cfg.d1, True)
+        assert _plan.cache_info()[:2] == (1, 1)
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_a_dd_plan_lifts_the_kicks_own_factors_bitwise(name):
-    # the plan lifts the d1 = 1 factors: bitwise those the d1 entry of _factor_kick holds
+    # the traced plan lifts the kick's factors: bitwise those the untraced plan holds
     s = sup(name)
     for d1 in (1, 2, 3):
-        (a, b, *_), _ = _plan(s.dim, s.matrix.tobytes(), d1)
-        lifted = _factor_kick(s.dim, s.matrix.tobytes(), d1)[:2]
+        (a, b, *_), _ = _plan(s.dim, s.matrix.tobytes(), d1, True)
+        lifted = _plan(s.dim, s.matrix.tobytes(), d1, False)[0][:2]
         assert np.array_equal(a, lifted[0]) and np.array_equal(b, lifted[1])
 
 
 def test_second_sweep_of_a_kick_factors_nothing():
-    _factor_kick.cache_clear()
     _plan.cache_clear()
     cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
     first = sweep(cfg)
-    assert _factor_kick.cache_info().misses == 1
+    assert _plan.cache_info().misses == 1
     # the same kick with other Hamiltonians, and the same sweep again, factor nothing
     sweep(with_hamiltonians(cfg, random=2, seed=5))
-    assert sweep(cfg) == first and _factor_kick.cache_info().misses == 1
+    assert sweep(cfg) == first and _plan.cache_info().misses == 1
     s = sup("E_omega")
-    for f in _factor_kick(4, s.matrix.tobytes(), 1):
+    (*factors, parts), kept = _plan(4, s.matrix.tobytes(), cfg.d1, True)
+    assert parts is None
+    for f in (*factors, kept):
         assert not f.flags.writeable
         with pytest.raises(ValueError):
             f[0, 0] = 0
-    assert _factor_kick.cache_info().misses == 1
+    assert _plan.cache_info().misses == 1
 
 
 def test_dd_evolution_after_a_dd_sweep_adds_only_its_lifted_factors():
-    _factor_kick.cache_clear()
     _plan.cache_clear()
     cfg = with_hamiltonians(FIGURES["fig3a"].config, random=2, seed=0)
     sweep(cfg)
-    assert _factor_kick.cache_info().misses == 1  # the kick's own factors, d1 = 1
+    assert _plan.cache_info().misses == 1  # the sweep's traced plan at d1 = 2
     hs = np.array([random_hamiltonian(8, seed) for seed in range(2)])
     got = dd_evolution(sup("E_omega"), hs, cfg.t, 5, cfg.d1)
-    assert _factor_kick.cache_info().misses == 2  # and its plan at d1 = 2, with R = I
+    assert _plan.cache_info().misses == 2  # and the untraced plan at d1 = 2, with R = I
     for h, m in zip(hs, got.matrix):
         want = plain_kicked_evolution(extend_with_identity(sup("E_omega"), 2), h, cfg.t, 5)
         assert np.max(np.abs(m - want.matrix)) <= 1e-12
@@ -662,7 +660,7 @@ def test_zoo_kicks_are_memoised_by_exact_params():
 
 
 def test_planned_kicks_are_read_only():
-    from bathdd.harness import _kick, _target
+    from bathdd.harness import _target
 
     for fig, mode, d1 in (("fig3a", "dd", 2), ("fig3b", "zeno", 1)):
         cfg = with_hamiltonians(FIGURES[fig].config, random=1, seed=0)
@@ -671,11 +669,11 @@ def test_planned_kicks_are_read_only():
         kick, memo = (ch.dim, data), _plan if mode == "dd" else _target
         misses = memo.cache_info().misses
         if mode == "dd":  # A, B, the planes of [A | T^T Q] and Q^dag T A
-            (*arrays, parts), kept = _plan(*kick, d1)
+            (*arrays, parts), kept = _plan(*kick, d1, True)
             arrays.append(kept)
             assert parts is None
         else:  # A, B, the planes of [A | T^-1], the parts of T, and the targets
-            arrays = [*_factor_kick(*kick, d1), *(_target(*kick, n) for n in cfg.n_values)]
+            arrays = [*_plan(*kick, d1, False)[0], *(_target(*kick, n) for n in cfg.n_values)]
         assert memo.cache_info().misses == misses  # the sweep's own plan and targets
         assert len(arrays) == 4 + (0 if mode == "dd" else len(cfg.n_values))
         for x in arrays:
@@ -685,8 +683,7 @@ def test_planned_kicks_are_read_only():
 
 
 def counted_planes(monkeypatch):
-    """The kick planes built from here on: ``zeno._planes``, wherever it is called from."""
-    import bathdd.harness
+    """The kick planes built from here on: ``zeno._planes``, called only by ``zeno._plan``."""
     import bathdd.zeno
 
     built, planes_of = [], bathdd.zeno._planes
@@ -695,18 +692,16 @@ def counted_planes(monkeypatch):
         built.append(planes_of(*ops))
         return built[-1]
 
-    for module in (bathdd.zeno, bathdd.harness):
-        monkeypatch.setattr(module, "_planes", planes)
+    monkeypatch.setattr(bathdd.zeno, "_planes", planes)
     return built
 
 
 def test_kick_planes_are_read_only_and_built_once_per_kick_and_d1(tmp_path, monkeypatch):
     built = counted_planes(monkeypatch)
-    _factor_kick.cache_clear()
     _plan.cache_clear()
-    # dd: those of the kick's own [A | T^-1] at d1 = 1 and of the plan's [A | T^T Q] at d1 = 2;
-    # fig3b's zeno sweep reads fig3a's d1 = 1 entry
-    for fig, new in (("fig3a", 2), ("fig1a", 2), ("fig3b", 0)):
+    # one plan per sweep: dd the traced [A | T^T Q] at d1 = 2; fig3b's zeno sweep of fig3a's kick
+    # its own untraced [A | T^-1] at d1 = 1
+    for fig, new in (("fig3a", 1), ("fig1a", 1), ("fig3b", 1)):
         cfg = with_hamiltonians(FIGURES[fig].config, random=2, seed=0)
         count = len(built)
         first = sweep(cfg)
@@ -720,7 +715,7 @@ def test_kick_planes_are_read_only_and_built_once_per_kick_and_d1(tmp_path, monk
     # a channel file rewritten between two sweeps is a new kick, with new planes
     path = tmp_path / "kick.json"
     cfg = SweepConfig(str(path), "dd", (1, 2, 7), {"random": 2, "seed": 0})
-    for name, new in (("E_hook", 2), ("E_hook", 0), ("E_triangle", 2)):
+    for name, new in (("E_hook", 1), ("E_hook", 0), ("E_triangle", 1)):
         save_channel(builtin(name).channel, path)
         count = len(built)
         sweep(cfg)

@@ -16,7 +16,7 @@ from bathdd.channel import (
     to_superoperator,
 )
 from bathdd.hamiltonian import _random_hamiltonians, adjoint_rep, random_hamiltonian, schmidt
-from bathdd.harness import _plan, choi_distance
+from bathdd.harness import choi_distance
 from bathdd.classify import classify
 from bathdd.cli import main as cli_main
 from bathdd.linalg import expm, kron
@@ -24,8 +24,8 @@ from bathdd.spectral import analyze_peripheral, fixed_point_state
 from bathdd.zeno import (
     DD_TOL,
     _eigensystem,
-    _factor_kick,
     _kicked_evolutions,
+    _plan,
     _zeno_frame,
     _zeno_residual,
     dd_check,
@@ -52,7 +52,7 @@ EYE2 = np.eye(2, dtype=complex)
 
 
 def factor_kick(s):
-    return _factor_kick(s.dim, s.matrix.tobytes(), 1)
+    return _plan(s.dim, s.matrix.tobytes(), 1, False)[0]
 
 
 def random_bloch(seed):
@@ -458,7 +458,7 @@ def test_lifted_factors_reproduce_the_lifted_kick(name, d1):
     assert np.max(np.abs(a @ b - kraus_lift(ch, d1).matrix)) <= 1e-14
 
 
-def test_factor_kick_keeps_the_zoo_ranks():
+def test_plan_keeps_the_zoo_ranks():
     # the real SVD in Hermitian coordinates cuts only round-off, as the complex one did
     ranks = [factor_kick(sup(name))[0].shape[1] for name in names()]
     assert ranks == [2, 2, 3, 2, 2, 1, 4, 8]
@@ -470,7 +470,7 @@ def test_kicked_step_is_real(name):
     # expm free step, is round-off, and P is the real power of that step
     s2 = sup(name)
     for d1 in (1, 2) if 2 * s2.dim <= 8 else (1,):
-        factors = _factor_kick(s2.dim, s2.matrix.tobytes(), d1)  # factor_kick(s2) lifted
+        factors = _plan(s2.dim, s2.matrix.tobytes(), d1, False)[0]  # factor_kick(s2) lifted
         a, b = factors[:2]
         hs = np.array([random_hamiltonian(d1 * s2.dim, seed) for seed in range(3)])
         for n in (1, 2, 7, 100):
@@ -495,10 +495,10 @@ def planned(s2, d1, columns):
     sweep's bath trace T^T Q, built here as vec(Q_m kron I) of the orthonormal Hermitian basis
     Q_m of M_d1, or None for the identity of the zeno factors."""
     if columns == "zeno":
-        return _factor_kick(s2.dim, s2.matrix.tobytes(), d1), None
+        return _plan(s2.dim, s2.matrix.tobytes(), d1, False)[0], None
     q = _hermitian_coordinates(d1)[2]
     rt = np.stack([kron(x.reshape(d1, d1), np.eye(s2.dim)).reshape(-1) for x in q.T], axis=1)
-    return _plan(s2.dim, s2.matrix.tobytes(), d1)[0], rt
+    return _plan(s2.dim, s2.matrix.tobytes(), d1, True)[0], rt
 
 
 @pytest.mark.parametrize("columns", ["dd", "zeno"])
@@ -571,16 +571,16 @@ def test_dd_evolution_factors_only_the_bath_kick(name, d1, monkeypatch):
 
     monkeypatch.setattr(bathdd.channel, "extend_with_identity", refuse)
     monkeypatch.setattr(bathdd.zeno, "extend_with_identity", refuse, raising=False)
-    _factor_kick.cache_clear()
+    _plan.cache_clear()
     for n, m in want.items():
         got = dd_evolution(s2, hs, 1.0, n, d1)
         assert got.dim == d1 * ch.dim
         assert np.max(np.abs(got.matrix - m)) <= 1e-12
         # one factoring in all: a second n factors nothing
-        assert _factor_kick.cache_info().misses == 1
+        assert _plan.cache_info().misses == 1
     # and its one entry is the bath kick's factors lifted to d1
-    _factor_kick(s2.dim, s2.matrix.tobytes(), d1)
-    assert _factor_kick.cache_info()[:2] == (len(want), 1)
+    _plan(s2.dim, s2.matrix.tobytes(), d1, False)
+    assert _plan.cache_info()[:2] == (len(want), 1)
 
 
 def non_hp_kick():
